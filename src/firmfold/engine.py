@@ -1,19 +1,25 @@
 """Deterministic rewriting and exhaustive state-space exploration.
 
 A rule pairs a matcher, which enumerates every match of its pattern in
-a graph, with an applier that rewrites one match on a copy.  The fold
-driver is deterministic: at each step it takes the lowest-priority-value
+a graph, with an applier that rewrites one match in place.  The fold
+driver copies its input once and rewrites that copy; it is
+deterministic: at each step it takes the lowest-priority-value
 rule that matches at all and that rule's anchor-lexicographically
 smallest match.  The explorer instead takes every match of every rule
 from every reachable state, deduplicating states up to isomorphism, and
-so observes whether all maximal rewrites end in the same place.
+so observes whether all maximal rewrites end in the same place; it keeps
+every state, so each successor comes from `apply`, which rewrites a
+copy.
 
 Every rule application strictly shrinks the element count; that measure
 is asserted on each step and bounds both drivers.
 
 After each step the drivers compact input positions (see
 `normalize_positions`), so consumer ports stay 0..n-1 without the rules
-having to renumber anything themselves.
+having to renumber anything themselves.  Only a consumer that lost an
+input edge can acquire a gap, so after the first step following a
+copy, which checks every consumer, a step renumbers just those (the
+graph records them) and the blocks deferred for a misaligned Phi.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import StaleMatchError, StateLimitExceeded, StepLimitExceeded
+from .errors import StateLimitExceeded, StepLimitExceeded
 from .graph import NodeId, ProgramGraph
 from .isomorphism import canonical_hash, is_isomorphic
 
@@ -37,6 +43,12 @@ class Match:
 
 @dataclass(frozen=True)
 class Rule:
+    """A named pattern: `matcher` lists its matches, `applier` rewrites one in place.
+
+    The applier re-checks its match, raising StaleMatchError, mutates
+    the graph it is given through the graph's mutators, and returns it.
+    """
+
     name: str
     priority: int
     matcher: Callable[[ProgramGraph], list[Match]]
@@ -48,19 +60,42 @@ def matches(g: ProgramGraph, rule: Rule) -> list[Match]:
     return sorted(rule.matcher(g), key=lambda m: m.anchors)
 
 
+def _step(g: ProgramGraph, rule: Rule, match: Match) -> None:
+    """Rewrite one match in place, asserting the termination measure."""
+    before = g.element_count()
+    rule.applier(g, match)
+    assert g.element_count() < before, f"{rule.name} did not shrink the graph"
+
+
 def apply(g: ProgramGraph, rule: Rule, match: Match) -> ProgramGraph:
-    """Rewrite one match on a copy of `g`.
+    """Rewrite one match on a copy of `g` and normalize the copy's positions.
 
     Raises StaleMatchError when the match does not occur in `g` (for
     example, a match computed before an earlier rewrite invalidated it).
     """
-    if match not in rule.matcher(g):
-        raise StaleMatchError(f"{match.rule_name} does not match at {match.anchors}")
-    result = rule.applier(g, match)
-    assert result.element_count() < g.element_count(), (
-        f"{rule.name} did not shrink the graph"
-    )
-    return result
+    h = g.copy()
+    _step(h, rule, match)
+    _normalize_all(h, set())
+    return h
+
+
+def _renumber(g: ProgramGraph, target: NodeId) -> None:
+    """Compact the input positions of one consumer to 0..n-1, in place."""
+    if target in g.op_nodes:
+        for index, (eid, _) in enumerate(g.data_inputs(target)):
+            g.set_position(eid, index)
+        return
+    mapping: dict[int, int] = {}
+    for index, (eid, _) in enumerate(g.control_preds(target)):
+        mapping.setdefault(g.edge_nodes[eid].position, index)
+        g.set_position(eid, index)
+    for phi in g.members(target):
+        if g.op_nodes[phi].name != "Phi":
+            continue
+        for eid, _ in g.data_inputs(phi):
+            position = g.edge_nodes[eid].position
+            if position in mapping:
+                g.set_position(eid, mapping[position])
 
 
 def normalize_positions(g: ProgramGraph, target: NodeId) -> ProgramGraph:
@@ -73,23 +108,7 @@ def normalize_positions(g: ProgramGraph, target: NodeId) -> ProgramGraph:
     keeping Phi selection aligned with block entries.
     """
     h = g.copy()
-    if target in h.op_nodes:
-        edges = [h.edge_nodes[eid] for eid, _ in h.data_inputs(target)]
-        for index, e in enumerate(edges):
-            e.position = index
-        return h
-    edges = [h.edge_nodes[eid] for eid, _ in h.control_preds(target)]
-    mapping: dict[int, int] = {}
-    for index, e in enumerate(edges):
-        mapping.setdefault(e.position, index)
-        e.position = index
-    for phi in h.members(target):
-        if h.op_nodes[phi].name != "Phi":
-            continue
-        for eid, _ in h.data_inputs(phi):
-            e = h.edge_nodes[eid]
-            if e.position in mapping:
-                e.position = mapping[e.position]
+    _renumber(h, target)
     return h
 
 
@@ -97,47 +116,49 @@ def _contiguous(positions: list[int]) -> bool:
     return positions == list(range(len(positions)))
 
 
-def _normalize_all(g: ProgramGraph) -> ProgramGraph:
-    """Compact every consumer's positions, deferring blocks with misaligned Phis.
+def _normalize_all(g: ProgramGraph, deferred: set[NodeId]) -> set[NodeId]:
+    """Compact, in place, the positions of every consumer that may have gaps.
 
-    A block whose Phi still has an input at a position no entry edge
-    carries is left alone: renumbering it now could collide that stale
-    input with a live one.  The stale input is a rewrite's job to
-    remove; once it is gone the block is compacted on a later pass.
+    Those are the consumers that lost an input edge since the last
+    normalization of `g`, plus the blocks in `deferred`; on a fresh or
+    copied graph, every consumer.  A block whose Phi still has an input
+    at a position no entry edge carries is left alone: renumbering it
+    now could collide that stale input with a live one.  The stale
+    input is a rewrite's job to remove.  Such blocks are returned, to
+    be passed back as `deferred` after the next rewrite.
+
+    Consumers are independent of each other here, so one pass leaves
+    every consumer compact or deferred.
     """
-    current = g
-    while True:
-        changed = False
-        for block in sorted(current.block_nodes):
-            positions = [
-                current.edge_nodes[eid].position
-                for eid, _ in current.control_preds(block)
-            ]
-            if _contiguous(positions):
-                continue
-            entry_set = set(positions)
-            misaligned = False
-            for phi in current.members(block):
-                if current.op_nodes[phi].name != "Phi":
-                    continue
-                for eid, _ in current.data_inputs(phi):
-                    if current.edge_nodes[eid].position not in entry_set:
-                        misaligned = True
-            if misaligned:
-                continue
-            current = normalize_positions(current, block)
-            changed = True
-        for op in sorted(current.op_nodes):
-            if current.op_nodes[op].name == "Phi":
-                continue
-            positions = [
-                current.edge_nodes[eid].position for eid, _ in current.data_inputs(op)
-            ]
-            if not _contiguous(positions):
-                current = normalize_positions(current, op)
-                changed = True
-        if not changed:
-            return current
+    touched = g.take_touched()
+    if touched is None:
+        blocks, ops = sorted(g.block_nodes), sorted(g.op_nodes)
+    else:
+        touched |= deferred
+        blocks = sorted(n for n in touched if n in g.block_nodes)
+        ops = sorted(n for n in touched if n in g.op_nodes)
+    still_deferred = set()
+    for block in blocks:
+        positions = [g.edge_nodes[eid].position for eid, _ in g.control_preds(block)]
+        if _contiguous(positions):
+            continue
+        entry_set = set(positions)
+        if any(
+            g.edge_nodes[eid].position not in entry_set
+            for phi in g.members(block)
+            if g.op_nodes[phi].name == "Phi"
+            for eid, _ in g.data_inputs(phi)
+        ):
+            still_deferred.add(block)
+            continue
+        _renumber(g, block)
+    for op in ops:
+        if g.op_nodes[op].name == "Phi":
+            continue
+        positions = [g.edge_nodes[eid].position for eid, _ in g.data_inputs(op)]
+        if not _contiguous(positions):
+            _renumber(g, op)
+    return still_deferred
 
 
 def format_trace(trace: tuple[Match, ...]) -> str:
@@ -164,12 +185,14 @@ def fold(
 ) -> FoldResult:
     """Rewrite deterministically until no rule matches.
 
-    Raises StepLimitExceeded if a rule still matches after `max_steps`
-    applications.
+    Works on one copy of `g`, rewritten in place; `g` is left as it
+    was.  Raises StepLimitExceeded if a rule still matches after
+    `max_steps` applications.
     """
     ordered = sorted(rules, key=lambda r: r.priority)
-    current = g
+    current = g.copy()
     trace: list[Match] = []
+    deferred: set[NodeId] = set()
     while True:
         chosen: tuple[Rule, Match] | None = None
         for rule in ordered:
@@ -182,16 +205,22 @@ def fold(
         if len(trace) >= max_steps:
             raise StepLimitExceeded(f"no fixpoint within {max_steps} steps")
         rule, match = chosen
-        current = _normalize_all(apply(current, rule, match))
+        _step(current, rule, match)
+        deferred = _normalize_all(current, deferred)
         trace.append(match)
 
 
 def replay(g: ProgramGraph, rules: tuple[Rule, ...], trace: tuple[Match, ...]) -> ProgramGraph:
-    """Re-apply a recorded trace step by step."""
+    """Re-apply a recorded trace step by step, on one copy of `g`.
+
+    Raises StaleMatchError when a recorded match does not occur.
+    """
     by_name = {r.name: r for r in rules}
-    current = g
+    current = g.copy()
+    deferred: set[NodeId] = set()
     for match in trace:
-        current = _normalize_all(apply(current, by_name[match.rule_name], match))
+        _step(current, by_name[match.rule_name], match)
+        deferred = _normalize_all(current, deferred)
     return current
 
 
@@ -238,7 +267,7 @@ def explore(
         state = states[digest]
         for rule in ordered:
             for match in matches(state, rule):
-                successor = _normalize_all(apply(state, rule, match))
+                successor = apply(state, rule, match)
                 succ_digest = canonical_hash(successor)
                 if succ_digest in states:
                     if not is_isomorphic(successor, states[succ_digest]):
@@ -250,9 +279,12 @@ def explore(
                         raise StateLimitExceeded(
                             f"state space exceeds {max_states} states"
                         )
+                    # Stored states hold no index; expansion rebuilds it.
+                    successor.drop_index()
                     states[succ_digest] = successor
                     queue.append(succ_digest)
                 transitions.add((digest, rule.name, succ_digest))
+        state.drop_index()
     outgoing = {src for src, _, _ in transitions}
     final = frozenset(d for d in states if d not in outgoing)
     return Lts(states, tuple(sorted(transitions)), initial, final)

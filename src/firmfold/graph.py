@@ -11,12 +11,22 @@ plain adjacency (the containment map); it has no attributes.
 
 Node ids are ints, unique within a graph and never reused, not even
 after deletion.  All queries return deterministically ordered results.
+
+Queries read an adjacency index (in-edges by target, out-edges by
+source, members by block) rather than scanning every Edge node, so a
+query costs in proportion to the node's degree.  The index has one
+invariant: it lists exactly what the node maps say.  Only the graph's
+mutators write the maps, and each keeps the index in step; Edge nodes
+are immutable, so a rewrite cannot move an edge behind the index's
+back.  Copies share the Edge node objects and start without an index,
+which the first query builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .errors import (
     DuplicatePositionError,
@@ -97,13 +107,17 @@ JMP = OpKind("Jmp")
 RETURN = OpKind("Return")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EdgeNode:
     """A nodified edge: kind, consumer-side port position, endpoints.
 
     `branch` is set exactly on Controlflow edges sourced by a Cond and
     distinguishes the successor taken when the selector is non-zero
     (branch 1) from the zero successor (branch 0).
+
+    Edge nodes are immutable.  `ProgramGraph.redirect` and
+    `set_position` replace them, so the graph's adjacency index always
+    sees the change.
     """
 
     id: NodeId
@@ -114,6 +128,46 @@ class EdgeNode:
     branch: int | None = None
 
 
+_BY_POSITION = attrgetter("position", "id")
+_BY_TARGET = attrgetter("target", "id")
+_BY_ID = attrgetter("id")
+
+
+class _Adjacency:
+    """The index behind the queries: in-edges by target, out-edges by
+    source, and member operations by block, all as lists of node ids.
+
+    The in-edges of a node all have one kind, since Dataflow edges
+    target operations and Controlflow edges target blocks.
+    """
+
+    __slots__ = ("ins", "outs", "members")
+
+    def __init__(self, g: ProgramGraph) -> None:
+        self.ins: dict[NodeId, list[NodeId]] = {}
+        self.outs: dict[NodeId, list[NodeId]] = {}
+        self.members: dict[NodeId, list[NodeId]] = {}
+        for e in g.edge_nodes.values():
+            self.link(e)
+        for op, block in g.containment.items():
+            self.members.setdefault(block, []).append(op)
+
+    def link(self, e: EdgeNode) -> None:
+        self.ins.setdefault(e.target, []).append(e.id)
+        self.outs.setdefault(e.source, []).append(e.id)
+
+    def unlink(self, e: EdgeNode) -> None:
+        _discard(self.ins, e.target, e.id)
+        _discard(self.outs, e.source, e.id)
+
+
+def _discard(table: dict[NodeId, list[NodeId]], key: NodeId, item: NodeId) -> None:
+    ids = table[key]
+    ids.remove(item)
+    if not ids:
+        del table[key]
+
+
 class ProgramGraph:
     """Mutable program graph over operation, block, and Edge nodes.
 
@@ -122,11 +176,29 @@ class ProgramGraph:
     containment targets always reference existing nodes, Dataflow edges
     connect operation nodes, and Controlflow edges run from a Jmp, Cond,
     or Return into a block.  Position uniqueness per input port set is
-    enforced by `connect` but not re-checked after deletions; the
-    verifier's pos-check owns that invariant.
+    enforced by `connect` but not re-checked after deletions or
+    `set_position`; the verifier's pos-check owns that invariant.
+
+    The adjacency index is built on the first query, and from then on
+    the mutators (`add_op`, `connect`, `redirect`, `set_position`,
+    `delete_node`) keep it in step with the four node maps, which
+    callers must treat as read-only.  `copy` and `_from_parts` start
+    without an index, so a graph that is only stored costs no index
+    memory.
+
+    The graph also notes which consumers lost an input edge, so that
+    position normalization can revisit just those; see `take_touched`.
     """
 
-    __slots__ = ("op_nodes", "block_nodes", "edge_nodes", "containment", "_next_id")
+    __slots__ = (
+        "op_nodes",
+        "block_nodes",
+        "edge_nodes",
+        "containment",
+        "_next_id",
+        "_adj",
+        "_touched",
+    )
 
     def __init__(self) -> None:
         self.op_nodes: dict[NodeId, OpKind] = {}
@@ -134,6 +206,49 @@ class ProgramGraph:
         self.edge_nodes: dict[NodeId, EdgeNode] = {}
         self.containment: dict[NodeId, NodeId] = {}
         self._next_id = 0
+        self._adj: _Adjacency | None = None
+        self._touched: set[NodeId] | None = None
+
+    # -- adjacency index ----------------------------------------------
+
+    def _index(self) -> _Adjacency:
+        if self._adj is None:
+            self._adj = _Adjacency(self)
+        return self._adj
+
+    def _remove_edge(self, e: EdgeNode) -> None:
+        del self.edge_nodes[e.id]
+        if self._adj is not None:
+            self._adj.unlink(e)
+        if self._touched is not None:
+            self._touched.add(e.target)
+
+    def _in_edges(self, node: NodeId) -> list[EdgeNode]:
+        edges = self.edge_nodes
+        return [edges[eid] for eid in self._index().ins.get(node, ())]
+
+    def _out_edges(self, kind: EdgeKind, node: NodeId) -> list[EdgeNode]:
+        edges = self.edge_nodes
+        return [
+            edges[eid] for eid in self._index().outs.get(node, ()) if edges[eid].kind is kind
+        ]
+
+    def drop_index(self) -> None:
+        """Free the adjacency index; the next query rebuilds it.
+
+        For graphs kept in bulk, such as the states `explore` stores.
+        """
+        self._adj = None
+
+    def take_touched(self) -> set[NodeId] | None:
+        """Consumers that lost an input edge since the last call.
+
+        None means unknown: the graph is fresh, copied or loaded, so
+        any consumer may have gaps in its input positions.  The record
+        restarts empty after each call.
+        """
+        touched, self._touched = self._touched, set()
+        return touched
 
     # -- construction -------------------------------------------------
 
@@ -154,7 +269,41 @@ class ProgramGraph:
         nid = self._fresh_id()
         self.op_nodes[nid] = kind
         self.containment[nid] = block
+        if self._adj is not None:
+            self._adj.members.setdefault(block, []).append(nid)
         return nid
+
+    def _check_edge(
+        self, kind: EdgeKind, source: NodeId, target: NodeId, branch: int | None
+    ) -> None:
+        """Raise unless an edge of `kind` may run from `source` to `target`."""
+        for endpoint in (source, target):
+            if endpoint not in self.op_nodes and endpoint not in self.block_nodes:
+                raise UnknownNodeError(f"n{endpoint} does not exist")
+        if kind is EdgeKind.DATAFLOW:
+            if source not in self.op_nodes or target not in self.op_nodes:
+                raise IncompatibleEndpointsError(
+                    "Dataflow edges connect operation nodes"
+                )
+            cond_sourced = False
+        else:
+            if target not in self.block_nodes:
+                raise IncompatibleEndpointsError("Controlflow edges target a block")
+            source_kind = self.op_nodes.get(source)
+            if source_kind is None or source_kind.name not in CONTROL_SOURCES:
+                raise IncompatibleEndpointsError(
+                    "Controlflow edges are sourced by Jmp, Cond, or Return"
+                )
+            cond_sourced = source_kind.name == "Cond"
+        if cond_sourced:
+            if branch not in (0, 1):
+                raise IncompatibleEndpointsError(
+                    "Controlflow edges sourced by a Cond carry branch 0 or 1"
+                )
+        elif branch is not None:
+            raise IncompatibleEndpointsError(
+                "branch is only carried by Cond-sourced Controlflow edges"
+            )
 
     def connect(
         self,
@@ -176,43 +325,45 @@ class ProgramGraph:
         """
         if position < 0:
             raise ValueError("position must be non-negative")
-        for endpoint in (source, target):
-            if endpoint not in self.op_nodes and endpoint not in self.block_nodes:
-                raise UnknownNodeError(f"n{endpoint} does not exist")
-        if kind is EdgeKind.DATAFLOW:
-            if source not in self.op_nodes or target not in self.op_nodes:
-                raise IncompatibleEndpointsError(
-                    "Dataflow edges connect operation nodes"
-                )
-        else:
-            if target not in self.block_nodes:
-                raise IncompatibleEndpointsError("Controlflow edges target a block")
-            if self.op_nodes.get(source, OpKind("Phi")).name not in CONTROL_SOURCES:
-                raise IncompatibleEndpointsError(
-                    "Controlflow edges are sourced by Jmp, Cond, or Return"
-                )
-        cond_sourced = (
-            kind is EdgeKind.CONTROLFLOW
-            and self.op_nodes.get(source) is not None
-            and self.op_nodes[source].name == "Cond"
-        )
-        if cond_sourced:
-            if branch not in (0, 1):
-                raise IncompatibleEndpointsError(
-                    "Controlflow edges sourced by a Cond carry branch 0 or 1"
-                )
-        elif branch is not None:
-            raise IncompatibleEndpointsError(
-                "branch is only carried by Cond-sourced Controlflow edges"
-            )
-        for edge in self.edge_nodes.values():
-            if edge.kind is kind and edge.target == target and edge.position == position:
+        self._check_edge(kind, source, target, branch)
+        for e in self._in_edges(target):
+            if e.position == position:
                 raise DuplicatePositionError(
                     f"{kind.value} input {position} of n{target} already occupied"
                 )
         nid = self._fresh_id()
-        self.edge_nodes[nid] = EdgeNode(nid, kind, position, source, target, branch)
+        edge = EdgeNode(nid, kind, position, source, target, branch)
+        self.edge_nodes[nid] = edge
+        self._index().link(edge)
         return nid
+
+    def _edge(self, edge: NodeId) -> EdgeNode:
+        if edge not in self.edge_nodes:
+            raise UnknownNodeError(f"n{edge} is not an Edge node")
+        return self.edge_nodes[edge]
+
+    def redirect(self, edge: NodeId, source: NodeId) -> None:
+        """Move the source end of `edge` to `source`, dropping its branch.
+
+        Raises as `connect` does when the new source does not fit.
+        """
+        e = self._edge(edge)
+        self._check_edge(e.kind, source, e.target, None)
+        adj = self._index()
+        adj.unlink(e)
+        moved = EdgeNode(edge, e.kind, e.position, source, e.target)
+        self.edge_nodes[edge] = moved
+        adj.link(moved)
+
+    def set_position(self, edge: NodeId, position: int) -> None:
+        """Renumber the consumer-side port of `edge`.
+
+        Uniqueness among the consumer's inputs is not checked.
+        """
+        if position < 0:
+            raise ValueError("position must be non-negative")
+        e = self._edge(edge)
+        self.edge_nodes[edge] = EdgeNode(edge, e.kind, position, e.source, e.target, e.branch)
 
     def delete_node(self, node: NodeId) -> int:
         """Delete a node and every Edge node incident to it.
@@ -222,32 +373,24 @@ class ProgramGraph:
         deleted elements (the node itself plus incident Edge nodes).
         """
         if node in self.edge_nodes:
-            del self.edge_nodes[node]
+            self._remove_edge(self.edge_nodes[node])
             return 1
+        if node not in self.op_nodes and node not in self.block_nodes:
+            raise UnknownNodeError(f"n{node} does not exist")
+        adj = self._index()
+        incident = {*adj.ins.get(node, ()), *adj.outs.get(node, ())}
+        for eid in incident:
+            self._remove_edge(self.edge_nodes[eid])
         if node in self.op_nodes:
-            incident = [
-                eid
-                for eid, e in self.edge_nodes.items()
-                if e.source == node or e.target == node
-            ]
-            for eid in incident:
-                del self.edge_nodes[eid]
             del self.op_nodes[node]
-            self.containment.pop(node, None)
-            return 1 + len(incident)
-        if node in self.block_nodes:
-            incident = [
-                eid
-                for eid, e in self.edge_nodes.items()
-                if e.source == node or e.target == node
-            ]
-            for eid in incident:
-                del self.edge_nodes[eid]
+            block = self.containment.pop(node, None)
+            if block is not None:
+                _discard(adj.members, block, node)
+        else:
             del self.block_nodes[node]
-            for op in [op for op, blk in self.containment.items() if blk == node]:
+            for op in adj.members.pop(node, ()):
                 del self.containment[op]
-            return 1 + len(incident)
-        raise UnknownNodeError(f"n{node} does not exist")
+        return 1 + len(incident)
 
     # -- queries ------------------------------------------------------
 
@@ -268,55 +411,39 @@ class ProgramGraph:
         """Dataflow (edge id, source) pairs into `n`, ascending by position."""
         if n not in self.op_nodes:
             raise UnknownNodeError(f"n{n} is not an operation node")
-        edges = [
-            e
-            for e in self.edge_nodes.values()
-            if e.kind is EdgeKind.DATAFLOW and e.target == n
-        ]
-        edges.sort(key=lambda e: (e.position, e.id))
+        edges = self._in_edges(n)
+        edges.sort(key=_BY_POSITION)
         return [(e.id, e.source) for e in edges]
 
     def data_users(self, n: NodeId) -> list[tuple[NodeId, NodeId]]:
         """Dataflow (edge id, target) pairs out of `n`, ascending by target id."""
         if n not in self.op_nodes:
             raise UnknownNodeError(f"n{n} is not an operation node")
-        edges = [
-            e
-            for e in self.edge_nodes.values()
-            if e.kind is EdgeKind.DATAFLOW and e.source == n
-        ]
-        edges.sort(key=lambda e: (e.target, e.id))
+        edges = self._out_edges(EdgeKind.DATAFLOW, n)
+        edges.sort(key=_BY_TARGET)
         return [(e.id, e.target) for e in edges]
 
     def control_preds(self, b: NodeId) -> list[tuple[NodeId, NodeId]]:
         """Controlflow (edge id, source) pairs into block `b`, ascending by position."""
         if b not in self.block_nodes:
             raise UnknownBlockError(f"n{b} is not a block node")
-        edges = [
-            e
-            for e in self.edge_nodes.values()
-            if e.kind is EdgeKind.CONTROLFLOW and e.target == b
-        ]
-        edges.sort(key=lambda e: (e.position, e.id))
+        edges = self._in_edges(b)
+        edges.sort(key=_BY_POSITION)
         return [(e.id, e.source) for e in edges]
 
     def control_succs(self, n: NodeId) -> list[tuple[NodeId, NodeId]]:
         """Controlflow (edge id, target block) pairs sourced by operation `n`."""
         if n not in self.op_nodes:
             raise UnknownNodeError(f"n{n} is not an operation node")
-        edges = [
-            e
-            for e in self.edge_nodes.values()
-            if e.kind is EdgeKind.CONTROLFLOW and e.source == n
-        ]
-        edges.sort(key=lambda e: e.id)
+        edges = self._out_edges(EdgeKind.CONTROLFLOW, n)
+        edges.sort(key=_BY_ID)
         return [(e.id, e.target) for e in edges]
 
     def members(self, b: NodeId) -> list[NodeId]:
         """Operation nodes contained in block `b`, ascending by id."""
         if b not in self.block_nodes:
             raise UnknownBlockError(f"n{b} is not a block node")
-        return sorted(op for op, blk in self.containment.items() if blk == b)
+        return sorted(self._index().members.get(b, ()))
 
     def element_count(self) -> int:
         return len(self.op_nodes) + len(self.block_nodes) + len(self.edge_nodes)
@@ -324,10 +451,11 @@ class ProgramGraph:
     # -- copying and low-level assembly -------------------------------
 
     def copy(self) -> ProgramGraph:
+        """An independent graph with the same nodes; edges are shared, being immutable."""
         h = ProgramGraph()
         h.op_nodes = dict(self.op_nodes)
         h.block_nodes = dict(self.block_nodes)
-        h.edge_nodes = {eid: replace(e) for eid, e in self.edge_nodes.items()}
+        h.edge_nodes = dict(self.edge_nodes)
         h.containment = dict(self.containment)
         h._next_id = self._next_id
         return h
@@ -351,43 +479,16 @@ class ProgramGraph:
         g = cls()
         g.op_nodes = dict(op_nodes)
         g.block_nodes = dict(block_nodes)
-        g.edge_nodes = {eid: replace(e) for eid, e in edge_nodes.items()}
+        g.edge_nodes = dict(edge_nodes)
         g.containment = dict(containment)
         g._next_id = max(ids, default=-1) + 1
         for e in g.edge_nodes.values():
-            for endpoint in (e.source, e.target):
-                if endpoint not in g.op_nodes and endpoint not in g.block_nodes:
-                    raise UnknownNodeError(f"edge n{e.id} references missing n{endpoint}")
             if e.position < 0:
                 raise IncompatibleEndpointsError(f"edge n{e.id} has negative position")
-            if e.kind is EdgeKind.DATAFLOW:
-                if e.source not in g.op_nodes or e.target not in g.op_nodes:
-                    raise IncompatibleEndpointsError(
-                        f"Dataflow edge n{e.id} must connect operation nodes"
-                    )
-                if e.branch is not None:
-                    raise IncompatibleEndpointsError(
-                        f"Dataflow edge n{e.id} carries a branch attribute"
-                    )
-            else:
-                if e.target not in g.block_nodes:
-                    raise IncompatibleEndpointsError(
-                        f"Controlflow edge n{e.id} must target a block"
-                    )
-                src_kind = g.op_nodes.get(e.source)
-                if src_kind is None or src_kind.name not in CONTROL_SOURCES:
-                    raise IncompatibleEndpointsError(
-                        f"Controlflow edge n{e.id} must be sourced by Jmp, Cond, or Return"
-                    )
-                cond_sourced = src_kind.name == "Cond"
-                if cond_sourced and e.branch not in (0, 1):
-                    raise IncompatibleEndpointsError(
-                        f"Cond-sourced Controlflow edge n{e.id} needs branch 0 or 1"
-                    )
-                if not cond_sourced and e.branch is not None:
-                    raise IncompatibleEndpointsError(
-                        f"Controlflow edge n{e.id} carries a branch attribute"
-                    )
+            try:
+                g._check_edge(e.kind, e.source, e.target, e.branch)
+            except (UnknownNodeError, IncompatibleEndpointsError) as exc:
+                raise type(exc)(f"edge n{e.id}: {exc}") from None
         for op, blk in g.containment.items():
             if op not in g.op_nodes:
                 raise UnknownNodeError(f"containment key n{op} is not an operation")

@@ -3,10 +3,12 @@
 Seven folding/simplification rules plus three cleanup rules, each a
 (matcher, applier) pair over the program-graph model.  Matchers demand
 everything the rewrite reads (the pattern), including what must be
-absent; appliers rewrite a copy.  Appliers are exported individually so
-a single rewrite can be driven without the engine; each re-checks its
-own match and raises StaleMatchError on a pattern that is no longer
-there.
+absent.  The `CATALOG` appliers rewrite the graph they are given in
+place, through the graph's mutators only, and return it; each re-checks
+its own match first and raises StaleMatchError on a pattern that is no
+longer there.  The exported `rule_*` functions drive a single rewrite
+without the engine: each applies the same rewrite to a copy and leaves
+its input untouched.
 
 Folding a binary operation keeps every user edge alive by redirecting
 it to the freshly created constant; the rule only fires when at least
@@ -112,21 +114,20 @@ def _apply_binary_fold(
     g: ProgramGraph, match: Match, compute: Callable[[int, int], int]
 ) -> ProgramGraph:
     op, s0, s1 = match.anchors
-    h = g.copy()
-    value = compute(h.op_nodes[s0].value, h.op_nodes[s1].value)  # type: ignore[arg-type]
-    start = h.blocks_of_kind(BlockKind.START_BLOCK)[0]
-    folded = h.add_op(Const(value), start)
-    for eid, _ in h.data_users(op):
-        h.edge_nodes[eid].source = folded
-    h.delete_node(op)
-    return h
+    value = compute(g.op_nodes[s0].value, g.op_nodes[s1].value)  # type: ignore[arg-type]
+    start = g.blocks_of_kind(BlockKind.START_BLOCK)[0]
+    folded = g.add_op(Const(value), start)
+    for eid, _ in g.data_users(op):
+        g.redirect(eid, folded)
+    g.delete_node(op)
+    return g
 
 
 def _match_add_fold_int(g: ProgramGraph) -> list[Match]:
     return _binary_fold_matches(g, "Add", ADD_FOLD_INT)
 
 
-def rule_add_fold_int(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _add_fold_int(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Replace an Add of two constants with their wrapped sum."""
     _require(g, match, _match_add_fold_int)
     return _apply_binary_fold(g, match, lambda a, b: wrap32(a + b))
@@ -136,7 +137,7 @@ def _match_cmp_fold_int(g: ProgramGraph) -> list[Match]:
     return _binary_fold_matches(g, "Cmp", CMP_FOLD_INT)
 
 
-def rule_cmp_fold_int(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _cmp_fold_int(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Replace a Cmp of two constants with 1 or 0 (signed comparison)."""
     _require(g, match, _match_cmp_fold_int)
     op, _, _ = match.anchors
@@ -174,28 +175,21 @@ def _cond_matches(g: ProgramGraph, rule_name: str, want_nonzero: bool) -> list[M
 
 def _apply_cond_fold(g: ProgramGraph, match: Match, taken: int) -> ProgramGraph:
     cond, _ = match.anchors
-    h = g.copy()
-    jmp = h.add_op(JMP, h.containment[cond])
-    kept = untaken = None
-    for eid, _ in h.control_succs(cond):
-        e = h.edge_nodes[eid]
-        if e.branch == taken:
-            kept = e
+    jmp = g.add_op(JMP, g.containment[cond])
+    for eid, _ in g.control_succs(cond):
+        if g.edge_nodes[eid].branch == taken:
+            g.redirect(eid, jmp)
         else:
-            untaken = e
-    assert kept is not None and untaken is not None
-    kept.source = jmp
-    kept.branch = None
-    h.delete_node(untaken.id)
-    h.delete_node(cond)
-    return h
+            g.delete_node(eid)
+    g.delete_node(cond)
+    return g
 
 
 def _match_cond_fold_true(g: ProgramGraph) -> list[Match]:
     return _cond_matches(g, COND_FOLD_TRUE, want_nonzero=True)
 
 
-def rule_cond_fold_true(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _cond_fold_true(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Turn a Cond on a non-zero constant into a Jmp along branch 1."""
     _require(g, match, _match_cond_fold_true)
     return _apply_cond_fold(g, match, taken=1)
@@ -205,7 +199,7 @@ def _match_cond_fold_false(g: ProgramGraph) -> list[Match]:
     return _cond_matches(g, COND_FOLD_FALSE, want_nonzero=False)
 
 
-def rule_cond_fold_false(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _cond_fold_false(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Turn a Cond on the constant 0 into a Jmp along branch 0."""
     _require(g, match, _match_cond_fold_false)
     return _apply_cond_fold(g, match, taken=0)
@@ -225,15 +219,14 @@ def _match_block_remove(g: ProgramGraph) -> list[Match]:
     return out
 
 
-def rule_block_remove(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _block_remove(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Delete an unreachable ordinary block together with its members."""
     _require(g, match, _match_block_remove)
     (block,) = match.anchors
-    h = g.copy()
-    for op in h.members(block):
-        h.delete_node(op)
-    h.delete_node(block)
-    return h
+    for op in g.members(block):
+        g.delete_node(op)
+    g.delete_node(block)
+    return g
 
 
 def _match_phi_adjust(g: ProgramGraph) -> list[Match]:
@@ -251,13 +244,12 @@ def _match_phi_adjust(g: ProgramGraph) -> list[Match]:
     return out
 
 
-def rule_phi_adjust(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _phi_adjust(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Drop a Phi input whose entry edge no longer exists."""
     _require(g, match, _match_phi_adjust)
     _, edge = match.anchors
-    h = g.copy()
-    h.delete_node(edge)
-    return h
+    g.delete_node(edge)
+    return g
 
 
 def _match_phi_fold_single(g: ProgramGraph) -> list[Match]:
@@ -275,15 +267,14 @@ def _match_phi_fold_single(g: ProgramGraph) -> list[Match]:
     return out
 
 
-def rule_phi_fold_single(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _phi_fold_single(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Short a Phi in a single-entry block out to its only operand."""
     _require(g, match, _match_phi_fold_single)
     phi, operand = match.anchors
-    h = g.copy()
-    for eid, _ in h.data_users(phi):
-        h.edge_nodes[eid].source = operand
-    h.delete_node(phi)
-    return h
+    for eid, _ in g.data_users(phi):
+        g.redirect(eid, operand)
+    g.delete_node(phi)
+    return g
 
 
 # -- cleanup ----------------------------------------------------------
@@ -304,26 +295,24 @@ def _match_cleanup_dangling_dataflow(g: ProgramGraph) -> list[Match]:
     return _dangling_matches(g, EdgeKind.DATAFLOW, CLEANUP_DANGLING_DATAFLOW)
 
 
-def rule_cleanup_dangling_dataflow(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _cleanup_dangling_dataflow(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Drop a dataflow edge sourced by an operation outside every block."""
     _require(g, match, _match_cleanup_dangling_dataflow)
     (edge,) = match.anchors
-    h = g.copy()
-    h.delete_node(edge)
-    return h
+    g.delete_node(edge)
+    return g
 
 
 def _match_cleanup_dangling_control(g: ProgramGraph) -> list[Match]:
     return _dangling_matches(g, EdgeKind.CONTROLFLOW, CLEANUP_DANGLING_CONTROL)
 
 
-def rule_cleanup_dangling_control(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _cleanup_dangling_control(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Drop a control edge sourced by an operation outside every block."""
     _require(g, match, _match_cleanup_dangling_control)
     (edge,) = match.anchors
-    h = g.copy()
-    h.delete_node(edge)
-    return h
+    g.delete_node(edge)
+    return g
 
 
 def _match_cleanup_unref_const(g: ProgramGraph) -> list[Match]:
@@ -337,27 +326,52 @@ def _match_cleanup_unref_const(g: ProgramGraph) -> list[Match]:
     return out
 
 
-def rule_cleanup_unref_const(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _cleanup_unref_const(g: ProgramGraph, match: Match) -> ProgramGraph:
     """Delete a constant no dataflow edge reads."""
     _require(g, match, _match_cleanup_unref_const)
     (const,) = match.anchors
-    h = g.copy()
-    h.delete_node(const)
-    return h
+    g.delete_node(const)
+    return g
 
 
 CATALOG: tuple[Rule, ...] = (
-    Rule(CLEANUP_DANGLING_DATAFLOW, 1, _match_cleanup_dangling_dataflow, rule_cleanup_dangling_dataflow),
-    Rule(CLEANUP_DANGLING_CONTROL, 2, _match_cleanup_dangling_control, rule_cleanup_dangling_control),
-    Rule(CLEANUP_UNREF_CONST, 3, _match_cleanup_unref_const, rule_cleanup_unref_const),
-    Rule(CMP_FOLD_INT, 4, _match_cmp_fold_int, rule_cmp_fold_int),
-    Rule(COND_FOLD_TRUE, 5, _match_cond_fold_true, rule_cond_fold_true),
-    Rule(COND_FOLD_FALSE, 6, _match_cond_fold_false, rule_cond_fold_false),
-    Rule(BLOCK_REMOVE, 7, _match_block_remove, rule_block_remove),
-    Rule(PHI_ADJUST, 8, _match_phi_adjust, rule_phi_adjust),
-    Rule(PHI_FOLD_SINGLE, 9, _match_phi_fold_single, rule_phi_fold_single),
-    Rule(ADD_FOLD_INT, 10, _match_add_fold_int, rule_add_fold_int),
+    Rule(CLEANUP_DANGLING_DATAFLOW, 1, _match_cleanup_dangling_dataflow, _cleanup_dangling_dataflow),
+    Rule(CLEANUP_DANGLING_CONTROL, 2, _match_cleanup_dangling_control, _cleanup_dangling_control),
+    Rule(CLEANUP_UNREF_CONST, 3, _match_cleanup_unref_const, _cleanup_unref_const),
+    Rule(CMP_FOLD_INT, 4, _match_cmp_fold_int, _cmp_fold_int),
+    Rule(COND_FOLD_TRUE, 5, _match_cond_fold_true, _cond_fold_true),
+    Rule(COND_FOLD_FALSE, 6, _match_cond_fold_false, _cond_fold_false),
+    Rule(BLOCK_REMOVE, 7, _match_block_remove, _block_remove),
+    Rule(PHI_ADJUST, 8, _match_phi_adjust, _phi_adjust),
+    Rule(PHI_FOLD_SINGLE, 9, _match_phi_fold_single, _phi_fold_single),
+    Rule(ADD_FOLD_INT, 10, _match_add_fold_int, _add_fold_int),
 )
+
+
+_Applier = Callable[[ProgramGraph, Match], ProgramGraph]
+
+
+def _on_copy(applier: _Applier) -> _Applier:
+    """The copying form of an in-place applier: `g` itself is left as it was."""
+
+    def rewrite(g: ProgramGraph, match: Match) -> ProgramGraph:
+        return applier(g.copy(), match)
+
+    rewrite.__name__ = rewrite.__qualname__ = f"rule{applier.__name__}"
+    rewrite.__doc__ = f"{applier.__doc__}\n\nRewrites and returns a copy of `g`."
+    return rewrite
+
+
+rule_cleanup_dangling_dataflow = _on_copy(_cleanup_dangling_dataflow)
+rule_cleanup_dangling_control = _on_copy(_cleanup_dangling_control)
+rule_cleanup_unref_const = _on_copy(_cleanup_unref_const)
+rule_cmp_fold_int = _on_copy(_cmp_fold_int)
+rule_cond_fold_true = _on_copy(_cond_fold_true)
+rule_cond_fold_false = _on_copy(_cond_fold_false)
+rule_block_remove = _on_copy(_block_remove)
+rule_phi_adjust = _on_copy(_phi_adjust)
+rule_phi_fold_single = _on_copy(_phi_fold_single)
+rule_add_fold_int = _on_copy(_add_fold_int)
 
 RULE_NAMES: tuple[str, ...] = tuple(r.name for r in CATALOG)
 

@@ -11,16 +11,22 @@ constants in the start block, one or two compare/branch diamonds whose
 arms jump into a merge block with a Phi (sometimes followed by an Add),
 optionally an unreachable block feeding the merge, and a final Return.
 Every plan is well formed and executable, and folds to a fixpoint.
+
+`diamond_chain` builds a longer chain of diamonds directly, optionally
+with dead merge entries and with entries from operations outside every
+block.  `reference_fold` is the slow oracle for `fold`: it copies the
+graph on every step and re-checks every consumer's positions.
 """
 
 from __future__ import annotations
 
 import random
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from firmfold import (
     ADD,
+    CATALOG,
     COND,
     INT32_MAX,
     INT32_MIN,
@@ -32,8 +38,12 @@ from firmfold import (
     Cmp,
     Const,
     EdgeKind,
+    Match,
     OpKind,
     ProgramGraph,
+    Rule,
+    matches,
+    normalize_positions,
 )
 
 
@@ -156,3 +166,124 @@ def permute_native_ids(data: bytes, rng: random.Random) -> bytes:
             if value is not None:
                 el.set(attr, mapping[value])
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+
+
+def diamond_chain(
+    rng: random.Random,
+    diamonds: int,
+    dead: frozenset[int] = frozenset(),
+    blockless: frozenset[int] = frozenset(),
+) -> ProgramGraph:
+    """A chain of compare/branch/Phi/Add diamonds over small constants.
+
+    Each diamond's merge block has a Phi of the running value and a
+    fresh constant, and an Add of the Phi and another constant gives
+    the next running value.  Diamond i gets an extra merge entry from a
+    block nothing reaches when i is in `dead`, and one from a Jmp
+    outside every block, with a Phi input from a constant outside every
+    block, when i is in `blockless`.
+    """
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    end = g.add_block(BlockKind.END_BLOCK)
+    # Operations put here lose their block when it is deleted at the end.
+    limbo = g.add_block(BlockKind.BLOCK)
+
+    def const(block: int = start) -> int:
+        return g.add_op(Const(rng.randint(-20, 20)), block)
+
+    current, block = const(), start
+    for i in range(diamonds):
+        cmp_ = g.add_op(Cmp(rng.choice(RELATIONS)), block)
+        operands = [current, const()]
+        rng.shuffle(operands)
+        for position, src in enumerate(operands):
+            g.connect(src, cmp_, EdgeKind.DATAFLOW, position)
+        cond = g.add_op(COND, block)
+        g.connect(cmp_, cond, EdgeKind.DATAFLOW, 0)
+        merge = g.add_block(BlockKind.BLOCK)
+        phi = g.add_op(PHI, merge)
+        # (Phi input, block of the entry's Jmp, Cond branch into that block)
+        entries = [
+            (current, g.add_block(BlockKind.BLOCK), 1),
+            (const(), g.add_block(BlockKind.BLOCK), 0),
+        ]
+        if i in dead:
+            entries.append((const(), g.add_block(BlockKind.BLOCK), None))
+        if i in blockless:
+            entries.append((const(limbo), limbo, None))
+        for position, (value, jmp_block, branch) in enumerate(entries):
+            if branch is not None:
+                g.connect(cond, jmp_block, EdgeKind.CONTROLFLOW, 0, branch=branch)
+            jmp = g.add_op(JMP, jmp_block)
+            g.connect(jmp, merge, EdgeKind.CONTROLFLOW, position)
+            g.connect(value, phi, EdgeKind.DATAFLOW, position)
+        add = g.add_op(ADD, merge)
+        g.connect(phi, add, EdgeKind.DATAFLOW, 0)
+        g.connect(const(), add, EdgeKind.DATAFLOW, 1)
+        current, block = add, merge
+    ret = g.add_op(RETURN, block)
+    g.connect(current, ret, EdgeKind.DATAFLOW, 0)
+    g.connect(ret, end, EdgeKind.CONTROLFLOW, 0)
+    g.delete_node(limbo)
+    return g
+
+
+def gapped(g: ProgramGraph) -> ProgramGraph:
+    """`g` with every input position p moved to 2p + 1, keeping Phis aligned."""
+    edges = {eid: replace(e, position=2 * e.position + 1) for eid, e in g.edge_nodes.items()}
+    return ProgramGraph._from_parts(g.op_nodes, g.block_nodes, edges, g.containment)
+
+
+def _contiguous(positions: list[int]) -> bool:
+    return positions == list(range(len(positions)))
+
+
+def _reference_normalize(g: ProgramGraph) -> ProgramGraph:
+    """Compact every consumer's positions until nothing changes, a copy per consumer."""
+    current = g
+    while True:
+        changed = False
+        for block in sorted(current.block_nodes):
+            positions = [current.edge_nodes[eid].position for eid, _ in current.control_preds(block)]
+            if _contiguous(positions):
+                continue
+            phi_positions = [
+                current.edge_nodes[eid].position
+                for phi in current.members(block)
+                if current.op_nodes[phi].name == "Phi"
+                for eid, _ in current.data_inputs(phi)
+            ]
+            if not set(phi_positions) <= set(positions):
+                continue
+            current = normalize_positions(current, block)
+            changed = True
+        for op in sorted(current.op_nodes):
+            if current.op_nodes[op].name == "Phi":
+                continue
+            positions = [current.edge_nodes[eid].position for eid, _ in current.data_inputs(op)]
+            if not _contiguous(positions):
+                current = normalize_positions(current, op)
+                changed = True
+        if not changed:
+            return current
+
+
+def reference_fold(
+    g: ProgramGraph, rules: tuple[Rule, ...] = CATALOG
+) -> tuple[ProgramGraph, tuple[Match, ...]]:
+    """The deterministic fold, one fresh copy per step and per renumbered consumer.
+
+    After every step each consumer is re-checked, not just those the
+    step touched.  Returns the final graph and the trace.
+    """
+    ordered = sorted(rules, key=lambda r: r.priority)
+    current = g
+    trace: list[Match] = []
+    while True:
+        chosen = next(((r, found[0]) for r in ordered if (found := matches(current, r))), None)
+        if chosen is None:
+            return current, tuple(trace)
+        rule, match = chosen
+        current = _reference_normalize(rule.applier(current.copy(), match))
+        trace.append(match)

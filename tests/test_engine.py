@@ -36,9 +36,17 @@ from firmfold import (
     matches,
     normalize_positions,
     replay,
+    save_native,
     verify,
 )
-from helpers import materialize, random_program
+from helpers import (
+    diamond_chain,
+    gapped,
+    materialize,
+    random_graph,
+    random_program,
+    reference_fold,
+)
 
 EXPECTED_TRACE = (
     Match("cmp-fold-int", (8, 5, 6)),
@@ -115,6 +123,45 @@ def test_step_limit():
     # a graph already at its fixpoint tolerates a zero budget
     fixpoint = fold(g, CATALOG).graph
     assert fold(fixpoint, CATALOG, max_steps=0).steps == 0
+
+
+def _differential_cases() -> list[ProgramGraph]:
+    cases = [random_graph(random.Random(seed)) for seed in range(60)]
+    rng = random.Random(5)
+    for _ in range(16):
+        n = rng.randint(1, 6)
+        dead = frozenset(i for i in range(n) if rng.random() < 0.4)
+        blockless = frozenset(i for i in range(n) if rng.random() < 0.3)
+        cases.append(diamond_chain(rng, n, dead, blockless))
+    return cases + [gapped(g) for g in cases[::3]]
+
+
+def test_fold_and_replay_agree_with_the_reference_fold():
+    for g in _differential_cases():
+        before = save_native(g)
+        result = fold(g, CATALOG)
+        expected, expected_trace = reference_fold(g)
+        assert save_native(result.graph) == save_native(expected)
+        assert result.format_trace() == format_trace(expected_trace)
+        assert save_native(replay(g, CATALOG, result.trace)) == save_native(result.graph)
+        assert save_native(g) == before
+
+
+def test_fold_and_replay_copy_their_input_once(monkeypatch):
+    copies: list[ProgramGraph] = []
+    original = ProgramGraph.copy
+
+    def counting_copy(self: ProgramGraph) -> ProgramGraph:
+        copies.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ProgramGraph, "copy", counting_copy)
+    g = diamond_chain(random.Random(8), 8, dead=frozenset({2, 5}))
+    result = fold(g, CATALOG)
+    assert result.steps > 80
+    assert copies == [g]
+    replay(g, CATALOG, result.trace)
+    assert copies == [g, g]
 
 
 def test_stale_match_is_rejected():

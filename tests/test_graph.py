@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from firmfold import (
     ADD,
+    CATALOG,
     COND,
     INT32_MAX,
     INT32_MIN,
@@ -22,10 +24,13 @@ from firmfold import (
     IncompatibleEndpointsError,
     OpKind,
     ProgramGraph,
+    Rule,
     UnknownBlockError,
     UnknownNodeError,
+    fold,
     wrap32,
 )
+from helpers import diamond_chain, random_graph
 
 
 def test_wrap32_identity_inside_range():
@@ -210,7 +215,7 @@ def test_copy_is_independent():
     ret = g.add_op(RETURN, start)
     eid = g.connect(a, ret, EdgeKind.DATAFLOW, 0)
     h = g.copy()
-    h.edge_nodes[eid].position = 5
+    h.set_position(eid, 5)
     h.delete_node(a)
     assert g.edge_nodes[eid].position == 0
     assert a in g.op_nodes
@@ -226,3 +231,102 @@ def test_element_count():
     ret = g.add_op(RETURN, start)
     g.connect(c, ret, EdgeKind.DATAFLOW, 0)
     assert g.element_count() == 4
+
+
+def test_edge_nodes_are_read_only():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    a = g.add_op(Const(1), start)
+    ret = g.add_op(RETURN, start)
+    e = g.edge_nodes[g.connect(a, ret, EdgeKind.DATAFLOW, 0)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.position = 5  # type: ignore[misc]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.source = ret  # type: ignore[misc]
+
+
+def test_redirect_and_set_position():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    arm = g.add_block(BlockKind.BLOCK)
+    a = g.add_op(Const(1), start)
+    b = g.add_op(Const(0), start)
+    ret = g.add_op(RETURN, start)
+    cond = g.add_op(COND, start)
+    jmp = g.add_op(JMP, start)
+    eid = g.connect(a, ret, EdgeKind.DATAFLOW, 0)
+    assert g.data_users(a) == [(eid, ret)]
+    g.redirect(eid, b)
+    assert g.data_users(a) == []
+    assert g.data_users(b) == [(eid, ret)]
+    assert g.data_inputs(ret) == [(eid, b)]
+    g.set_position(eid, 3)
+    assert g.edge_nodes[eid].position == 3
+    assert g.data_inputs(ret) == [(eid, b)]
+    with pytest.raises(IncompatibleEndpointsError):
+        g.redirect(eid, start)
+    with pytest.raises(UnknownNodeError):
+        g.redirect(eid, 999)
+    with pytest.raises(UnknownNodeError):
+        g.set_position(a, 0)
+    with pytest.raises(ValueError):
+        g.set_position(eid, -1)
+    # moving a Cond's successor edge onto a Jmp drops its branch
+    succ = g.connect(cond, arm, EdgeKind.CONTROLFLOW, 0, branch=1)
+    g.redirect(succ, jmp)
+    assert g.edge_nodes[succ].branch is None
+    assert g.control_succs(cond) == []
+    assert g.control_succs(jmp) == [(succ, arm)]
+    with pytest.raises(IncompatibleEndpointsError):
+        g.redirect(succ, cond)
+
+
+def test_take_touched_records_consumers_that_lost_an_input():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    a = g.add_op(Const(1), start)
+    b = g.add_op(Const(2), start)
+    add = g.add_op(ADD, start)
+    ret = g.add_op(RETURN, start)
+    g.connect(a, add, EdgeKind.DATAFLOW, 0)
+    g.connect(b, add, EdgeKind.DATAFLOW, 1)
+    g.connect(add, ret, EdgeKind.DATAFLOW, 0)
+    assert g.take_touched() is None  # unknown on a fresh graph
+    assert g.take_touched() == set()
+    g.delete_node(b)
+    assert g.take_touched() == {add}
+    g.delete_node(add)
+    assert g.take_touched() == {add, ret}
+    assert g.copy().take_touched() is None
+
+
+def _assert_index_matches_maps(g: ProgramGraph) -> None:
+    rebuilt = ProgramGraph._from_parts(g.op_nodes, g.block_nodes, g.edge_nodes, g.containment)
+    for n in sorted(g.op_nodes):
+        assert g.data_inputs(n) == rebuilt.data_inputs(n)
+        assert g.data_users(n) == rebuilt.data_users(n)
+        assert g.control_succs(n) == rebuilt.control_succs(n)
+    for b in sorted(g.block_nodes):
+        assert g.control_preds(b) == rebuilt.control_preds(b)
+        assert g.members(b) == rebuilt.members(b)
+
+
+def test_index_stays_consistent_through_in_place_folds():
+    checked: list[int] = []
+
+    def checking(matcher):
+        def match(g: ProgramGraph):
+            _assert_index_matches_maps(g)
+            checked.append(g.element_count())
+            return matcher(g)
+
+        return match
+
+    first, *rest = sorted(CATALOG, key=lambda r: r.priority)
+    rules = (Rule(first.name, first.priority, checking(first.matcher), first.applier), *rest)
+    graphs = [random_graph(random.Random(seed)) for seed in range(30)]
+    rng = random.Random(11)
+    graphs += [diamond_chain(rng, 4, frozenset({0, 3}), frozenset({1})) for _ in range(3)]
+    steps = sum(fold(g, rules).steps for g in graphs)
+    # one check per step plus one on each fixpoint
+    assert len(checked) == steps + len(graphs)
