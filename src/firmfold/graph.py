@@ -24,9 +24,10 @@ which the first query builds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from typing import Callable
 
 from .errors import (
     DuplicatePositionError,
@@ -40,7 +41,16 @@ NodeId = int
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
-RELATIONS = ("lt", "le", "gt", "ge", "eq", "ne")
+#: The signed comparison each Cmp relation names.
+RELATION_TESTS: dict[str, Callable[[int, int], bool]] = {
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "eq": operator.eq,
+    "ne": operator.ne,
+}
+RELATIONS = tuple(RELATION_TESTS)
 
 
 def wrap32(value: int) -> int:
@@ -59,7 +69,8 @@ class EdgeKind(Enum):
     CONTROLFLOW = "Controlflow"
 
 
-_OP_NAMES = ("Const", "Cmp", "Cond", "Phi", "Add", "Jmp", "Return")
+#: The name of every operation kind.
+OP_NAMES = ("Const", "Cmp", "Cond", "Phi", "Add", "Jmp", "Return")
 
 #: Dataflow input count per operation kind.  Phi is variable (>= 1) and
 #: therefore absent.
@@ -78,7 +89,7 @@ class OpKind:
     relation: str | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _OP_NAMES:
+        if self.name not in OP_NAMES:
             raise ValueError(f"unknown operation kind {self.name!r}")
         if (self.value is not None) != (self.name == "Const"):
             raise ValueError("value is carried by Const and only by Const")
@@ -128,9 +139,9 @@ class EdgeNode:
     branch: int | None = None
 
 
-_BY_POSITION = attrgetter("position", "id")
-_BY_TARGET = attrgetter("target", "id")
-_BY_ID = attrgetter("id")
+_BY_POSITION = operator.attrgetter("position", "id")
+_BY_TARGET = operator.attrgetter("target", "id")
+_BY_ID = operator.attrgetter("id")
 
 
 class _Adjacency:

@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedNodeTypeError,
 )
 from .graph import (
+    OP_NAMES,
     BlockKind,
     EdgeKind,
     EdgeNode,
@@ -46,7 +47,6 @@ ET.register_namespace("xlink", XLINK_NS)
 _INT_RE = re.compile(r"-?\d+")
 _NATIVE_ID_RE = re.compile(r"n(\d+)")
 
-_OP_TYPES = ("Const", "Cmp", "Cond", "Phi", "Add", "Jmp", "Return")
 _BLOCK_TYPES = {k.value: k for k in BlockKind}
 _EDGE_NODE_TYPES = {"DataflowEdge": EdgeKind.DATAFLOW, "ControlflowEdge": EdgeKind.CONTROLFLOW}
 _FLOW_EDGE_TYPES = {"Dataflow": EdgeKind.DATAFLOW, "Controlflow": EdgeKind.CONTROLFLOW}
@@ -136,6 +136,16 @@ def _expect_attrs(
             raise SchemaError(f"{context}: attr {name!r} has the wrong value type")
 
 
+def _flow_attrs(
+    kind: EdgeKind, attrs: dict[str, int | str], context: str
+) -> tuple[int, int | None]:
+    """The position and branch of a flow edge: `position` is required,
+    and `branch` is allowed on Controlflow edges only."""
+    optional = {"branch": int} if kind is EdgeKind.CONTROLFLOW else {}
+    _expect_attrs(attrs, context, {"position": int}, optional)
+    return attrs["position"], attrs.get("branch")  # type: ignore[return-value]
+
+
 def _make_op_kind(type_name: str, attrs: dict[str, int | str], context: str) -> OpKind:
     try:
         if type_name == "Const":
@@ -190,18 +200,14 @@ def load_native(data: bytes | str) -> ProgramGraph:
             raise SchemaError(f"node {raw_id!r} declares no type")
         context = f"node {raw_id!r}"
         attrs = _attrs(el, context)
-        if type_name in _OP_TYPES:
+        if type_name in OP_NAMES:
             op_nodes[nid] = _make_op_kind(type_name, attrs, context)
         elif type_name in _BLOCK_TYPES:
             _expect_attrs(attrs, context, {})
             block_nodes[nid] = _BLOCK_TYPES[type_name]
         elif type_name in _EDGE_NODE_TYPES:
             kind = _EDGE_NODE_TYPES[type_name]
-            if kind is EdgeKind.CONTROLFLOW:
-                _expect_attrs(attrs, context, {"position": int}, {"branch": int})
-            else:
-                _expect_attrs(attrs, context, {"position": int})
-            edge_meta[nid] = (kind, attrs["position"], attrs.get("branch"))  # type: ignore[arg-type]
+            edge_meta[nid] = (kind, *_flow_attrs(kind, attrs, context))
         else:
             raise UnsupportedNodeTypeError(f"unsupported node type #{type_name}")
 
@@ -280,7 +286,7 @@ def import_firm_gxl(data: bytes | str) -> ProgramGraph:
             raise SchemaError(f"node {raw_id!r} declares no type")
         context = f"node {raw_id!r}"
         attrs = _attrs(el, context)
-        if type_name in _OP_TYPES:
+        if type_name in OP_NAMES:
             op_nodes[nid] = _make_op_kind(type_name, attrs, context)
         elif type_name in _BLOCK_TYPES:
             _expect_attrs(attrs, context, {})
@@ -311,15 +317,9 @@ def import_firm_gxl(data: bytes | str) -> ProgramGraph:
         attrs = _attrs(el, context)
         if type_name in _FLOW_EDGE_TYPES:
             kind = _FLOW_EDGE_TYPES[type_name]
-            if kind is EdgeKind.CONTROLFLOW:
-                _expect_attrs(attrs, context, {"position": int}, {"branch": int})
-            else:
-                _expect_attrs(attrs, context, {"position": int})
-            eid = next_id
+            position, branch = _flow_attrs(kind, attrs, context)
+            edge_nodes[next_id] = EdgeNode(next_id, kind, position, frm, to, branch)
             next_id += 1
-            edge_nodes[eid] = EdgeNode(
-                eid, kind, attrs["position"], frm, to, attrs.get("branch")  # type: ignore[arg-type]
-            )
         elif type_name == "contains":
             _expect_attrs(attrs, context, {})
             if frm not in block_nodes or to not in op_nodes:

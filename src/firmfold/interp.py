@@ -16,20 +16,9 @@ termination but never a wrong result.
 from __future__ import annotations
 
 from .errors import FuelExhaustedError, MalformedGraphError
-from .graph import BlockKind, NodeId, ProgramGraph, wrap32
+from .graph import CONTROL_SOURCES, RELATION_TESTS, BlockKind, NodeId, ProgramGraph, wrap32
 
 DEFAULT_FUEL = 10_000
-
-_CONTROL_OPS = ("Jmp", "Cond", "Return")
-
-_RELATION_TESTS = {
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-}
 
 
 def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
@@ -75,7 +64,7 @@ def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
             result = wrap32(a + b)
         elif kind.name == "Cmp":
             a, b = (value(src) for src in operands(op, 2))
-            result = 1 if _RELATION_TESTS[kind.relation](a, b) else 0
+            result = 1 if RELATION_TESTS[kind.relation](a, b) else 0
         elif kind.name == "Phi":
             block = g.containment.get(op)
             if block is None or block not in entered:
@@ -98,7 +87,7 @@ def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
     current = starts[0]
     while True:
         control = [
-            op for op in g.members(current) if g.op_nodes[op].name in _CONTROL_OPS
+            op for op in g.members(current) if g.op_nodes[op].name in CONTROL_SOURCES
         ]
         if len(control) != 1:
             raise MalformedGraphError(

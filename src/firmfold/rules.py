@@ -1,14 +1,25 @@
 """The constant-folding rule catalog.
 
-Seven folding/simplification rules plus three cleanup rules, each a
-(matcher, applier) pair over the program-graph model.  Matchers demand
-everything the rewrite reads (the pattern), including what must be
-absent.  The `CATALOG` appliers rewrite the graph they are given in
-place, through the graph's mutators only, and return it; each re-checks
-its own match first and raises StaleMatchError on a pattern that is no
-longer there.  The exported `rule_*` functions drive a single rewrite
-without the engine: each applies the same rewrite to a copy and leaves
-its input untouched.
+Seven folding/simplification rules plus three cleanup rules.  Each rule
+is one pattern matched around an anchor node, as a graph-transformation
+rule is: the anchor is an operation of one kind (say, every `Add`), a
+block of one kind, or an Edge node of one kind, and `pattern(g, n)`
+lists the anchor tuples of the matches at one such node `n`, reading
+only `n`'s neighbourhood (the binary folds also ask whether a start
+block exists).  A pattern demands everything its rewrite reads,
+including what must be absent.
+
+`_rule` derives both halves of a `Rule` from that one pattern.  The
+matcher filters the graph's nodes by the anchor's kind and asks the
+pattern at each of them.  The applier re-checks the one match it is
+given locally: the first anchor must still be a node of the anchor's
+kind, and the pattern at that node must still list the match.
+Otherwise it raises StaleMatchError.  So the check reads the anchor's
+neighbourhood instead of matching over the whole graph.  The applier
+then rewrites the graph it is given in place, through the graph's
+mutators only, and returns it.  The exported `rule_*` functions drive a
+single rewrite without the engine: each applies the same rewrite to a
+copy and leaves its input untouched.
 
 Folding a binary operation keeps every user edge alive by redirecting
 it to the freshly created constant; the rule only fires when at least
@@ -16,25 +27,26 @@ one user edge exists, so the new constant is never born unreferenced.
 Orphaned constants left behind when their last user disappears are the
 cleanup rules' job, which is why cleanups take priority over folds.
 
-Priorities (lower fires first under the deterministic driver):
+Priorities (lower fires first under the deterministic driver) and
+anchors:
 
-==  ==========================
- 1  cleanup-dangling-dataflow
- 2  cleanup-dangling-control
- 3  cleanup-unref-const
- 4  cmp-fold-int
- 5  cond-fold-true
- 6  cond-fold-false
- 7  block-remove
- 8  phi-adjust
- 9  phi-fold-single
-10  add-fold-int
-==  ==========================
+==  ==========================  ==================
+ 1  cleanup-dangling-dataflow   Dataflow edge
+ 2  cleanup-dangling-control    Controlflow edge
+ 3  cleanup-unref-const         Const
+ 4  cmp-fold-int                Cmp
+ 5  cond-fold-true              Cond
+ 6  cond-fold-false             Cond
+ 7  block-remove                ordinary Block
+ 8  phi-adjust                  Phi
+ 9  phi-fold-single             Phi
+10  add-fold-int                Add
+==  ==========================  ==================
 """
 
 from __future__ import annotations
 
-import operator
+from functools import partial
 from typing import Callable
 
 from .engine import Match, Rule
@@ -44,6 +56,7 @@ from .graph import (
     COND,
     JMP,
     PHI,
+    RELATION_TESTS,
     RETURN,
     BlockKind,
     Cmp,
@@ -65,116 +78,123 @@ CLEANUP_DANGLING_DATAFLOW = "cleanup-dangling-dataflow"
 CLEANUP_DANGLING_CONTROL = "cleanup-dangling-control"
 CLEANUP_UNREF_CONST = "cleanup-unref-const"
 
-_RELATION_TESTS: dict[str, Callable[[int, int], bool]] = {
-    "lt": operator.lt,
-    "le": operator.le,
-    "gt": operator.gt,
-    "ge": operator.ge,
-    "eq": operator.eq,
-    "ne": operator.ne,
-}
+#: What a rule is anchored at: an operation name, a block kind or an edge kind.
+_Anchor = str | BlockKind | EdgeKind
+#: The anchor tuples of the matches at one anchor node.
+_Matches = list[tuple[NodeId, ...]]
+_Pattern = Callable[[ProgramGraph, NodeId], _Matches]
 
 
-def _require(g: ProgramGraph, match: Match, matcher) -> None:
-    if match not in matcher(g):
-        raise StaleMatchError(
-            f"{match.rule_name} does not match at {match.anchors}"
-        )
+def _candidates(g: ProgramGraph, anchor: _Anchor) -> list[NodeId]:
+    """The nodes of `anchor`'s kind, in insertion order."""
+    if isinstance(anchor, BlockKind):
+        return [b for b, kind in g.block_nodes.items() if kind is anchor]
+    if isinstance(anchor, EdgeKind):
+        return [e for e, edge in g.edge_nodes.items() if edge.kind is anchor]
+    return [op for op, kind in g.op_nodes.items() if kind.name == anchor]
+
+
+def _has_kind(g: ProgramGraph, n: NodeId, anchor: _Anchor) -> bool:
+    """Whether `n` exists and is a node of `anchor`'s kind."""
+    if isinstance(anchor, BlockKind):
+        return g.block_nodes.get(n) is anchor
+    if isinstance(anchor, EdgeKind):
+        return n in g.edge_nodes and g.edge_nodes[n].kind is anchor
+    return n in g.op_nodes and g.op_nodes[n].name == anchor
+
+
+def _rule(
+    name: str,
+    priority: int,
+    anchor: _Anchor,
+    pattern: _Pattern,
+    rewrite: Callable[..., None],
+) -> Rule:
+    """The rule that rewrites, with `rewrite(g, *anchors)`, each match of `pattern`."""
+
+    def matcher(g: ProgramGraph) -> list[Match]:
+        return [
+            Match(name, anchors)
+            for n in _candidates(g, anchor)
+            for anchors in pattern(g, n)
+        ]
+
+    def applier(g: ProgramGraph, match: Match) -> ProgramGraph:
+        anchors = match.anchors
+        if not (
+            match.rule_name == name
+            and anchors
+            and _has_kind(g, anchors[0], anchor)
+            and anchors in pattern(g, anchors[0])
+        ):
+            raise StaleMatchError(f"{name} does not match at {anchors}")
+        rewrite(g, *anchors)
+        return g
+
+    applier.__doc__ = rewrite.__doc__
+    return Rule(name, priority, matcher, applier)
 
 
 # -- binary folds: cmp-fold-int, add-fold-int -------------------------
 
 
-def _binary_fold_matches(g: ProgramGraph, op_name: str, rule_name: str) -> list[Match]:
-    # The applier parks the result constant in the start block, so a
-    # start block is part of the pattern.
-    if not g.blocks_of_kind(BlockKind.START_BLOCK):
+def _binary_on_consts(g: ProgramGraph, op: NodeId) -> _Matches:
+    inputs = g.data_inputs(op)
+    if len(inputs) != 2 or [g.edge_nodes[eid].position for eid, _ in inputs] != [0, 1]:
         return []
-    out = []
-    for op in sorted(g.op_nodes):
-        if g.op_nodes[op].name != op_name:
-            continue
-        inputs = g.data_inputs(op)
-        if len(inputs) != 2:
-            continue
-        if [g.edge_nodes[eid].position for eid, _ in inputs] != [0, 1]:
-            continue
-        (_, s0), (_, s1) = inputs
-        if g.op_nodes[s0].name != "Const" or g.op_nodes[s1].name != "Const":
-            continue
-        # All user edges get redirected, and there must be at least one;
-        # an unused operation is deletion's case, not folding's.
-        if not g.data_users(op):
-            continue
-        out.append(Match(rule_name, (op, s0, s1)))
-    return out
+    (_, s0), (_, s1) = inputs
+    if g.op_nodes[s0].name != "Const" or g.op_nodes[s1].name != "Const":
+        return []
+    # All user edges get redirected, and there must be at least one; an
+    # unused operation is deletion's case, not folding's.  The rewrite
+    # parks the result constant in the start block, so a start block is
+    # part of the pattern.
+    if not g.data_users(op) or BlockKind.START_BLOCK not in g.block_nodes.values():
+        return []
+    return [(op, s0, s1)]
 
 
-def _apply_binary_fold(
-    g: ProgramGraph, match: Match, compute: Callable[[int, int], int]
-) -> ProgramGraph:
-    op, s0, s1 = match.anchors
-    value = compute(g.op_nodes[s0].value, g.op_nodes[s1].value)  # type: ignore[arg-type]
+def _replace_with_const(g: ProgramGraph, op: NodeId, value: int) -> None:
     start = g.blocks_of_kind(BlockKind.START_BLOCK)[0]
     folded = g.add_op(Const(value), start)
     for eid, _ in g.data_users(op):
         g.redirect(eid, folded)
     g.delete_node(op)
-    return g
 
 
-def _match_add_fold_int(g: ProgramGraph) -> list[Match]:
-    return _binary_fold_matches(g, "Add", ADD_FOLD_INT)
-
-
-def _add_fold_int(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _fold_add(g: ProgramGraph, add: NodeId, a: NodeId, b: NodeId) -> None:
     """Replace an Add of two constants with their wrapped sum."""
-    _require(g, match, _match_add_fold_int)
-    return _apply_binary_fold(g, match, lambda a, b: wrap32(a + b))
+    total = g.op_nodes[a].value + g.op_nodes[b].value  # type: ignore[operator]
+    _replace_with_const(g, add, wrap32(total))
 
 
-def _match_cmp_fold_int(g: ProgramGraph) -> list[Match]:
-    return _binary_fold_matches(g, "Cmp", CMP_FOLD_INT)
-
-
-def _cmp_fold_int(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _fold_cmp(g: ProgramGraph, cmp_: NodeId, a: NodeId, b: NodeId) -> None:
     """Replace a Cmp of two constants with 1 or 0 (signed comparison)."""
-    _require(g, match, _match_cmp_fold_int)
-    op, _, _ = match.anchors
-    test = _RELATION_TESTS[g.op_nodes[op].relation]  # type: ignore[index]
-    return _apply_binary_fold(g, match, lambda a, b: 1 if test(a, b) else 0)
+    test = RELATION_TESTS[g.op_nodes[cmp_].relation]  # type: ignore[index]
+    _replace_with_const(g, cmp_, int(test(g.op_nodes[a].value, g.op_nodes[b].value)))
 
 
 # -- cond folds -------------------------------------------------------
 
 
-def _cond_matches(g: ProgramGraph, rule_name: str, want_nonzero: bool) -> list[Match]:
-    out = []
-    for op in sorted(g.op_nodes):
-        if g.op_nodes[op].name != "Cond":
-            continue
-        if op not in g.containment:
-            continue
-        inputs = g.data_inputs(op)
-        if len(inputs) != 1 or g.edge_nodes[inputs[0][0]].position != 0:
-            continue
-        selector = inputs[0][1]
-        kind = g.op_nodes[selector]
-        if kind.name != "Const":
-            continue
-        if (kind.value != 0) != want_nonzero:
-            continue
-        succs = g.control_succs(op)
-        if len(succs) != 2:
-            continue
-        if {g.edge_nodes[eid].branch for eid, _ in succs} != {0, 1}:
-            continue
-        out.append(Match(rule_name, (op, selector)))
-    return out
+def _cond_on_const(g: ProgramGraph, cond: NodeId, nonzero: bool) -> _Matches:
+    inputs = g.data_inputs(cond)
+    if cond not in g.containment or len(inputs) != 1:
+        return []
+    eid, selector = inputs[0]
+    kind = g.op_nodes[selector]
+    if g.edge_nodes[eid].position != 0 or kind.name != "Const" or (kind.value != 0) != nonzero:
+        return []
+    succs = g.control_succs(cond)
+    if len(succs) != 2 or {g.edge_nodes[eid].branch for eid, _ in succs} != {0, 1}:
+        return []
+    return [(cond, selector)]
 
 
-def _apply_cond_fold(g: ProgramGraph, match: Match, taken: int) -> ProgramGraph:
-    cond, _ = match.anchors
+def _cond_to_jmp(g: ProgramGraph, cond: NodeId, selector: NodeId) -> None:
+    """Turn a Cond on a constant into a Jmp along the branch it takes:
+    branch 1 on a non-zero constant, branch 0 on zero."""
+    taken = int(g.op_nodes[selector].value != 0)
     jmp = g.add_op(JMP, g.containment[cond])
     for eid, _ in g.control_succs(cond):
         if g.edge_nodes[eid].branch == taken:
@@ -182,198 +202,115 @@ def _apply_cond_fold(g: ProgramGraph, match: Match, taken: int) -> ProgramGraph:
         else:
             g.delete_node(eid)
     g.delete_node(cond)
-    return g
-
-
-def _match_cond_fold_true(g: ProgramGraph) -> list[Match]:
-    return _cond_matches(g, COND_FOLD_TRUE, want_nonzero=True)
-
-
-def _cond_fold_true(g: ProgramGraph, match: Match) -> ProgramGraph:
-    """Turn a Cond on a non-zero constant into a Jmp along branch 1."""
-    _require(g, match, _match_cond_fold_true)
-    return _apply_cond_fold(g, match, taken=1)
-
-
-def _match_cond_fold_false(g: ProgramGraph) -> list[Match]:
-    return _cond_matches(g, COND_FOLD_FALSE, want_nonzero=False)
-
-
-def _cond_fold_false(g: ProgramGraph, match: Match) -> ProgramGraph:
-    """Turn a Cond on the constant 0 into a Jmp along branch 0."""
-    _require(g, match, _match_cond_fold_false)
-    return _apply_cond_fold(g, match, taken=0)
 
 
 # -- structural simplification ---------------------------------------
 
 
-def _match_block_remove(g: ProgramGraph) -> list[Match]:
-    out = []
-    for block in sorted(g.block_nodes):
-        if g.block_nodes[block] is not BlockKind.BLOCK:
-            continue
-        if g.control_preds(block):
-            continue
-        out.append(Match(BLOCK_REMOVE, (block,)))
-    return out
+def _entryless(g: ProgramGraph, block: NodeId) -> _Matches:
+    return [] if g.control_preds(block) else [(block,)]
 
 
-def _block_remove(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _remove_block(g: ProgramGraph, block: NodeId) -> None:
     """Delete an unreachable ordinary block together with its members."""
-    _require(g, match, _match_block_remove)
-    (block,) = match.anchors
     for op in g.members(block):
         g.delete_node(op)
     g.delete_node(block)
-    return g
 
 
-def _match_phi_adjust(g: ProgramGraph) -> list[Match]:
-    out = []
-    for phi in sorted(g.op_nodes):
-        if g.op_nodes[phi].name != "Phi":
-            continue
-        block = g.containment.get(phi)
-        if block is None:
-            continue
-        entries = {g.edge_nodes[eid].position for eid, _ in g.control_preds(block)}
-        for eid, _ in g.data_inputs(phi):
-            if g.edge_nodes[eid].position not in entries:
-                out.append(Match(PHI_ADJUST, (phi, eid)))
-    return out
+def _stale_phi_inputs(g: ProgramGraph, phi: NodeId) -> _Matches:
+    block = g.containment.get(phi)
+    if block is None:
+        return []
+    entries = {g.edge_nodes[eid].position for eid, _ in g.control_preds(block)}
+    return [
+        (phi, eid)
+        for eid, _ in g.data_inputs(phi)
+        if g.edge_nodes[eid].position not in entries
+    ]
 
 
-def _phi_adjust(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _drop_phi_input(g: ProgramGraph, phi: NodeId, edge: NodeId) -> None:
     """Drop a Phi input whose entry edge no longer exists."""
-    _require(g, match, _match_phi_adjust)
-    _, edge = match.anchors
     g.delete_node(edge)
-    return g
 
 
-def _match_phi_fold_single(g: ProgramGraph) -> list[Match]:
-    out = []
-    for phi in sorted(g.op_nodes):
-        if g.op_nodes[phi].name != "Phi":
-            continue
-        block = g.containment.get(phi)
-        if block is None:
-            continue
-        inputs = g.data_inputs(phi)
-        if len(inputs) != 1 or len(g.control_preds(block)) != 1:
-            continue
-        out.append(Match(PHI_FOLD_SINGLE, (phi, inputs[0][1])))
-    return out
+def _single_entry_phi(g: ProgramGraph, phi: NodeId) -> _Matches:
+    block = g.containment.get(phi)
+    if block is None:
+        return []
+    inputs = g.data_inputs(phi)
+    if len(inputs) != 1 or len(g.control_preds(block)) != 1:
+        return []
+    return [(phi, inputs[0][1])]
 
 
-def _phi_fold_single(g: ProgramGraph, match: Match) -> ProgramGraph:
+def _short_phi(g: ProgramGraph, phi: NodeId, operand: NodeId) -> None:
     """Short a Phi in a single-entry block out to its only operand."""
-    _require(g, match, _match_phi_fold_single)
-    phi, operand = match.anchors
     for eid, _ in g.data_users(phi):
         g.redirect(eid, operand)
     g.delete_node(phi)
-    return g
 
 
 # -- cleanup ----------------------------------------------------------
 
 
-def _dangling_matches(g: ProgramGraph, kind: EdgeKind, rule_name: str) -> list[Match]:
-    out = []
-    for eid in sorted(g.edge_nodes):
-        e = g.edge_nodes[eid]
-        if e.kind is not kind:
-            continue
-        if e.source in g.op_nodes and e.source not in g.containment:
-            out.append(Match(rule_name, (eid,)))
-    return out
+def _sourced_outside_blocks(g: ProgramGraph, edge: NodeId) -> _Matches:
+    source = g.edge_nodes[edge].source
+    if source in g.op_nodes and source not in g.containment:
+        return [(edge,)]
+    return []
 
 
-def _match_cleanup_dangling_dataflow(g: ProgramGraph) -> list[Match]:
-    return _dangling_matches(g, EdgeKind.DATAFLOW, CLEANUP_DANGLING_DATAFLOW)
+def _unreferenced(g: ProgramGraph, const: NodeId) -> _Matches:
+    return [] if g.data_users(const) else [(const,)]
 
 
-def _cleanup_dangling_dataflow(g: ProgramGraph, match: Match) -> ProgramGraph:
-    """Drop a dataflow edge sourced by an operation outside every block."""
-    _require(g, match, _match_cleanup_dangling_dataflow)
-    (edge,) = match.anchors
-    g.delete_node(edge)
-    return g
-
-
-def _match_cleanup_dangling_control(g: ProgramGraph) -> list[Match]:
-    return _dangling_matches(g, EdgeKind.CONTROLFLOW, CLEANUP_DANGLING_CONTROL)
-
-
-def _cleanup_dangling_control(g: ProgramGraph, match: Match) -> ProgramGraph:
-    """Drop a control edge sourced by an operation outside every block."""
-    _require(g, match, _match_cleanup_dangling_control)
-    (edge,) = match.anchors
-    g.delete_node(edge)
-    return g
-
-
-def _match_cleanup_unref_const(g: ProgramGraph) -> list[Match]:
-    out = []
-    for op in sorted(g.op_nodes):
-        if g.op_nodes[op].name != "Const":
-            continue
-        if g.data_users(op):
-            continue
-        out.append(Match(CLEANUP_UNREF_CONST, (op,)))
-    return out
-
-
-def _cleanup_unref_const(g: ProgramGraph, match: Match) -> ProgramGraph:
-    """Delete a constant no dataflow edge reads."""
-    _require(g, match, _match_cleanup_unref_const)
-    (const,) = match.anchors
-    g.delete_node(const)
-    return g
+def _delete_anchor(g: ProgramGraph, node: NodeId) -> None:
+    """Delete the anchor: a dangling edge, or a constant no dataflow edge reads."""
+    g.delete_node(node)
 
 
 CATALOG: tuple[Rule, ...] = (
-    Rule(CLEANUP_DANGLING_DATAFLOW, 1, _match_cleanup_dangling_dataflow, _cleanup_dangling_dataflow),
-    Rule(CLEANUP_DANGLING_CONTROL, 2, _match_cleanup_dangling_control, _cleanup_dangling_control),
-    Rule(CLEANUP_UNREF_CONST, 3, _match_cleanup_unref_const, _cleanup_unref_const),
-    Rule(CMP_FOLD_INT, 4, _match_cmp_fold_int, _cmp_fold_int),
-    Rule(COND_FOLD_TRUE, 5, _match_cond_fold_true, _cond_fold_true),
-    Rule(COND_FOLD_FALSE, 6, _match_cond_fold_false, _cond_fold_false),
-    Rule(BLOCK_REMOVE, 7, _match_block_remove, _block_remove),
-    Rule(PHI_ADJUST, 8, _match_phi_adjust, _phi_adjust),
-    Rule(PHI_FOLD_SINGLE, 9, _match_phi_fold_single, _phi_fold_single),
-    Rule(ADD_FOLD_INT, 10, _match_add_fold_int, _add_fold_int),
+    _rule(CLEANUP_DANGLING_DATAFLOW, 1, EdgeKind.DATAFLOW, _sourced_outside_blocks, _delete_anchor),
+    _rule(CLEANUP_DANGLING_CONTROL, 2, EdgeKind.CONTROLFLOW, _sourced_outside_blocks, _delete_anchor),
+    _rule(CLEANUP_UNREF_CONST, 3, "Const", _unreferenced, _delete_anchor),
+    _rule(CMP_FOLD_INT, 4, "Cmp", _binary_on_consts, _fold_cmp),
+    _rule(COND_FOLD_TRUE, 5, "Cond", partial(_cond_on_const, nonzero=True), _cond_to_jmp),
+    _rule(COND_FOLD_FALSE, 6, "Cond", partial(_cond_on_const, nonzero=False), _cond_to_jmp),
+    _rule(BLOCK_REMOVE, 7, BlockKind.BLOCK, _entryless, _remove_block),
+    _rule(PHI_ADJUST, 8, "Phi", _stale_phi_inputs, _drop_phi_input),
+    _rule(PHI_FOLD_SINGLE, 9, "Phi", _single_entry_phi, _short_phi),
+    _rule(ADD_FOLD_INT, 10, "Add", _binary_on_consts, _fold_add),
 )
 
+RULE_NAMES: tuple[str, ...] = tuple(r.name for r in CATALOG)
 
 _Applier = Callable[[ProgramGraph, Match], ProgramGraph]
 
 
-def _on_copy(applier: _Applier) -> _Applier:
-    """The copying form of an in-place applier: `g` itself is left as it was."""
+def _on_copy(name: str) -> _Applier:
+    """The copying form of rule `name`'s applier: `g` itself is left as it was."""
+    applier = next(r.applier for r in CATALOG if r.name == name)
 
     def rewrite(g: ProgramGraph, match: Match) -> ProgramGraph:
         return applier(g.copy(), match)
 
-    rewrite.__name__ = rewrite.__qualname__ = f"rule{applier.__name__}"
+    rewrite.__name__ = rewrite.__qualname__ = "rule_" + name.replace("-", "_")
     rewrite.__doc__ = f"{applier.__doc__}\n\nRewrites and returns a copy of `g`."
     return rewrite
 
 
-rule_cleanup_dangling_dataflow = _on_copy(_cleanup_dangling_dataflow)
-rule_cleanup_dangling_control = _on_copy(_cleanup_dangling_control)
-rule_cleanup_unref_const = _on_copy(_cleanup_unref_const)
-rule_cmp_fold_int = _on_copy(_cmp_fold_int)
-rule_cond_fold_true = _on_copy(_cond_fold_true)
-rule_cond_fold_false = _on_copy(_cond_fold_false)
-rule_block_remove = _on_copy(_block_remove)
-rule_phi_adjust = _on_copy(_phi_adjust)
-rule_phi_fold_single = _on_copy(_phi_fold_single)
-rule_add_fold_int = _on_copy(_add_fold_int)
-
-RULE_NAMES: tuple[str, ...] = tuple(r.name for r in CATALOG)
+rule_cleanup_dangling_dataflow = _on_copy(CLEANUP_DANGLING_DATAFLOW)
+rule_cleanup_dangling_control = _on_copy(CLEANUP_DANGLING_CONTROL)
+rule_cleanup_unref_const = _on_copy(CLEANUP_UNREF_CONST)
+rule_cmp_fold_int = _on_copy(CMP_FOLD_INT)
+rule_cond_fold_true = _on_copy(COND_FOLD_TRUE)
+rule_cond_fold_false = _on_copy(COND_FOLD_FALSE)
+rule_block_remove = _on_copy(BLOCK_REMOVE)
+rule_phi_adjust = _on_copy(PHI_ADJUST)
+rule_phi_fold_single = _on_copy(PHI_FOLD_SINGLE)
+rule_add_fold_int = _on_copy(ADD_FOLD_INT)
 
 
 def build_min_plus_one(a: int, b: int, relation: str = "lt") -> ProgramGraph:

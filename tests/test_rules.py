@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from firmfold import (
@@ -19,6 +21,7 @@ from firmfold import (
     Match,
     ProgramGraph,
     StaleMatchError,
+    apply,
     build_min_plus_one,
     matches,
 )
@@ -36,6 +39,8 @@ from firmfold.rules import (
     rule_phi_adjust,
     rule_phi_fold_single,
 )
+
+from helpers import diamond_chain
 
 
 def rule(name: str):
@@ -339,7 +344,60 @@ def test_appliers_reject_fabricated_matches():
         (rule_cleanup_dangling_dataflow, Match("cleanup-dangling-dataflow", (15,))),
         (rule_cleanup_dangling_control, Match("cleanup-dangling-control", (18,))),
         (rule_cleanup_unref_const, Match("cleanup-unref-const", (5,))),
+        # a first anchor that does not exist
+        (rule_add_fold_int, Match("add-fold-int", (99, 5, 6))),
+        (rule_block_remove, Match("block-remove", (99,))),
+        (rule_cleanup_dangling_dataflow, Match("cleanup-dangling-dataflow", (99,))),
+        # a first anchor of another node class
+        (rule_add_fold_int, Match("add-fold-int", (3, 5, 6))),
+        (rule_cleanup_dangling_control, Match("cleanup-dangling-control", (9,))),
+        (rule_phi_adjust, Match("phi-adjust", (22, 12))),
+        # a first anchor of the right class but the wrong kind
+        (rule_cond_fold_true, Match("cond-fold-true", (5, 8))),
+        (rule_block_remove, Match("block-remove", (0,))),
+        (rule_cleanup_dangling_control, Match("cleanup-dangling-control", (15,))),
+        # a real cmp-fold-int match, named for another rule
+        (rule_cmp_fold_int, Match("add-fold-int", (8, 5, 6))),
     ]
+    # an empty anchor tuple, and a match named for no rule
+    for r in CATALOG:
+        cases += [(r.applier, Match(r.name, ())), (r.applier, Match("no-such-rule", (5,)))]
     for applier, bogus in cases:
         with pytest.raises(StaleMatchError):
             applier(g, bogus)
+    assert rule_cmp_fold_int(g, Match("cmp-fold-int", (8, 5, 6))).element_count() < g.element_count()
+
+
+ADJACENCY_QUERIES = ("data_inputs", "data_users", "control_preds", "control_succs", "members")
+
+
+@pytest.mark.parametrize("diamonds", [4, 32])
+def test_appliers_query_only_the_match_neighbourhood(monkeypatch, diamonds):
+    # Folding a chain, every applier that could fire at a step re-checks
+    # its match and rewrites while reading the adjacency of at most four
+    # nodes, however long the chain.
+    queried: list[set[int]] = []
+    for name in ADJACENCY_QUERIES:
+
+        def spy(g, n, original=getattr(ProgramGraph, name)):
+            if queried:
+                queried[-1].add(n)
+            return original(g, n)
+
+        monkeypatch.setattr(ProgramGraph, name, spy)
+    g = diamond_chain(
+        random.Random(diamonds), diamonds, dead=frozenset({1}), blockless=frozenset({2})
+    )
+    fired = set()
+    while True:
+        found = [(r, m) for r in CATALOG for m in matches(g, r)]
+        if not found:
+            break
+        for r, m in found:
+            queried.append(set())
+            r.applier(g.copy(), m)
+            nodes = queried.pop()
+            assert len(nodes) <= 4, (r.name, m.anchors, sorted(nodes))
+            fired.add(r.name)
+        g = apply(g, *found[0])
+    assert fired == set(RULE_NAMES)
