@@ -9,7 +9,10 @@ smallest match.  The explorer instead takes every match of every rule
 from every reachable state, deduplicating states up to isomorphism, and
 so observes whether all maximal rewrites end in the same place; it keeps
 every state, so each successor comes from `apply`, which rewrites a
-copy.
+copy.  Confluent rewrites often rebuild a stored state node id for node
+id, so a successor is first looked up by its exact content; only one
+that is not identical to a stored state is canonicalized, and a digest
+hit on it is confirmed by the independent isomorphism test.
 
 Every rule application strictly shrinks the element count; that measure
 is asserted on each step and bounds both drivers.
@@ -247,19 +250,46 @@ class Lts:
         return all(is_isomorphic(first, self.states[d]) for d in finals[1:])
 
 
+def _content_key(g: ProgramGraph) -> int:
+    """A hash of `g`'s four node maps: graphs of equal content hash equal."""
+    return hash(
+        (
+            frozenset(g.op_nodes.items()),
+            frozenset(g.block_nodes.items()),
+            frozenset(g.edge_nodes.items()),
+            frozenset(g.containment.items()),
+        )
+    )
+
+
+def _same_content(a: ProgramGraph, b: ProgramGraph) -> bool:
+    """Whether `a` and `b` have equal node maps, node id for node id."""
+    return (
+        a.op_nodes == b.op_nodes
+        and a.block_nodes == b.block_nodes
+        and a.edge_nodes == b.edge_nodes
+        and a.containment == b.containment
+    )
+
+
 def explore(
     g: ProgramGraph, rules: tuple[Rule, ...], max_states: int = 10_000
 ) -> Lts:
     """Breadth-first closure of `g` under all matches of all rules.
 
-    States are deduplicated by canonical digest and the digest identity
-    is confirmed with the independent isomorphism test.  Raises
-    StateLimitExceeded when more than `max_states` distinct states turn
-    up.
+    States are deduplicated by canonical digest.  A successor identical,
+    node id for node id, to a stored state takes that state's digest
+    without being canonicalized: the identity map is the isomorphism.
+    Any other successor is canonicalized, and a digest it shares with a
+    stored state is confirmed with the independent isomorphism test.
+    Raises StateLimitExceeded when more than `max_states` distinct
+    states turn up.
     """
     ordered = sorted(rules, key=lambda r: r.priority)
     initial = canonical_hash(g)
     states: dict[str, ProgramGraph] = {initial: g}
+    # Content key -> digests of the stored states with that key.
+    by_content: dict[int, list[str]] = {_content_key(g): [initial]}
     transitions: set[tuple[str, str, str]] = set()
     queue: deque[str] = deque([initial])
     while queue:
@@ -268,21 +298,28 @@ def explore(
         for rule in ordered:
             for match in matches(state, rule):
                 successor = apply(state, rule, match)
-                succ_digest = canonical_hash(successor)
-                if succ_digest in states:
-                    if not is_isomorphic(successor, states[succ_digest]):
-                        raise RuntimeError(
-                            "canonical digest collision between non-isomorphic states"
-                        )
-                else:
-                    if len(states) >= max_states:
-                        raise StateLimitExceeded(
-                            f"state space exceeds {max_states} states"
-                        )
-                    # Stored states hold no index; expansion rebuilds it.
-                    successor.drop_index()
-                    states[succ_digest] = successor
-                    queue.append(succ_digest)
+                key = _content_key(successor)
+                candidates = by_content.get(key, ())
+                succ_digest = next(
+                    (d for d in candidates if _same_content(successor, states[d])), None
+                )
+                if succ_digest is None:
+                    succ_digest = canonical_hash(successor)
+                    if succ_digest in states:
+                        if not is_isomorphic(successor, states[succ_digest]):
+                            raise RuntimeError(
+                                "canonical digest collision between non-isomorphic states"
+                            )
+                    else:
+                        if len(states) >= max_states:
+                            raise StateLimitExceeded(
+                                f"state space exceeds {max_states} states"
+                            )
+                        # Stored states hold no index; expansion rebuilds it.
+                        successor.drop_index()
+                        states[succ_digest] = successor
+                        by_content.setdefault(key, []).append(succ_digest)
+                        queue.append(succ_digest)
                 transitions.add((digest, rule.name, succ_digest))
         state.drop_index()
     outgoing = {src for src, _, _ in transitions}

@@ -52,20 +52,14 @@ def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
             )
         return [src for _, src in inputs]
 
-    def value(op: NodeId) -> int:
-        if op in env:
-            return env[op]
-        spend()
+    def inputs(op: NodeId) -> list[NodeId]:
+        """The operands `op`'s value is computed from, in evaluation order."""
         kind = g.op_nodes[op]
         if kind.name == "Const":
-            result = kind.value
-        elif kind.name == "Add":
-            a, b = (value(src) for src in operands(op, 2))
-            result = wrap32(a + b)
-        elif kind.name == "Cmp":
-            a, b = (value(src) for src in operands(op, 2))
-            result = 1 if RELATION_TESTS[kind.relation](a, b) else 0
-        elif kind.name == "Phi":
+            return []
+        if kind.name in ("Add", "Cmp"):
+            return operands(op, 2)
+        if kind.name == "Phi":
             block = g.containment.get(op)
             if block is None or block not in entered:
                 raise MalformedGraphError(f"Phi n{op} has no resolved block entry")
@@ -78,11 +72,45 @@ def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
                 raise MalformedGraphError(
                     f"Phi n{op} has no unique input for entry {entered[block]}"
                 )
-            result = value(matching[0])
-        else:
-            raise MalformedGraphError(f"n{op} ({kind.name}) produces no value")
-        env[op] = result
-        return result
+            return matching
+        raise MalformedGraphError(f"n{op} ({kind.name}) produces no value")
+
+    def combine(op: NodeId, args: list[int]) -> int:
+        kind = g.op_nodes[op]
+        if kind.name == "Const":
+            return kind.value
+        if kind.name == "Add":
+            return wrap32(args[0] + args[1])
+        if kind.name == "Cmp":
+            return 1 if RELATION_TESTS[kind.relation](args[0], args[1]) else 0
+        return args[0]  # Phi
+
+    def value(root: NodeId) -> int:
+        """The value of `root`, computed depth-first with an explicit stack.
+
+        Each frame is an operation, its operands, and the operand values
+        computed so far.  Every frame pushed spends one unit of fuel,
+        so a dataflow cycle exhausts the fuel rather than the stack.
+        """
+        if root in env:
+            return env[root]
+        spend()
+        stack = [(root, inputs(root), [])]
+        while True:
+            op, srcs, args = stack[-1]
+            if len(args) < len(srcs):
+                src = srcs[len(args)]
+                if src in env:
+                    args.append(env[src])
+                else:
+                    spend()
+                    stack.append((src, inputs(src), []))
+                continue
+            result = env[op] = combine(op, args)
+            stack.pop()
+            if not stack:
+                return result
+            stack[-1][2].append(result)
 
     current = starts[0]
     while True:

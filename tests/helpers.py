@@ -16,12 +16,15 @@ Every plan is well formed and executable, and folds to a fixpoint.
 with dead merge entries and with entries from operations outside every
 block.  `reference_fold` is the slow oracle for `fold`: it copies the
 graph on every step and re-checks every consumer's positions.
+`reference_explore` is the oracle for `explore`: it canonicalizes every
+successor and confirms every digest hit by isomorphism.
 """
 
 from __future__ import annotations
 
 import random
 import xml.etree.ElementTree as ET
+from collections import deque
 from dataclasses import dataclass, replace
 
 from firmfold import (
@@ -38,10 +41,15 @@ from firmfold import (
     Cmp,
     Const,
     EdgeKind,
+    Lts,
     Match,
     OpKind,
     ProgramGraph,
     Rule,
+    StateLimitExceeded,
+    apply,
+    canonical_hash,
+    is_isomorphic,
     matches,
     normalize_positions,
 )
@@ -287,3 +295,43 @@ def reference_fold(
         rule, match = chosen
         current = _reference_normalize(rule.applier(current.copy(), match))
         trace.append(match)
+
+
+def reference_explore(
+    g: ProgramGraph, rules: tuple[Rule, ...] = CATALOG, max_states: int = 10_000
+) -> Lts:
+    """The breadth-first explorer with no identity shortcut.
+
+    Every successor is canonicalized, and every digest hit is confirmed
+    with `is_isomorphic`.
+    """
+    ordered = sorted(rules, key=lambda r: r.priority)
+    initial = canonical_hash(g)
+    states: dict[str, ProgramGraph] = {initial: g}
+    transitions: set[tuple[str, str, str]] = set()
+    queue: deque[str] = deque([initial])
+    while queue:
+        digest = queue.popleft()
+        state = states[digest]
+        for rule in ordered:
+            for match in matches(state, rule):
+                successor = apply(state, rule, match)
+                succ_digest = canonical_hash(successor)
+                if succ_digest in states:
+                    if not is_isomorphic(successor, states[succ_digest]):
+                        raise RuntimeError(
+                            "canonical digest collision between non-isomorphic states"
+                        )
+                else:
+                    if len(states) >= max_states:
+                        raise StateLimitExceeded(
+                            f"state space exceeds {max_states} states"
+                        )
+                    successor.drop_index()
+                    states[succ_digest] = successor
+                    queue.append(succ_digest)
+                transitions.add((digest, rule.name, succ_digest))
+        state.drop_index()
+    outgoing = {src for src, _, _ in transitions}
+    final = frozenset(d for d in states if d not in outgoing)
+    return Lts(states, tuple(sorted(transitions)), initial, final)

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from firmfold import engine
 from firmfold import (
     CATALOG,
     JMP,
@@ -45,6 +46,7 @@ from helpers import (
     materialize,
     random_graph,
     random_program,
+    reference_explore,
     reference_fold,
 )
 
@@ -299,3 +301,65 @@ def test_random_programs_fold_clean_and_confluent():
         lts = explore(g, CATALOG, max_states=5000)
         assert lts.final_states_isomorphic(), seed
         assert canonical_hash(result.graph) in lts.final, seed
+
+
+def _maps(g: ProgramGraph) -> tuple:
+    return g.op_nodes, g.block_nodes, g.edge_nodes, g.containment
+
+
+def assert_same_lts(lts, expected, case) -> None:
+    """Equal digests in equal order, equal graphs node id for node id, equal transitions."""
+    assert list(lts.states) == list(expected.states), case
+    for digest, g in lts.states.items():
+        assert _maps(g) == _maps(expected.states[digest]), case
+    assert lts.transitions == expected.transitions, case
+    assert (lts.initial, lts.final) == (expected.initial, expected.final), case
+
+
+# Two-diamond chains reach over a thousand states under the full
+# catalog; without cleanup-unref-const they stay under a hundred.
+_KEEP_CONSTS = tuple(r for r in CATALOG if r.name != "cleanup-unref-const")
+
+
+def _explore_differential_cases() -> list[tuple[ProgramGraph, tuple]]:
+    cases = [(build_min_plus_one(3, 5, "lt"), CATALOG)]
+    for dead, blockless in ((), ()), ((0,), ()), ((), (0,)):
+        g = diamond_chain(random.Random(1), 1, frozenset(dead), frozenset(blockless))
+        cases.append((g, CATALOG))
+    for dead, blockless in ((), ()), ((0,), (1,)):
+        g = diamond_chain(random.Random(2), 2, frozenset(dead), frozenset(blockless))
+        cases.append((g, _KEEP_CONSTS))
+    for seed in (1, 2, 3, 5, 7, 8):
+        cases.append((random_graph(random.Random(seed)), CATALOG))
+    return cases
+
+
+def test_explore_agrees_with_the_reference_explore():
+    for index, (g, rules) in enumerate(_explore_differential_cases()):
+        assert_same_lts(explore(g, rules), reference_explore(g, rules), index)
+
+
+def test_explore_canonicalizes_each_distinct_state_once(monkeypatch):
+    calls = {"canonical_hash": 0, "is_isomorphic": 0}
+
+    def spy(name):
+        real = getattr(engine, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, spy(name))
+    lts = explore(build_min_plus_one(3, 5, "lt"), CATALOG)
+    assert (len(lts.states), len(lts.transitions)) == (26, 44)
+    assert calls["canonical_hash"] <= 30
+    assert calls["is_isomorphic"] <= 4
+
+
+def test_explore_still_confirms_digest_hits(monkeypatch):
+    monkeypatch.setattr(engine, "canonical_hash", lambda g: "same digest for every graph")
+    with pytest.raises(RuntimeError, match="digest collision"):
+        explore(build_min_plus_one(3, 5, "lt"), CATALOG)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from firmfold import (
+    ADD,
     INT32_MAX,
     INT32_MIN,
     JMP,
@@ -139,3 +140,41 @@ def test_fuel_bounds_value_computations_too():
     with pytest.raises(FuelExhaustedError):
         evaluate(g, fuel=2)
     assert evaluate(g, fuel=50) == 4
+
+
+def test_deep_add_chain_evaluates_without_recursion():
+    rng = random.Random(7)
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    end = g.add_block(BlockKind.END_BLOCK)
+    value = rng.randint(-100, 100)
+    current = g.add_op(Const(value), start)
+    while g.element_count() < 10_000:
+        operand = rng.randint(INT32_MIN, INT32_MAX)
+        add = g.add_op(ADD, start)
+        g.connect(current, add, EdgeKind.DATAFLOW, 0)
+        g.connect(g.add_op(Const(operand), start), add, EdgeKind.DATAFLOW, 1)
+        value = wrap32(value + operand)
+        current = add
+    ret = g.add_op(RETURN, start)
+    g.connect(current, ret, EdgeKind.DATAFLOW, 0)
+    g.connect(ret, end, EdgeKind.CONTROLFLOW, 0)
+    assert evaluate(g, fuel=len(g.op_nodes)) == value
+
+
+def test_dataflow_cycle_exhausts_fuel_not_the_stack():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    end = g.add_block(BlockKind.END_BLOCK)
+    one = g.add_op(Const(1), start)
+    a = g.add_op(ADD, start)
+    b = g.add_op(ADD, start)
+    g.connect(b, a, EdgeKind.DATAFLOW, 0)
+    g.connect(one, a, EdgeKind.DATAFLOW, 1)
+    g.connect(a, b, EdgeKind.DATAFLOW, 0)
+    g.connect(one, b, EdgeKind.DATAFLOW, 1)
+    ret = g.add_op(RETURN, start)
+    g.connect(a, ret, EdgeKind.DATAFLOW, 0)
+    g.connect(ret, end, EdgeKind.CONTROLFLOW, 0)
+    with pytest.raises(FuelExhaustedError):
+        evaluate(g)
