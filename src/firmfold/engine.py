@@ -19,10 +19,12 @@ is asserted on each step and bounds both drivers.
 
 After each step the drivers compact input positions (see
 `normalize_positions`), so consumer ports stay 0..n-1 without the rules
-having to renumber anything themselves.  Only a consumer that lost an
-input edge can acquire a gap, so after the first step following a
-copy, which checks every consumer, a step renumbers just those (the
-graph records them) and the blocks deferred for a misaligned Phi.
+having to renumber anything themselves.  Only a consumer whose inputs
+changed can acquire a gap, so a step renumbers just those; the graph
+records them, and a copy carries the record.  Only a graph whose record
+is unknown (fresh or loaded) has every consumer checked.  A block left
+gapped because a Phi input is misaligned keeps its gap until a Phi in
+it loses an input, which records the block again.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def apply(g: ProgramGraph, rule: Rule, match: Match) -> ProgramGraph:
     """
     h = g.copy()
     _step(h, rule, match)
-    _normalize_all(h, set())
+    _normalize_all(h)
     return h
 
 
@@ -119,16 +121,15 @@ def _contiguous(positions: list[int]) -> bool:
     return positions == list(range(len(positions)))
 
 
-def _normalize_all(g: ProgramGraph, deferred: set[NodeId]) -> set[NodeId]:
+def _normalize_all(g: ProgramGraph) -> None:
     """Compact, in place, the positions of every consumer that may have gaps.
 
-    Those are the consumers that lost an input edge since the last
-    normalization of `g`, plus the blocks in `deferred`; on a fresh or
-    copied graph, every consumer.  A block whose Phi still has an input
-    at a position no entry edge carries is left alone: renumbering it
-    now could collide that stale input with a live one.  The stale
-    input is a rewrite's job to remove.  Such blocks are returned, to
-    be passed back as `deferred` after the next rewrite.
+    Those are the consumers `g` recorded since its last normalization;
+    on a graph whose record is unknown, every consumer.  A block whose
+    Phi still has an input at a position no entry edge carries is left
+    alone: renumbering it now could collide that stale input with a
+    live one.  The stale input is a rewrite's job to remove, and
+    removing it records the block again.
 
     Consumers are independent of each other here, so one pass leaves
     every consumer compact or deferred.
@@ -137,10 +138,8 @@ def _normalize_all(g: ProgramGraph, deferred: set[NodeId]) -> set[NodeId]:
     if touched is None:
         blocks, ops = sorted(g.block_nodes), sorted(g.op_nodes)
     else:
-        touched |= deferred
         blocks = sorted(n for n in touched if n in g.block_nodes)
         ops = sorted(n for n in touched if n in g.op_nodes)
-    still_deferred = set()
     for block in blocks:
         positions = [g.edge_nodes[eid].position for eid, _ in g.control_preds(block)]
         if _contiguous(positions):
@@ -152,7 +151,6 @@ def _normalize_all(g: ProgramGraph, deferred: set[NodeId]) -> set[NodeId]:
             if g.op_nodes[phi].name == "Phi"
             for eid, _ in g.data_inputs(phi)
         ):
-            still_deferred.add(block)
             continue
         _renumber(g, block)
     for op in ops:
@@ -161,7 +159,8 @@ def _normalize_all(g: ProgramGraph, deferred: set[NodeId]) -> set[NodeId]:
         positions = [g.edge_nodes[eid].position for eid, _ in g.data_inputs(op)]
         if not _contiguous(positions):
             _renumber(g, op)
-    return still_deferred
+    # Renumbering recorded only consumers it has just made compact.
+    g.take_touched()
 
 
 def format_trace(trace: tuple[Match, ...]) -> str:
@@ -195,7 +194,6 @@ def fold(
     ordered = sorted(rules, key=lambda r: r.priority)
     current = g.copy()
     trace: list[Match] = []
-    deferred: set[NodeId] = set()
     while True:
         chosen: tuple[Rule, Match] | None = None
         for rule in ordered:
@@ -209,7 +207,7 @@ def fold(
             raise StepLimitExceeded(f"no fixpoint within {max_steps} steps")
         rule, match = chosen
         _step(current, rule, match)
-        deferred = _normalize_all(current, deferred)
+        _normalize_all(current)
         trace.append(match)
 
 
@@ -220,10 +218,9 @@ def replay(g: ProgramGraph, rules: tuple[Rule, ...], trace: tuple[Match, ...]) -
     """
     by_name = {r.name: r for r in rules}
     current = g.copy()
-    deferred: set[NodeId] = set()
     for match in trace:
         _step(current, by_name[match.rule_name], match)
-        deferred = _normalize_all(current, deferred)
+        _normalize_all(current)
     return current
 
 

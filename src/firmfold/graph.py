@@ -197,8 +197,9 @@ class ProgramGraph:
     without an index, so a graph that is only stored costs no index
     memory.
 
-    The graph also notes which consumers lost an input edge, so that
-    position normalization can revisit just those; see `take_touched`.
+    The graph also notes which consumers' input positions may have
+    changed, so that position normalization can revisit just those; see
+    `take_touched`.
     """
 
     __slots__ = (
@@ -227,12 +228,19 @@ class ProgramGraph:
             self._adj = _Adjacency(self)
         return self._adj
 
+    def _touch(self, consumer: NodeId) -> None:
+        if self._touched is not None:
+            self._touched.add(consumer)
+
     def _remove_edge(self, e: EdgeNode) -> None:
         del self.edge_nodes[e.id]
         if self._adj is not None:
             self._adj.unlink(e)
-        if self._touched is not None:
-            self._touched.add(e.target)
+        self._touch(e.target)
+        # A block and its Phis share one position space.
+        block = self.containment.get(e.target)
+        if block is not None:
+            self._touch(block)
 
     def _in_edges(self, node: NodeId) -> list[EdgeNode]:
         edges = self.edge_nodes
@@ -252,11 +260,13 @@ class ProgramGraph:
         self._adj = None
 
     def take_touched(self) -> set[NodeId] | None:
-        """Consumers that lost an input edge since the last call.
+        """Consumers whose input positions may have changed since the last call.
 
-        None means unknown: the graph is fresh, copied or loaded, so
-        any consumer may have gaps in its input positions.  The record
-        restarts empty after each call.
+        Those are the targets of edges connected, renumbered or removed,
+        and the block of each operation that lost an input.  None means
+        unknown: the graph is fresh or loaded, so any consumer may have
+        gaps in its input positions.  The record restarts empty after
+        each call, and `copy` carries it over.
         """
         touched, self._touched = self._touched, set()
         return touched
@@ -346,6 +356,7 @@ class ProgramGraph:
         edge = EdgeNode(nid, kind, position, source, target, branch)
         self.edge_nodes[nid] = edge
         self._index().link(edge)
+        self._touch(target)
         return nid
 
     def _edge(self, edge: NodeId) -> EdgeNode:
@@ -375,6 +386,7 @@ class ProgramGraph:
             raise ValueError("position must be non-negative")
         e = self._edge(edge)
         self.edge_nodes[edge] = EdgeNode(edge, e.kind, position, e.source, e.target, e.branch)
+        self._touch(e.target)
 
     def delete_node(self, node: NodeId) -> int:
         """Delete a node and every Edge node incident to it.
@@ -469,6 +481,7 @@ class ProgramGraph:
         h.edge_nodes = dict(self.edge_nodes)
         h.containment = dict(self.containment)
         h._next_id = self._next_id
+        h._touched = None if self._touched is None else set(self._touched)
         return h
 
     @classmethod

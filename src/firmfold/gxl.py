@@ -16,10 +16,16 @@ are typed (`#Dataflow`, `#Controlflow`, `#contains`) and carry the
 position/branch attributes themselves.  Importing nodifies each typed
 flow edge.  Dialect detection keys on exactly that difference: any
 `<edge>` with a `<type>` child means the attributed dialect.
+
+Each reader parses its document once, and one reader serves the
+`<node>` declarations of both dialects.  The writer emits the fixed
+native layout directly; every value in it is an integer or a name from
+a closed set, so nothing needs escaping.
 """
 
 from __future__ import annotations
 
+import io
 import re
 import xml.etree.ElementTree as ET
 from enum import Enum
@@ -42,14 +48,17 @@ from .graph import (
 )
 
 XLINK_NS = "http://www.w3.org/1999/xlink"
-ET.register_namespace("xlink", XLINK_NS)
 
 _INT_RE = re.compile(r"-?\d+")
 _NATIVE_ID_RE = re.compile(r"n(\d+)")
 
 _BLOCK_TYPES = {k.value: k for k in BlockKind}
 _EDGE_NODE_TYPES = {"DataflowEdge": EdgeKind.DATAFLOW, "ControlflowEdge": EdgeKind.CONTROLFLOW}
+_EDGE_NODE_NAMES = {kind: name for name, kind in _EDGE_NODE_TYPES.items()}
 _FLOW_EDGE_TYPES = {"Dataflow": EdgeKind.DATAFLOW, "Controlflow": EdgeKind.CONTROLFLOW}
+
+#: The attributes, with their value types, of each operation kind that has any.
+_OP_ATTRS: dict[str, dict[str, type]] = {"Const": {"value": int}, "Cmp": {"relation": str}}
 
 
 class DialectTag(Enum):
@@ -63,19 +72,17 @@ def _local(tag: object) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _parse(data: bytes | str) -> ET.Element:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def _graph_element(data: bytes | str) -> ET.Element:
+    """Parse `data` and return its `<graph>` element."""
     try:
-        return ET.fromstring(data)
-    except ET.ParseError as exc:
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        root = ET.fromstring(data)
+    except (ET.ParseError, ValueError, LookupError) as exc:
+        # Besides bad XML: a str that UTF-8 cannot encode, or a declared
+        # encoding that is unknown (LookupError) or multi-byte (ValueError).
         raise GxlParseError(f"malformed XML: {exc}") from None
-
-
-def _graph_element(root: ET.Element) -> ET.Element:
-    if _local(root.tag) == "graph":
-        return root
-    for el in root.iter():
+    for el in root.iter():  # the root first
         if _local(el.tag) == "graph":
             return el
     raise SchemaError("document contains no graph element")
@@ -146,90 +153,101 @@ def _flow_attrs(
     return attrs["position"], attrs.get("branch")  # type: ignore[return-value]
 
 
-def _make_op_kind(type_name: str, attrs: dict[str, int | str], context: str) -> OpKind:
-    try:
-        if type_name == "Const":
-            _expect_attrs(attrs, context, {"value": int})
-            return OpKind("Const", value=attrs["value"])  # type: ignore[arg-type]
-        if type_name == "Cmp":
-            _expect_attrs(attrs, context, {"relation": str})
-            return OpKind("Cmp", relation=attrs["relation"])  # type: ignore[arg-type]
-        _expect_attrs(attrs, context, {})
-        return OpKind(type_name)
-    except ValueError as exc:
-        raise SchemaError(f"{context}: {exc}") from None
+def _key(raw: str, native: bool) -> NodeId | str | None:
+    """What an id names, or None: in native documents its number (so `n1`
+    names a node declared `n01`), in attributed ones the id itself."""
+    if not native:
+        return raw or None
+    m = _NATIVE_ID_RE.fullmatch(raw)
+    return int(m.group(1)) if m else None
 
 
-def detect_dialect(data: bytes | str) -> DialectTag:
-    """Attributed if any <edge> carries a <type> child, native otherwise."""
-    graph = _graph_element(_parse(data))
-    for el in graph:
-        if _local(el.tag) != "edge":
-            continue
-        if any(_local(c.tag) == "type" for c in el):
-            return DialectTag.FIRM_ATTRIBUTED
-    return DialectTag.NATIVE
+def _declarations(graph_el: ET.Element, native: bool) -> tuple[dict, dict, dict, dict]:
+    """Read the `<node>` elements of either dialect.
 
-
-def load_native(data: bytes | str) -> ProgramGraph:
-    """Read a native-dialect document, preserving its node numbering."""
-    graph_el = _graph_element(_parse(data))
-    if graph_el.get("edgeids", "false") != "false":
-        raise SchemaError("native documents do not assign edge identities")
-
+    Native nodes keep the number their id names; attributed nodes are
+    numbered in document order and may not be Edge nodes.  Returns the
+    operation and block maps, each Edge node's (kind, position, branch),
+    and each node's number by its `_key`.
+    """
     op_nodes: dict[NodeId, OpKind] = {}
     block_nodes: dict[NodeId, BlockKind] = {}
     edge_meta: dict[NodeId, tuple[EdgeKind, int, int | None]] = {}
-    declared: set[NodeId] = set()
-
+    ids: dict[NodeId | str, NodeId] = {}
     for el in graph_el:
         if _local(el.tag) != "node":
             continue
         raw_id = el.get("id")
-        if raw_id is None:
+        if raw_id is None or (key := _key(raw_id, native)) is None:
+            if native and raw_id is not None:
+                raise SchemaError(f"node id {raw_id!r} is not of the form n<int>")
             raise SchemaError("node without an id")
-        m = _NATIVE_ID_RE.fullmatch(raw_id)
-        if not m:
-            raise SchemaError(f"node id {raw_id!r} is not of the form n<int>")
-        nid = int(m.group(1))
-        if nid in declared:
+        if key in ids:
             raise SchemaError(f"duplicate node id {raw_id!r}")
-        declared.add(nid)
+        nid = ids[key] = key if native else len(ids)  # type: ignore[assignment]
         type_name = _type_href(el)
         if type_name is None:
             raise SchemaError(f"node {raw_id!r} declares no type")
         context = f"node {raw_id!r}"
         attrs = _attrs(el, context)
         if type_name in OP_NAMES:
-            op_nodes[nid] = _make_op_kind(type_name, attrs, context)
+            _expect_attrs(attrs, context, _OP_ATTRS.get(type_name, {}))
+            try:
+                op_nodes[nid] = OpKind(type_name, **attrs)  # type: ignore[arg-type]
+            except ValueError as exc:
+                raise SchemaError(f"{context}: {exc}") from None
         elif type_name in _BLOCK_TYPES:
             _expect_attrs(attrs, context, {})
             block_nodes[nid] = _BLOCK_TYPES[type_name]
-        elif type_name in _EDGE_NODE_TYPES:
+        elif native and type_name in _EDGE_NODE_TYPES:
             kind = _EDGE_NODE_TYPES[type_name]
             edge_meta[nid] = (kind, *_flow_attrs(kind, attrs, context))
         else:
             raise UnsupportedNodeTypeError(f"unsupported node type #{type_name}")
+    return op_nodes, block_nodes, edge_meta, ids
 
+
+def _endpoints(el: ET.Element, ids: dict, native: bool) -> tuple[NodeId, NodeId]:
+    """The declared nodes an `<edge>` runs from and to."""
+    ends = []
+    for attr in ("from", "to"):
+        raw = el.get(attr)
+        if raw is None:
+            raise SchemaError(f"edge without a {attr!r} endpoint")
+        nid = ids.get(_key(raw, native))
+        if nid is None:
+            raise GxlReferenceError(f"edge references undeclared node {raw!r}")
+        ends.append(nid)
+    return ends[0], ends[1]
+
+
+def _assemble(*parts: dict) -> ProgramGraph:
+    try:
+        return ProgramGraph._from_parts(*parts)
+    except FirmFoldError as exc:
+        raise SchemaError(str(exc)) from None
+
+
+def _dialect(graph_el: ET.Element) -> DialectTag:
+    for el in graph_el:
+        if _local(el.tag) == "edge" and any(_local(c.tag) == "type" for c in el):
+            return DialectTag.FIRM_ATTRIBUTED
+    return DialectTag.NATIVE
+
+
+def _read_native(graph_el: ET.Element) -> ProgramGraph:
+    if graph_el.get("edgeids", "false") != "false":
+        raise SchemaError("native documents do not assign edge identities")
+    op_nodes, block_nodes, edge_meta, ids = _declarations(graph_el, native=True)
     sources: dict[NodeId, NodeId] = {}
     targets: dict[NodeId, NodeId] = {}
     containment: dict[NodeId, NodeId] = {}
-
     for el in graph_el:
         if _local(el.tag) != "edge":
             continue
         if any(_local(c.tag) == "type" for c in el):
             raise SchemaError("native documents use bare relation edges only")
-        refs = []
-        for attr in ("from", "to"):
-            raw = el.get(attr)
-            if raw is None:
-                raise SchemaError(f"edge without a {attr!r} endpoint")
-            m = _NATIVE_ID_RE.fullmatch(raw)
-            if not m or int(m.group(1)) not in declared:
-                raise GxlReferenceError(f"edge references undeclared node {raw!r}")
-            refs.append(int(m.group(1)))
-        frm, to = refs
+        frm, to = _endpoints(el, ids, native=True)
         if frm in edge_meta and to in edge_meta:
             raise SchemaError(f"relation edge links two Edge nodes n{frm} and n{to}")
         if to in edge_meta:
@@ -252,64 +270,17 @@ def load_native(data: bytes | str) -> ProgramGraph:
         if eid not in sources or eid not in targets:
             raise SchemaError(f"Edge node n{eid} lacks a source or target")
         edge_nodes[eid] = EdgeNode(eid, kind, position, sources[eid], targets[eid], branch)
-
-    try:
-        return ProgramGraph._from_parts(op_nodes, block_nodes, edge_nodes, containment)
-    except FirmFoldError as exc:
-        raise SchemaError(str(exc)) from None
+    return _assemble(op_nodes, block_nodes, edge_nodes, containment)
 
 
-def import_firm_gxl(data: bytes | str) -> ProgramGraph:
-    """Read an attributed-dialect document, nodifying its flow edges.
-
-    Node ids in this dialect are arbitrary strings; the imported graph
-    numbers declared nodes in document order and Edge nodes after them.
-    """
-    graph_el = _graph_element(_parse(data))
-
-    op_nodes: dict[NodeId, OpKind] = {}
-    block_nodes: dict[NodeId, BlockKind] = {}
-    by_name: dict[str, NodeId] = {}
-
-    for el in graph_el:
-        if _local(el.tag) != "node":
-            continue
-        raw_id = el.get("id")
-        if not raw_id:
-            raise SchemaError("node without an id")
-        if raw_id in by_name:
-            raise SchemaError(f"duplicate node id {raw_id!r}")
-        nid = len(by_name)
-        by_name[raw_id] = nid
-        type_name = _type_href(el)
-        if type_name is None:
-            raise SchemaError(f"node {raw_id!r} declares no type")
-        context = f"node {raw_id!r}"
-        attrs = _attrs(el, context)
-        if type_name in OP_NAMES:
-            op_nodes[nid] = _make_op_kind(type_name, attrs, context)
-        elif type_name in _BLOCK_TYPES:
-            _expect_attrs(attrs, context, {})
-            block_nodes[nid] = _BLOCK_TYPES[type_name]
-        else:
-            raise UnsupportedNodeTypeError(f"unsupported node type #{type_name}")
-
+def _read_attributed(graph_el: ET.Element) -> ProgramGraph:
+    op_nodes, block_nodes, _, ids = _declarations(graph_el, native=False)
     edge_nodes: dict[NodeId, EdgeNode] = {}
     containment: dict[NodeId, NodeId] = {}
-    next_id = len(by_name)
-
     for el in graph_el:
         if _local(el.tag) != "edge":
             continue
-        endpoints = []
-        for attr in ("from", "to"):
-            raw = el.get(attr)
-            if raw is None:
-                raise SchemaError(f"edge without a {attr!r} endpoint")
-            if raw not in by_name:
-                raise GxlReferenceError(f"edge references undeclared node {raw!r}")
-            endpoints.append(by_name[raw])
-        frm, to = endpoints
+        frm, to = _endpoints(el, ids, native=False)
         type_name = _type_href(el)
         if type_name is None:
             raise SchemaError("attributed documents require a type on every edge")
@@ -318,8 +289,8 @@ def import_firm_gxl(data: bytes | str) -> ProgramGraph:
         if type_name in _FLOW_EDGE_TYPES:
             kind = _FLOW_EDGE_TYPES[type_name]
             position, branch = _flow_attrs(kind, attrs, context)
-            edge_nodes[next_id] = EdgeNode(next_id, kind, position, frm, to, branch)
-            next_id += 1
+            eid = len(ids) + len(edge_nodes)
+            edge_nodes[eid] = EdgeNode(eid, kind, position, frm, to, branch)
         elif type_name == "contains":
             _expect_attrs(attrs, context, {})
             if frm not in block_nodes or to not in op_nodes:
@@ -329,77 +300,81 @@ def import_firm_gxl(data: bytes | str) -> ProgramGraph:
             containment[to] = frm
         else:
             raise SchemaError(f"{context}: unknown edge type #{type_name}")
+    return _assemble(op_nodes, block_nodes, edge_nodes, containment)
 
-    try:
-        return ProgramGraph._from_parts(op_nodes, block_nodes, edge_nodes, containment)
-    except FirmFoldError as exc:
-        raise SchemaError(str(exc)) from None
+
+def detect_dialect(data: bytes | str) -> DialectTag:
+    """Attributed if any <edge> carries a <type> child, native otherwise."""
+    return _dialect(_graph_element(data))
+
+
+def load_native(data: bytes | str) -> ProgramGraph:
+    """Read a native-dialect document, preserving its node numbering."""
+    return _read_native(_graph_element(data))
+
+
+def import_firm_gxl(data: bytes | str) -> ProgramGraph:
+    """Read an attributed-dialect document, nodifying its flow edges.
+
+    Node ids in this dialect are arbitrary strings; the imported graph
+    numbers declared nodes in document order and Edge nodes after them.
+    """
+    return _read_attributed(_graph_element(data))
 
 
 def load(data: bytes | str, dialect: DialectTag | None = None) -> ProgramGraph:
     """Read either dialect, auto-detecting unless one is forced."""
-    if dialect is None:
-        dialect = detect_dialect(data)
-    if dialect is DialectTag.NATIVE:
-        return load_native(data)
-    return import_firm_gxl(data)
-
-
-def _attr_element(parent: ET.Element, name: str, value: int | str) -> None:
-    attr = ET.SubElement(parent, "attr", {"name": name})
-    if isinstance(value, int):
-        ET.SubElement(attr, "int").text = str(value)
-    else:
-        ET.SubElement(attr, "string").text = value
+    graph_el = _graph_element(data)
+    if (dialect or _dialect(graph_el)) is DialectTag.NATIVE:
+        return _read_native(graph_el)
+    return _read_attributed(graph_el)
 
 
 def save_native(g: ProgramGraph) -> bytes:
-    """Serialize to the native dialect; byte-identical for equal graphs."""
-    root = ET.Element("gxl")
-    graph_el = ET.SubElement(
-        root, "graph", {"id": "program", "edgeids": "false", "edgemode": "directed"}
-    )
-    for nid in sorted(set(g.op_nodes) | set(g.block_nodes) | set(g.edge_nodes)):
-        node_el = ET.SubElement(graph_el, "node", {"id": f"n{nid}"})
+    """Serialize to the native dialect; byte-identical for equal graphs.
+
+    The layout is ElementTree's indented one, so an empty graph closes
+    itself and its document declares no `xlink` namespace."""
+    out = io.BytesIO()
+    write = out.write
+    write(b"<?xml version='1.0' encoding='utf-8'?>\n")
+    graph_tag = '<graph id="program" edgeids="false" edgemode="directed"'
+    ids = sorted(g.op_nodes.keys() | g.block_nodes.keys() | g.edge_nodes.keys())
+    if not ids:
+        write(f"<gxl>\n  {graph_tag} />\n</gxl>\n".encode())
+        return out.getvalue()
+    write(f'<gxl xmlns:xlink="{XLINK_NS}">\n  {graph_tag}>\n'.encode())
+    for nid in ids:
         if nid in g.op_nodes:
             kind = g.op_nodes[nid]
-            href = kind.name
+            href, attrs = kind.name, [(a, getattr(kind, a)) for a in _OP_ATTRS.get(kind.name, ())]
         elif nid in g.block_nodes:
-            href = g.block_nodes[nid].value
+            href, attrs = g.block_nodes[nid].value, []
         else:
             e = g.edge_nodes[nid]
-            href = "DataflowEdge" if e.kind is EdgeKind.DATAFLOW else "ControlflowEdge"
-        type_el = ET.SubElement(node_el, "type")
-        type_el.set(f"{{{XLINK_NS}}}href", f"#{href}")
-        if nid in g.op_nodes:
-            kind = g.op_nodes[nid]
-            if kind.value is not None:
-                _attr_element(node_el, "value", kind.value)
-            if kind.relation is not None:
-                _attr_element(node_el, "relation", kind.relation)
-        elif nid in g.edge_nodes:
-            e = g.edge_nodes[nid]
-            _attr_element(node_el, "position", e.position)
-            if e.branch is not None:
-                _attr_element(node_el, "branch", e.branch)
+            href, attrs = _EDGE_NODE_NAMES[e.kind], [("position", e.position), ("branch", e.branch)]
+        write(f'    <node id="n{nid}">\n      <type xlink:href="#{href}" />\n'.encode())
+        for name, value in attrs:
+            if value is not None:
+                tag = "string" if isinstance(value, str) else "int"
+                write(
+                    f'      <attr name="{name}">\n        <{tag}>{value}</{tag}>\n'
+                    "      </attr>\n".encode()
+                )
+        write(b"    </node>\n")
     for eid in sorted(g.edge_nodes):
         e = g.edge_nodes[eid]
-        ET.SubElement(graph_el, "edge", {"from": f"n{e.source}", "to": f"n{eid}"})
-        ET.SubElement(graph_el, "edge", {"from": f"n{eid}", "to": f"n{e.target}"})
+        write(f'    <edge from="n{e.source}" to="n{eid}" />\n'.encode())
+        write(f'    <edge from="n{eid}" to="n{e.target}" />\n'.encode())
     for op in sorted(g.containment):
-        ET.SubElement(graph_el, "edge", {"from": f"n{g.containment[op]}", "to": f"n{op}"})
-    ET.indent(root)
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+        write(f'    <edge from="n{g.containment[op]}" to="n{op}" />\n'.encode())
+    write(b"  </graph>\n</gxl>\n")
+    return out.getvalue()
 
 
 def _op_label(g: ProgramGraph, op: NodeId) -> str:
     kind = g.op_nodes[op]
-    if kind.value is not None:
-        detail = f" {kind.value}"
-    elif kind.relation is not None:
-        detail = f" {kind.relation}"
-    else:
-        detail = ""
+    detail = "".join(f" {getattr(kind, name)}" for name in _OP_ATTRS.get(kind.name, ()))
     return f"n{op}: {kind.name}{detail}"
 
 

@@ -192,19 +192,24 @@ def is_isomorphic(g1: ProgramGraph, g2: ProgramGraph) -> bool:
                 return False
         return True
 
-    def search(depth: int) -> bool:
-        if depth == len(nodes1):
-            return True
-        n1 = nodes1[depth]
-        for n2 in sorted(classes2[color1[n1]]):
-            if n2 in used or not consistent(n1, n2):
-                continue
-            mapping[n1] = n2
-            used.add(n2)
-            if search(depth + 1):
-                return True
-            del mapping[n1]
-            used.remove(n2)
-        return False
+    def candidates(depth: int):
+        return iter(sorted(classes2[color1[nodes1[depth]]]))
 
-    return search(0)
+    # Depth-first search with an explicit stack: stack[d] yields the
+    # untried images of nodes1[d], and nodes1[:len(stack) - 1] are mapped.
+    stack = [candidates(0)]
+    while stack:
+        n1 = nodes1[len(stack) - 1]
+        for n2 in stack[-1]:
+            if n2 not in used and consistent(n1, n2):
+                mapping[n1] = n2
+                used.add(n2)
+                if len(mapping) == len(nodes1):
+                    return True
+                stack.append(candidates(len(stack)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                used.remove(mapping.pop(nodes1[len(stack) - 1]))
+    return False

@@ -18,6 +18,10 @@ block.  `reference_fold` is the slow oracle for `fold`: it copies the
 graph on every step and re-checks every consumer's positions.
 `reference_explore` is the oracle for `explore`: it canonicalizes every
 successor and confirms every digest hit by isomorphism.
+
+`reference_save_native` is the native writer as it was built on
+ElementTree, kept as the oracle for the byte layout of `save_native`;
+`mutate_document` damages a GXL document for robustness tests.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ from firmfold import (
     matches,
     normalize_positions,
 )
+from firmfold.graph import OP_NAMES
+from firmfold.gxl import XLINK_NS
+
+ET.register_namespace("xlink", XLINK_NS)
 
 
 @dataclass(frozen=True)
@@ -335,3 +343,89 @@ def reference_explore(
     outgoing = {src for src, _, _ in transitions}
     final = frozenset(d for d in states if d not in outgoing)
     return Lts(states, tuple(sorted(transitions)), initial, final)
+
+
+
+def _attr_element(parent: ET.Element, name: str, value: int | str) -> None:
+    attr = ET.SubElement(parent, "attr", {"name": name})
+    if isinstance(value, int):
+        ET.SubElement(attr, "int").text = str(value)
+    else:
+        ET.SubElement(attr, "string").text = value
+
+
+def reference_save_native(g: ProgramGraph) -> bytes:
+    """The native writer built on ElementTree: a tree, indented, then serialized."""
+    root = ET.Element("gxl")
+    graph_el = ET.SubElement(
+        root, "graph", {"id": "program", "edgeids": "false", "edgemode": "directed"}
+    )
+    for nid in sorted(set(g.op_nodes) | set(g.block_nodes) | set(g.edge_nodes)):
+        node_el = ET.SubElement(graph_el, "node", {"id": f"n{nid}"})
+        if nid in g.op_nodes:
+            kind = g.op_nodes[nid]
+            href = kind.name
+        elif nid in g.block_nodes:
+            href = g.block_nodes[nid].value
+        else:
+            e = g.edge_nodes[nid]
+            href = "DataflowEdge" if e.kind is EdgeKind.DATAFLOW else "ControlflowEdge"
+        type_el = ET.SubElement(node_el, "type")
+        type_el.set(f"{{{XLINK_NS}}}href", f"#{href}")
+        if nid in g.op_nodes:
+            kind = g.op_nodes[nid]
+            if kind.value is not None:
+                _attr_element(node_el, "value", kind.value)
+            if kind.relation is not None:
+                _attr_element(node_el, "relation", kind.relation)
+        elif nid in g.edge_nodes:
+            e = g.edge_nodes[nid]
+            _attr_element(node_el, "position", e.position)
+            if e.branch is not None:
+                _attr_element(node_el, "branch", e.branch)
+    for eid in sorted(g.edge_nodes):
+        e = g.edge_nodes[eid]
+        ET.SubElement(graph_el, "edge", {"from": f"n{e.source}", "to": f"n{eid}"})
+        ET.SubElement(graph_el, "edge", {"from": f"n{eid}", "to": f"n{e.target}"})
+    for op in sorted(g.containment):
+        ET.SubElement(graph_el, "edge", {"from": f"n{g.containment[op]}", "to": f"n{op}"})
+    ET.indent(root)
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+
+
+_TYPE_NAMES = [
+    *OP_NAMES,
+    *(k.value for k in BlockKind),
+    *(k.value for k in EdgeKind),
+    *(f"{k.value}Edge" for k in EdgeKind),
+    "contains",
+    "Mul",
+]
+
+
+def mutate_document(doc: bytes, rng: random.Random) -> bytes:
+    """`doc` after one to three random edits: a truncation, the deletion
+    or duplication of a span, a digit edit, or a swap of type names."""
+    for _ in range(rng.randint(1, 3)):
+        if not doc:
+            return doc
+        edit = rng.randrange(5)
+        i = rng.randrange(len(doc))
+        j = min(len(doc), i + rng.randint(1, 60))
+        if rng.random() < 0.5:  # whole lines, so more documents stay well formed
+            i, j = doc.rfind(b"\n", 0, i) + 1, doc.find(b"\n", j) + 1 or len(doc)
+        if edit == 0:
+            doc = doc[:i]
+        elif edit == 1:
+            doc = doc[:i] + doc[j:]
+        elif edit == 2:
+            doc = doc[:j] + doc[i:j] + doc[j:]
+        elif edit == 3:
+            digits = [k for k, byte in enumerate(doc) if chr(byte).isdigit()]
+            if digits:
+                k = rng.choice(digits)
+                doc = doc[:k] + rng.choice([b"0", b"1", b"7", b"-", b"", b"99"]) + doc[k + 1 :]
+        else:
+            old, new = rng.sample(_TYPE_NAMES, 2)
+            doc = doc.replace(f"#{old}\"".encode(), f"#{new}\"".encode(), rng.randint(1, 3))
+    return doc

@@ -47,6 +47,13 @@ def test_verify_malformed_xml(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_unknown_encoding(tmp_path, capsys):
+    bad = tmp_path / "encoding.gxl"
+    bad.write_bytes(b"<?xml version='1.0' encoding='utf-9'?><gxl><graph id='g'/></gxl>")
+    assert main(["verify", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_fold_writes_all_outputs(tmp_path):
     src = write_example(tmp_path / "in.gxl")
     out = tmp_path / "out.gxl"

@@ -41,6 +41,7 @@ from firmfold import (
     verify,
 )
 from helpers import (
+    _reference_normalize,
     diamond_chain,
     gapped,
     materialize,
@@ -363,3 +364,13 @@ def test_explore_still_confirms_digest_hits(monkeypatch):
     monkeypatch.setattr(engine, "canonical_hash", lambda g: "same digest for every graph")
     with pytest.raises(RuntimeError, match="digest collision"):
         explore(build_min_plus_one(3, 5, "lt"), CATALOG)
+
+
+def test_explore_stores_only_normalized_successors():
+    cases = _explore_differential_cases()[:4]
+    cases += [(gapped(g), rules) for g, rules in cases]
+    for index, (g, rules) in enumerate(cases):
+        lts = explore(g, rules)
+        for digest, state in lts.states.items():
+            if digest != lts.initial:
+                assert save_native(_reference_normalize(state)) == save_native(state), index

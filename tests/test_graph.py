@@ -291,13 +291,20 @@ def test_take_touched_records_consumers_that_lost_an_input():
     g.connect(a, add, EdgeKind.DATAFLOW, 0)
     g.connect(b, add, EdgeKind.DATAFLOW, 1)
     g.connect(add, ret, EdgeKind.DATAFLOW, 0)
+    assert g.copy().take_touched() is None  # a copy keeps an unknown record
     assert g.take_touched() is None  # unknown on a fresh graph
     assert g.take_touched() == set()
+    # an operation losing an input records its block too
     g.delete_node(b)
-    assert g.take_touched() == {add}
+    assert g.take_touched() == {add, start}
     g.delete_node(add)
-    assert g.take_touched() == {add, ret}
-    assert g.copy().take_touched() is None
+    assert g.take_touched() == {add, ret, start}
+    c = g.add_op(Const(3), start)
+    eid = g.connect(c, ret, EdgeKind.DATAFLOW, 1)
+    assert g.copy().take_touched() == {ret}  # the copy carries the record
+    assert g.take_touched() == {ret}
+    g.set_position(eid, 2)
+    assert g.take_touched() == {ret}
 
 
 def _assert_index_matches_maps(g: ProgramGraph) -> None:

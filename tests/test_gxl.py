@@ -8,9 +8,13 @@ from pathlib import Path
 import pytest
 
 from firmfold import (
+    INT32_MAX,
+    INT32_MIN,
     JMP,
     BlockKind,
+    Const,
     DialectTag,
+    GxlError,
     GxlParseError,
     GxlReferenceError,
     ProgramGraph,
@@ -26,7 +30,16 @@ from firmfold import (
     load_native,
     save_native,
 )
-from helpers import materialize, permute_native_ids, random_program
+from firmfold import gxl
+from helpers import (
+    diamond_chain,
+    materialize,
+    mutate_document,
+    permute_native_ids,
+    random_graph,
+    random_program,
+    reference_save_native,
+)
 
 FIXTURE = Path(__file__).parent / "data" / "min_plus_one_firm.gxl"
 
@@ -62,6 +75,77 @@ def test_save_is_deterministic_and_stable_under_reload():
     blob = save_native(g)
     assert blob == save_native(g)
     assert save_native(load_native(blob)) == blob
+
+
+def test_save_matches_the_element_tree_writer_byte_for_byte():
+    graphs = [build_min_plus_one(3, 5, "lt"), ProgramGraph()]
+    graphs += [random_graph(random.Random(seed)) for seed in range(60)]
+    rng = random.Random(5)
+    graphs += [diamond_chain(rng, 3, frozenset({0, 2}), frozenset({1})) for _ in range(3)]
+    extremes = ProgramGraph()
+    block = extremes.add_block(BlockKind.START_BLOCK)
+    extremes.add_op(Const(INT32_MIN), block)
+    extremes.add_op(Const(INT32_MAX), block)
+    graphs.append(extremes)
+    for index, g in enumerate(graphs):
+        assert save_native(g) == reference_save_native(g), index
+
+
+def test_load_parses_each_document_once(monkeypatch):
+    calls = []
+    real = gxl.ET.fromstring
+
+    def counted(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(gxl.ET, "fromstring", counted)
+    for doc in (save_native(build_min_plus_one(3, 5, "lt")), FIXTURE.read_bytes()):
+        calls.clear()
+        load(doc)
+        assert len(calls) == 1
+
+
+def test_native_references_resolve_by_number():
+    body = (
+        '<node id="n00"><type xlink:href="#StartBlock"/></node>'
+        '<node id="n01"><type xlink:href="#Return"/></node>'
+        '<edge from="n0" to="n1"/>'
+    )
+    g = load_native(wrap_native(body))
+    assert g.containment == {1: 0}
+    with pytest.raises(SchemaError, match="duplicate node id 'n1'"):
+        load_native(wrap_native(body + '<node id="n1"><type xlink:href="#Block"/></node>'))
+
+
+def test_unknown_encoding_and_unencodable_text_are_parse_errors():
+    with pytest.raises(GxlParseError):
+        load(b"<?xml version='1.0' encoding='utf-9'?><gxl><graph id='g'/></gxl>")
+    with pytest.raises(GxlParseError):
+        load(b"<?xml version='1.0' encoding='utf-7'?><gxl><graph id='g'/></gxl>")
+    with pytest.raises(GxlParseError):
+        load("<gxl><graph id='\ud800'/></gxl>")
+
+
+def test_mutated_documents_raise_only_gxl_errors():
+    seeds = [
+        save_native(build_min_plus_one(3, 5, "lt")),
+        save_native(random_graph(random.Random(3))),
+        save_native(diamond_chain(random.Random(4), 1, frozenset({0}), frozenset({0}))),
+        FIXTURE.read_bytes(),
+    ]
+    rng = random.Random(2024)
+    outcomes = {"graph": 0, "error": 0}
+    for index in range(2000):
+        doc = mutate_document(seeds[index % len(seeds)], rng)
+        for reader in (load, load_native, import_firm_gxl):
+            try:
+                assert isinstance(reader(doc), ProgramGraph)
+                outcomes["graph"] += 1
+            except GxlError:
+                outcomes["error"] += 1
+    # the mutations reach both outcomes
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_roundtrip_random_graphs():

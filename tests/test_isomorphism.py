@@ -11,6 +11,7 @@ import random
 
 from firmfold import (
     ADD,
+    JMP,
     RETURN,
     BlockKind,
     Cmp,
@@ -21,8 +22,10 @@ from firmfold import (
     canonical_form,
     canonical_hash,
     is_isomorphic,
+    load_native,
+    save_native,
 )
-from helpers import GraphPlan, materialize, random_program
+from helpers import GraphPlan, diamond_chain, materialize, permute_native_ids, random_program
 
 
 def test_empty_graphs():
@@ -148,3 +151,38 @@ def test_routes_agree_pairwise():
     for i, gi in enumerate(graphs):
         for gj in graphs[i:]:
             assert is_isomorphic(gi, gj) == (canonical_hash(gi) == canonical_hash(gj))
+
+
+def test_isomorphism_search_does_not_recurse_per_node():
+    # 1,386 elements: deeper than the interpreter's default recursion limit
+    g = diamond_chain(random.Random(0), 60)
+    h = load_native(permute_native_ids(save_native(g), random.Random(1)))
+    assert is_isomorphic(g, h)
+    const = min(n for n, kind in h.op_nodes.items() if kind.name == "Const")
+    mutant = ProgramGraph._from_parts(
+        {**h.op_nodes, const: Const(h.op_nodes[const].value + 1)},
+        h.block_nodes,
+        h.edge_nodes,
+        h.containment,
+    )
+    assert not is_isomorphic(g, mutant)
+
+
+def _jmp_cycles(sizes: list[int]) -> ProgramGraph:
+    """Rings of blocks, each block's Jmp entering the next block of its ring."""
+    g = ProgramGraph()
+    for size in sizes:
+        blocks = [g.add_block(BlockKind.BLOCK) for _ in range(size)]
+        for i, block in enumerate(blocks):
+            g.connect(g.add_op(JMP, block), blocks[(i + 1) % size], EdgeKind.CONTROLFLOW, 0)
+    return g
+
+
+def test_isomorphism_search_backtracks_where_refinement_cannot_split():
+    # Color refinement sees every block, Jmp and edge of these rings
+    # alike, so only the search can tell one ring of six from two of three.
+    six = _jmp_cycles([6])
+    for seed in range(10):
+        renamed = load_native(permute_native_ids(save_native(six), random.Random(seed)))
+        assert is_isomorphic(six, renamed), seed
+    assert not is_isomorphic(six, _jmp_cycles([3, 3]))
