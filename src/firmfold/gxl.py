@@ -101,6 +101,14 @@ def _type_href(el: ET.Element) -> str | None:
     return href[1:]
 
 
+def _decimal(digits: str, what: str) -> int:
+    """`int(digits)`, or GxlParseError past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise GxlParseError(f"{what} has {len(digits)} digits, too many to read") from None
+
+
 def _attrs(el: ET.Element, context: str) -> dict[str, int | str]:
     out: dict[str, int | str] = {}
     for child in el:
@@ -119,7 +127,7 @@ def _attrs(el: ET.Element, context: str) -> dict[str, int | str]:
         if _local(value_el.tag) == "int":
             if not _INT_RE.fullmatch(text):
                 raise SchemaError(f"{context}: attr {name!r} is not a decimal integer")
-            out[name] = int(text)
+            out[name] = _decimal(text, f"{context}: attr {name!r}")
         else:
             out[name] = text
     return out
@@ -159,7 +167,7 @@ def _key(raw: str, native: bool) -> NodeId | str | None:
     if not native:
         return raw or None
     m = _NATIVE_ID_RE.fullmatch(raw)
-    return int(m.group(1)) if m else None
+    return _decimal(m.group(1), "node id") if m else None
 
 
 def _declarations(graph_el: ET.Element, native: bool) -> tuple[dict, dict, dict, dict]:

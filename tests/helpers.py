@@ -14,8 +14,9 @@ Every plan is well formed and executable, and folds to a fixpoint.
 
 `diamond_chain` builds a longer chain of diamonds directly, optionally
 with dead merge entries and with entries from operations outside every
-block.  `reference_fold` is the slow oracle for `fold`: it copies the
-graph on every step and re-checks every consumer's positions.
+block, and `relabel` renames a graph's ids.  `reference_fold` is the
+slow oracle for `fold`: it copies the graph on every step and re-checks
+every consumer's positions.
 `reference_explore` is the oracle for `explore`: it canonicalizes every
 successor and confirms every digest hit by isomorphism.
 
@@ -249,6 +250,23 @@ def gapped(g: ProgramGraph) -> ProgramGraph:
     """`g` with every input position p moved to 2p + 1, keeping Phis aligned."""
     edges = {eid: replace(e, position=2 * e.position + 1) for eid, e in g.edge_nodes.items()}
     return ProgramGraph._from_parts(g.op_nodes, g.block_nodes, edges, g.containment)
+
+
+def relabel(g: ProgramGraph, rng: random.Random | None = None) -> ProgramGraph:
+    """`g` with its node ids consistently renamed by a random permutation,
+    or, without `rng`, in reverse order, which flips every tie broken by id."""
+    old = sorted([*g.op_nodes, *g.block_nodes, *g.edge_nodes])
+    new = rng.sample(range(len(old)), len(old)) if rng else range(len(old) - 1, -1, -1)
+    to = dict(zip(old, new))
+    return ProgramGraph._from_parts(
+        {to[n]: kind for n, kind in g.op_nodes.items()},
+        {to[n]: kind for n, kind in g.block_nodes.items()},
+        {
+            to[eid]: replace(e, id=to[eid], source=to[e.source], target=to[e.target])
+            for eid, e in g.edge_nodes.items()
+        },
+        {to[op]: to[block] for op, block in g.containment.items()},
+    )
 
 
 def _contiguous(positions: list[int]) -> bool:

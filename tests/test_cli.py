@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from firmfold import build_min_plus_one, evaluate, is_isomorphic, load, save_native
@@ -52,6 +53,15 @@ def test_verify_unknown_encoding(tmp_path, capsys):
     bad.write_bytes(b"<?xml version='1.0' encoding='utf-9'?><gxl><graph id='g'/></gxl>")
     assert main(["verify", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_overlong_node_id(tmp_path, capsys):
+    bad = tmp_path / "long-id.gxl"
+    node_id = "n" + "9" * (sys.get_int_max_str_digits() + 1)
+    node = f"<node id='{node_id}'><type href='#Block'/></node>"
+    bad.write_text(f"<gxl><graph id='g'>{node}</graph></gxl>")
+    assert main(["verify", str(bad)]) == 2
+    assert "too many to read" in capsys.readouterr().err
 
 
 def test_fold_writes_all_outputs(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,27 @@ def test_unknown_encoding_and_unencodable_text_are_parse_errors():
         load(b"<?xml version='1.0' encoding='utf-7'?><gxl><graph id='g'/></gxl>")
     with pytest.raises(GxlParseError):
         load("<gxl><graph id='\ud800'/></gxl>")
+
+
+def test_overlong_numbers_are_parse_errors():
+    limit = sys.get_int_max_str_digits()
+    # at the limit, leading zeros included, an id still names its number
+    at_limit = "n" + "1".zfill(limit)
+    g = load(wrap_native(f'<node id="{at_limit}"><type xlink:href="#StartBlock"/></node>'))
+    assert g.block_nodes == {1: BlockKind.START_BLOCK}
+    digits = "7" * (limit + 1)
+    start = '<node id="n0"><type xlink:href="#StartBlock"/></node>'
+    for body in (
+        f'<node id="n{digits}"><type xlink:href="#StartBlock"/></node>',
+        f'{start}<node id="n1"><type xlink:href="#Return"/></node>'
+        f'<edge from="n1" to="n{digits}"/>',
+        f'<node id="n1"><type xlink:href="#Const"/>'
+        f'<attr name="value"><int>{digits}</int></attr></node>',
+        f'<node id="n1"><type xlink:href="#Const"/>'
+        f'<attr name="value"><int>-{digits}</int></attr></node>',
+    ):
+        with pytest.raises(GxlParseError, match="digits, too many to read"):
+            load(wrap_native(body))
 
 
 def test_mutated_documents_raise_only_gxl_errors():
