@@ -6,7 +6,7 @@ space and reports whether it converges, and `example` emits a small
 built-in program for experimenting.  Exit codes are uniform: 0 on
 success, 1 when the requested outcome was not reached (violations
 found, no fixpoint within the step budget, state space too large), 2
-on unusable input or arguments.
+on unusable input or arguments, a negative budget among them.
 
 `FIRMFOLD_MAX_STEPS` provides the default step budget for `fold` when
 `--max-steps` is not given.
@@ -51,6 +51,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
+def _budget(raw: str) -> int:
+    """A step or state budget: a non-negative integer."""
+    try:
+        if (value := int(raw)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+
+
 def _max_steps(args: argparse.Namespace) -> int:
     if args.max_steps is not None:
         return args.max_steps
@@ -58,9 +68,9 @@ def _max_steps(args: argparse.Namespace) -> int:
     if raw is None:
         return DEFAULT_MAX_STEPS
     try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_STEPS_ENV} must be an integer, got {raw!r}") from None
+        return _budget(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{MAX_STEPS_ENV} {exc}") from None
 
 
 def _cmd_fold(args: argparse.Namespace) -> int:
@@ -147,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fold.add_argument("--dot", help="write a Graphviz rendering of the result here")
     p_fold.add_argument(
         "--max-steps",
-        type=int,
+        type=_budget,
         default=None,
         help=f"step budget (default: ${MAX_STEPS_ENV} or {DEFAULT_MAX_STEPS})",
     )
@@ -157,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_explore = sub.add_parser("explore", help="exhaust the rewrite state space")
     p_explore.add_argument("input", help="GXL file to explore from")
     p_explore.add_argument(
-        "--max-states", type=int, default=10_000, help="state budget (default: 10000)"
+        "--max-states", type=_budget, default=10_000, help="state budget (default: 10000)"
     )
     p_explore.add_argument("--report", help="write the report here instead of stdout")
     add_dialect(p_explore)

@@ -14,17 +14,15 @@ id, so a successor is first looked up by its exact content; only one
 that is not identical to a stored state is canonicalized, and a digest
 hit on it is confirmed by the independent isomorphism test.
 
-Every rule application strictly shrinks the element count; that measure
-is asserted on each step and bounds both drivers.
-
-After each step the drivers compact input positions (see
-`normalize_positions`), so consumer ports stay 0..n-1 without the rules
-having to renumber anything themselves.  Only a consumer whose inputs
+Both drivers advance by one `_step`: rewrite a match, assert that the
+element count shrank (the measure that bounds both drivers), then
+compact input positions back to 0..n-1 (see `normalize_positions`), so
+no rule has to renumber anything itself.  Only a consumer whose inputs
 changed can acquire a gap, so a step renumbers just those; the graph
 records them, and a copy carries the record.  Only a graph whose record
-is unknown (fresh or loaded) has every consumer checked.  A block left
-gapped because a Phi input is misaligned keeps its gap until a Phi in
-it loses an input, which records the block again.
+is unknown (fresh or loaded) has every consumer checked.  A block with
+a stale Phi input (`ProgramGraph.stale_phi_inputs`) keeps its gap until
+the input is dropped, which records the block again.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import StateLimitExceeded, StepLimitExceeded
-from .graph import NodeId, ProgramGraph
+from .graph import NodeId, ProgramGraph, contiguous
 from .isomorphism import canonical_hash, is_isomorphic
 
 
@@ -66,21 +64,21 @@ def matches(g: ProgramGraph, rule: Rule) -> list[Match]:
 
 
 def _step(g: ProgramGraph, rule: Rule, match: Match) -> None:
-    """Rewrite one match in place, asserting the termination measure."""
+    """Rewrite one match in place, assert the termination measure, normalize."""
     before = g.element_count()
     rule.applier(g, match)
     assert g.element_count() < before, f"{rule.name} did not shrink the graph"
+    _normalize_all(g)
 
 
 def apply(g: ProgramGraph, rule: Rule, match: Match) -> ProgramGraph:
-    """Rewrite one match on a copy of `g` and normalize the copy's positions.
+    """Take one `_step` on a copy of `g`.
 
     Raises StaleMatchError when the match does not occur in `g` (for
     example, a match computed before an earlier rewrite invalidated it).
     """
     h = g.copy()
     _step(h, rule, match)
-    _normalize_all(h)
     return h
 
 
@@ -117,48 +115,33 @@ def normalize_positions(g: ProgramGraph, target: NodeId) -> ProgramGraph:
     return h
 
 
-def _contiguous(positions: list[int]) -> bool:
-    return positions == list(range(len(positions)))
-
-
 def _normalize_all(g: ProgramGraph) -> None:
     """Compact, in place, the positions of every consumer that may have gaps.
 
     Those are the consumers `g` recorded since its last normalization;
-    on a graph whose record is unknown, every consumer.  A block whose
-    Phi still has an input at a position no entry edge carries is left
-    alone: renumbering it now could collide that stale input with a
-    live one.  The stale input is a rewrite's job to remove, and
-    removing it records the block again.
+    on a graph whose record is unknown, every consumer.  A Phi is
+    renumbered with its block, never alone.  A block with a stale Phi
+    input is deferred: renumbering it now could collide that input with
+    a live one.  Dropping the input is phi-adjust's rewrite, and it
+    records the block again.
 
     Consumers are independent of each other here, so one pass leaves
     every consumer compact or deferred.
     """
     touched = g.take_touched()
-    if touched is None:
-        blocks, ops = sorted(g.block_nodes), sorted(g.op_nodes)
-    else:
-        blocks = sorted(n for n in touched if n in g.block_nodes)
-        ops = sorted(n for n in touched if n in g.op_nodes)
-    for block in blocks:
-        positions = [g.edge_nodes[eid].position for eid, _ in g.control_preds(block)]
-        if _contiguous(positions):
+    for n in sorted(touched if touched is not None else [*g.op_nodes, *g.block_nodes]):
+        if n in g.op_nodes:
+            if g.op_nodes[n].name == "Phi":
+                continue
+        elif n not in g.block_nodes:
+            continue  # deleted since it was recorded
+        if contiguous(g.input_positions(n)):
             continue
-        entry_set = set(positions)
-        if any(
-            g.edge_nodes[eid].position not in entry_set
-            for phi in g.members(block)
-            if g.op_nodes[phi].name == "Phi"
-            for eid, _ in g.data_inputs(phi)
+        if n in g.block_nodes and any(
+            g.stale_phi_inputs(op) for op in g.members(n) if g.op_nodes[op].name == "Phi"
         ):
             continue
-        _renumber(g, block)
-    for op in ops:
-        if g.op_nodes[op].name == "Phi":
-            continue
-        positions = [g.edge_nodes[eid].position for eid, _ in g.data_inputs(op)]
-        if not _contiguous(positions):
-            _renumber(g, op)
+        _renumber(g, n)
     # Renumbering recorded only consumers it has just made compact.
     g.take_touched()
 
@@ -207,7 +190,6 @@ def fold(
             raise StepLimitExceeded(f"no fixpoint within {max_steps} steps")
         rule, match = chosen
         _step(current, rule, match)
-        _normalize_all(current)
         trace.append(match)
 
 
@@ -220,7 +202,6 @@ def replay(g: ProgramGraph, rules: tuple[Rule, ...], trace: tuple[Match, ...]) -
     current = g.copy()
     for match in trace:
         _step(current, by_name[match.rule_name], match)
-        _normalize_all(current)
     return current
 
 

@@ -9,6 +9,11 @@ keeps the graph simple (no parallel edges, no edge attributes) while
 edges still carry data.  Block membership of an operation is the one
 plain adjacency (the containment map); it has no attributes.
 
+The graph owns the port model: `input_positions` numbers an
+operation's Dataflow inputs or a block's Controlflow entries,
+`contiguous` tests that they run 0..n-1, and `stale_phi_inputs` lists
+the Phi inputs at a position no entry of the Phi's block carries.
+
 Node ids are ints, unique within a graph and never reused, not even
 after deletion.  All queries return deterministically ordered results.
 
@@ -51,6 +56,11 @@ RELATION_TESTS: dict[str, Callable[[int, int], bool]] = {
     "ne": operator.ne,
 }
 RELATIONS = tuple(RELATION_TESTS)
+
+
+def contiguous(positions: list[int]) -> bool:
+    """Whether sorted input positions are exactly 0..n-1: no gap, no duplicate."""
+    return positions == list(range(len(positions)))
 
 
 def wrap32(value: int) -> int:
@@ -347,11 +357,10 @@ class ProgramGraph:
         if position < 0:
             raise ValueError("position must be non-negative")
         self._check_edge(kind, source, target, branch)
-        for e in self._in_edges(target):
-            if e.position == position:
-                raise DuplicatePositionError(
-                    f"{kind.value} input {position} of n{target} already occupied"
-                )
+        if position in self.input_positions(target):
+            raise DuplicatePositionError(
+                f"{kind.value} input {position} of n{target} already occupied"
+            )
         nid = self._fresh_id()
         edge = EdgeNode(nid, kind, position, source, target, branch)
         self.edge_nodes[nid] = edge
@@ -429,6 +438,25 @@ class ProgramGraph:
 
     def blocks_of_kind(self, kind: BlockKind) -> list[NodeId]:
         return sorted(b for b, k in self.block_nodes.items() if k is kind)
+
+    def input_positions(self, n: NodeId) -> list[int]:
+        """Ascending positions of an operation's Dataflow inputs or a block's entries."""
+        if n not in self.op_nodes and n not in self.block_nodes:
+            raise UnknownNodeError(f"n{n} does not exist")
+        edges = self.edge_nodes
+        return sorted(edges[eid].position for eid in self._index().ins.get(n, ()))
+
+    def stale_phi_inputs(self, phi: NodeId) -> list[NodeId]:
+        """Input edges of Phi `phi`, by position, at a position no entry of its block carries.
+
+        Such an input is never selected.  A blockless Phi has none.
+        """
+        block = self.containment.get(phi)
+        if block is None:
+            return []
+        entries = set(self.input_positions(block))
+        edges = self.edge_nodes
+        return [eid for eid, _ in self.data_inputs(phi) if edges[eid].position not in entries]
 
     def data_inputs(self, n: NodeId) -> list[tuple[NodeId, NodeId]]:
         """Dataflow (edge id, source) pairs into `n`, ascending by position."""

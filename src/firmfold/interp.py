@@ -16,7 +16,8 @@ termination but never a wrong result.
 from __future__ import annotations
 
 from .errors import FuelExhaustedError, MalformedGraphError
-from .graph import CONTROL_SOURCES, RELATION_TESTS, BlockKind, NodeId, ProgramGraph, wrap32
+from .graph import ARITY, CONTROL_SOURCES, RELATION_TESTS, BlockKind, NodeId, ProgramGraph
+from .graph import contiguous, wrap32
 
 DEFAULT_FUEL = 10_000
 
@@ -43,14 +44,14 @@ def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
             raise FuelExhaustedError(f"no fixpoint of execution within {fuel} steps")
         budget -= 1
 
-    def operands(op: NodeId, count: int) -> list[NodeId]:
-        inputs = g.data_inputs(op)
-        positions = [g.edge_nodes[eid].position for eid, _ in inputs]
-        if len(inputs) != count or positions != list(range(count)):
+    def operands(op: NodeId) -> list[NodeId]:
+        count = ARITY[g.op_nodes[op].name]
+        positions = g.input_positions(op)
+        if len(positions) != count or not contiguous(positions):
             raise MalformedGraphError(
                 f"n{op} needs {count} operands at positions 0..{count - 1}"
             )
-        return [src for _, src in inputs]
+        return [src for _, src in g.data_inputs(op)]
 
     def inputs(op: NodeId) -> list[NodeId]:
         """The operands `op`'s value is computed from, in evaluation order."""
@@ -58,7 +59,7 @@ def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
         if kind.name == "Const":
             return []
         if kind.name in ("Add", "Cmp"):
-            return operands(op, 2)
+            return operands(op)
         if kind.name == "Phi":
             block = g.containment.get(op)
             if block is None or block not in entered:
@@ -124,7 +125,7 @@ def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
         op = control[0]
         name = g.op_nodes[op].name
         if name == "Return":
-            (operand,) = operands(op, 1)
+            (operand,) = operands(op)
             return value(operand)
         if name == "Jmp":
             succs = g.control_succs(op)
@@ -132,7 +133,7 @@ def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
                 raise MalformedGraphError(f"Jmp n{op} needs exactly one successor")
             eid, target = succs[0]
         else:
-            (selector,) = operands(op, 1)
+            (selector,) = operands(op)
             want = 1 if value(selector) != 0 else 0
             succs = [
                 (eid, target)

@@ -139,12 +139,12 @@ def _rule(
 
 
 def _binary_on_consts(g: ProgramGraph, op: NodeId) -> _Matches:
-    inputs = g.data_inputs(op)
-    if len(inputs) != 2 or [g.edge_nodes[eid].position for eid, _ in inputs] != [0, 1]:
+    sources = [src for _, src in g.data_inputs(op)]
+    if any(g.op_nodes[src].name != "Const" for src in sources):
         return []
-    (_, s0), (_, s1) = inputs
-    if g.op_nodes[s0].name != "Const" or g.op_nodes[s1].name != "Const":
+    if g.input_positions(op) != [0, 1]:
         return []
+    s0, s1 = sources
     # All user edges get redirected, and there must be at least one; an
     # unused operation is deletion's case, not folding's.  The rewrite
     # parks the result constant in the start block, so a start block is
@@ -178,12 +178,11 @@ def _fold_cmp(g: ProgramGraph, cmp_: NodeId, a: NodeId, b: NodeId) -> None:
 
 
 def _cond_on_const(g: ProgramGraph, cond: NodeId, nonzero: bool) -> _Matches:
-    inputs = g.data_inputs(cond)
-    if cond not in g.containment or len(inputs) != 1:
+    if cond not in g.containment or g.input_positions(cond) != [0]:
         return []
-    eid, selector = inputs[0]
+    ((_, selector),) = g.data_inputs(cond)
     kind = g.op_nodes[selector]
-    if g.edge_nodes[eid].position != 0 or kind.name != "Const" or (kind.value != 0) != nonzero:
+    if kind.name != "Const" or (kind.value != 0) != nonzero:
         return []
     succs = g.control_succs(cond)
     if len(succs) != 2 or {g.edge_nodes[eid].branch for eid, _ in succs} != {0, 1}:
@@ -219,15 +218,7 @@ def _remove_block(g: ProgramGraph, block: NodeId) -> None:
 
 
 def _stale_phi_inputs(g: ProgramGraph, phi: NodeId) -> _Matches:
-    block = g.containment.get(phi)
-    if block is None:
-        return []
-    entries = {g.edge_nodes[eid].position for eid, _ in g.control_preds(block)}
-    return [
-        (phi, eid)
-        for eid, _ in g.data_inputs(phi)
-        if g.edge_nodes[eid].position not in entries
-    ]
+    return [(phi, edge) for edge in g.stale_phi_inputs(phi)]
 
 
 def _drop_phi_input(g: ProgramGraph, phi: NodeId, edge: NodeId) -> None:

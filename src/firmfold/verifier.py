@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graph import ARITY, BlockKind, EdgeKind, NodeId, ProgramGraph
+from .graph import ARITY, BlockKind, NodeId, ProgramGraph, contiguous
 
 SINGLE_START = "single-start"
 SINGLE_END = "single-end"
@@ -83,25 +83,14 @@ def check_phi(g: ProgramGraph) -> list[Violation]:
     set must equal the block's control predecessor position set.
     Blockless Phis are containment's finding, not this check's.
     """
-    out = []
-    for phi in sorted(g.op_nodes):
-        if g.op_nodes[phi].name != "Phi":
-            continue
-        block = g.containment.get(phi)
-        if block is None:
-            continue
-        in_positions = {g.edge_nodes[eid].position for eid, _ in g.data_inputs(phi)}
-        entry_positions = {g.edge_nodes[eid].position for eid, _ in g.control_preds(block)}
-        if in_positions != entry_positions:
-            witnesses = tuple(sorted((phi, block)))
-            out.append(
-                Violation(
-                    PHI_CHECK,
-                    witnesses,
-                    "phi inputs do not align with block entries",
-                )
-            )
-    return out
+    return [
+        Violation(
+            PHI_CHECK, tuple(sorted((phi, block))), "phi inputs do not align with block entries"
+        )
+        for phi, block in sorted(g.containment.items())
+        if g.op_nodes[phi].name == "Phi"
+        and set(g.input_positions(phi)) != set(g.input_positions(block))
+    ]
 
 
 def check_positions(g: ProgramGraph) -> list[Violation]:
@@ -114,24 +103,22 @@ def check_positions(g: ProgramGraph) -> list[Violation]:
     """
     out = []
     for op in sorted(g.op_nodes):
-        edges = [g.edge_nodes[eid] for eid, _ in g.data_inputs(op)]
-        positions = [e.position for e in edges]
-        if positions != list(range(len(positions))):
+        positions = g.input_positions(op)
+        if not contiguous(positions):
             out.append(
                 Violation(POS_CHECK, (op,), "dataflow input positions are not 0..n-1")
             )
         arity = ARITY.get(g.op_nodes[op].name)
-        if arity is not None and len(edges) != arity:
+        if arity is not None and len(positions) != arity:
             out.append(
                 Violation(
                     POS_CHECK,
                     (op,),
-                    f"{g.op_nodes[op].name} takes {arity} inputs, found {len(edges)}",
+                    f"{g.op_nodes[op].name} takes {arity} inputs, found {len(positions)}",
                 )
             )
     for block in sorted(g.block_nodes):
-        positions = [g.edge_nodes[eid].position for eid, _ in g.control_preds(block)]
-        if positions != list(range(len(positions))):
+        if not contiguous(g.input_positions(block)):
             out.append(
                 Violation(POS_CHECK, (block,), "control entry positions are not 0..n-1")
             )

@@ -111,6 +111,23 @@ def test_fold_env_step_budget(tmp_path, monkeypatch, capsys):
     assert "FIRMFOLD_MAX_STEPS" in capsys.readouterr().err
 
 
+def test_negative_budgets_are_usage_errors(tmp_path, monkeypatch, capsys):
+    src = write_example(tmp_path / "in.gxl")
+    out = tmp_path / "out.gxl"
+    assert main(["fold", str(src), str(out), "--max-steps", "-3"]) == 2
+    assert "error:" in capsys.readouterr().err
+    monkeypatch.setenv("FIRMFOLD_MAX_STEPS", "-3")
+    assert main(["fold", str(src), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: FIRMFOLD_MAX_STEPS must be a non-negative integer" in err
+    assert not out.exists()
+    assert main(["explore", str(src), "--max-states", "-1"]) == 2
+    assert "error:" in capsys.readouterr().err
+    # zero is a usable, if tight, budget
+    assert main(["fold", str(src), str(out), "--max-steps", "0"]) == 1
+    assert "no fixpoint within 0 steps" in capsys.readouterr().err
+
+
 def test_explore_report_on_stdout(tmp_path, capsys):
     src = write_example(tmp_path / "in.gxl")
     assert main(["explore", str(src)]) == 0

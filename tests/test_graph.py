@@ -30,6 +30,7 @@ from firmfold import (
     fold,
     wrap32,
 )
+from firmfold.graph import contiguous
 from helpers import diamond_chain, random_graph
 
 
@@ -206,6 +207,55 @@ def test_query_ordering():
     assert g.data_users(a) == [(e0, phi)]
     assert g.members(start) == [a, b]
     assert g.blocks_of_kind(BlockKind.BLOCK) == [phi_block]
+
+
+def test_contiguous():
+    assert contiguous([]) and contiguous([0]) and contiguous([0, 1, 2])
+    assert not contiguous([1]) and not contiguous([0, 2]) and not contiguous([0, 0])
+
+
+def test_input_positions_of_an_operation_and_a_block():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    merge = g.add_block(BlockKind.BLOCK)
+    a = g.add_op(Const(1), start)
+    b = g.add_op(Const(2), start)
+    add = g.add_op(ADD, start)
+    jmps = [g.add_op(JMP, start) for _ in range(2)]
+    assert g.input_positions(add) == [] and g.input_positions(merge) == []
+    # gapped, connected out of order: listed ascending
+    g.connect(b, add, EdgeKind.DATAFLOW, 4)
+    data = g.connect(a, add, EdgeKind.DATAFLOW, 1)
+    g.connect(jmps[0], merge, EdgeKind.CONTROLFLOW, 3)
+    entry = g.connect(jmps[1], merge, EdgeKind.CONTROLFLOW, 0)
+    assert g.input_positions(add) == [1, 4]
+    assert g.input_positions(merge) == [0, 3]
+    # duplicates, which only set_position or a loader can make
+    g.set_position(data, 4)
+    g.set_position(entry, 3)
+    assert g.input_positions(add) == [4, 4]
+    assert g.input_positions(merge) == [3, 3]
+    with pytest.raises(UnknownNodeError):
+        g.input_positions(data)
+
+
+def test_stale_phi_inputs():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    merge = g.add_block(BlockKind.BLOCK)
+    phi = g.add_op(PHI, merge)
+    entries, inputs = [], []
+    for position in (1, 3):
+        jmp, value = g.add_op(JMP, start), g.add_op(Const(position), start)
+        entries.append(g.connect(jmp, merge, EdgeKind.CONTROLFLOW, position))
+        inputs.append(g.connect(value, phi, EdgeKind.DATAFLOW, position))
+    assert g.stale_phi_inputs(phi) == []  # aligned, though gapped
+    g.delete_node(entries[0])
+    assert g.stale_phi_inputs(phi) == [inputs[0]]
+    g.delete_node(entries[1])
+    assert g.stale_phi_inputs(phi) == inputs  # an entryless block
+    g.delete_node(merge)
+    assert g.stale_phi_inputs(phi) == []  # a blockless Phi
 
 
 def test_copy_is_independent():

@@ -422,3 +422,10 @@ def test_export_dot_places_blockless_ops_outside_clusters():
     dot = export_dot(g)
     assert "cluster" not in dot
     assert 'n1 [label="n1: Jmp"]' in dot
+
+
+def test_ten_thousand_element_chain_round_trips_byte_for_byte():
+    g = diamond_chain(random.Random(0), 430)
+    assert g.element_count() == 9896
+    doc = save_native(g)
+    assert save_native(load(doc)) == doc

@@ -368,7 +368,14 @@ def test_appliers_reject_fabricated_matches():
     assert rule_cmp_fold_int(g, Match("cmp-fold-int", (8, 5, 6))).element_count() < g.element_count()
 
 
-ADJACENCY_QUERIES = ("data_inputs", "data_users", "control_preds", "control_succs", "members")
+ADJACENCY_QUERIES = (
+    "data_inputs",
+    "data_users",
+    "control_preds",
+    "control_succs",
+    "members",
+    "input_positions",
+)
 
 
 @pytest.mark.parametrize("diamonds", [4, 32])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from firmfold import (
     BlockKind,
     Const,
@@ -21,6 +23,7 @@ from firmfold.verifier import (
     check_consts,
     check_positions,
 )
+from helpers import diamond_chain
 
 
 def checks_hit(g) -> set[str]:
@@ -170,3 +173,9 @@ def test_violation_equality():
     a = Violation("consts", (1, 2), "constant outside the start block")
     b = Violation("consts", (1, 2), "constant outside the start block", absence=False)
     assert a == b
+
+
+def test_ten_thousand_element_chain_is_clean():
+    g = diamond_chain(random.Random(0), 430)
+    assert g.element_count() == 9896
+    assert verify(g) == []
