@@ -14,25 +14,51 @@ id, so a successor is first looked up by its exact content; only one
 that is not identical to a stored state is canonicalized, and a digest
 hit on it is confirmed by the independent isomorphism test.
 
+The fold driver does not match every rule over the whole graph before
+each step, as a graph-transformation tool does.  It keeps each rule's
+current matches and, after a step, asks a rule's `pattern` again only
+at the nodes where the step may have changed its answer, in the manner
+of Rete (Forgy 1982) and of incremental graph queries (Bergmann et al.
+2008).  This rests on a read invariant: a pattern asked at node `n`
+reads only
+- `n` itself;
+- `n`'s in-edges and out-edges, and their far endpoints, whose kinds
+  never change;
+- `n`'s block and that block's entries;
+- for an Edge node `n`, its source's block;
+- whether a start block exists, which no rule changes.
+The graph records every node its mutators wrote (`take_written`): each
+node added or deleted, the members of a deleted block, and each edge
+written together with its endpoints.  So a step's answers can change
+only at (a) a recorded node that still exists, (b) a member of a
+recorded block, whose entries changed, and (c) an out-edge of a
+recorded operation that has no block (it lost it).  Only those are
+re-asked.  The record is not a radius-2 walk: the start block holds
+every constant, and re-asking all its members on every step would cost
+as much as matching from scratch.  A rule without a pattern is asked
+through its matcher before every step.
+
 Both drivers advance by one `_step`: rewrite a match, assert that the
 element count shrank (the measure that bounds both drivers), then
 compact input positions back to 0..n-1 (see `normalize_positions`), so
 no rule has to renumber anything itself.  Only a consumer whose inputs
 changed can acquire a gap, so a step renumbers just those; the graph
 records them, and a copy carries the record.  Only a graph whose record
-is unknown (fresh or loaded) has every consumer checked.  A block with
-a stale Phi input (`ProgramGraph.stale_phi_inputs`) keeps its gap until
+is unknown (fresh or loaded) has every consumer checked.  A block whose
+renumbering could collide a stale Phi input
+(`ProgramGraph.stale_phi_inputs`) with a live one keeps its gap until
 the input is dropped, which records the block again.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import StateLimitExceeded, StepLimitExceeded
-from .graph import NodeId, ProgramGraph, contiguous
+from .graph import NodeId, NodeKind, ProgramGraph, contiguous
 from .isomorphism import canonical_hash, is_isomorphic
 
 
@@ -44,18 +70,31 @@ class Match:
     anchors: tuple[NodeId, ...]
 
 
+#: The anchor tuples of a rule's matches at one node of its anchor kind.
+Pattern = Callable[[ProgramGraph, NodeId], list[tuple[NodeId, ...]]]
+
+
 @dataclass(frozen=True)
 class Rule:
     """A named pattern: `matcher` lists its matches, `applier` rewrites one in place.
 
     The applier re-checks its match, raising StaleMatchError, mutates
     the graph it is given through the graph's mutators, and returns it.
+
+    A rule may also name its `anchor`, the kind of node its matches
+    start at, and its `pattern`: `pattern(g, n)` lists the anchor
+    tuples of the matches at one node `n` of that kind, each starting
+    with `n`, and reads no more than the module docstring allows.
+    `fold` then keeps the rule's matches up to date step by step;
+    without both it asks `matcher` before every step.
     """
 
     name: str
     priority: int
     matcher: Callable[[ProgramGraph], list[Match]]
     applier: Callable[[ProgramGraph, Match], ProgramGraph]
+    anchor: NodeKind | None = None
+    pattern: Pattern | None = None
 
 
 def matches(g: ProgramGraph, rule: Rule) -> list[Match]:
@@ -101,6 +140,23 @@ def _renumber(g: ProgramGraph, target: NodeId) -> None:
                 g.set_position(eid, mapping[position])
 
 
+def _deferred(g: ProgramGraph, block: NodeId) -> bool:
+    """Whether renumbering `block` now could collide a stale Phi input with a live one.
+
+    Renumbering moves the block's k entries, and the Phi inputs aligned
+    with them, to positions 0..k-1; a stale input already at one of
+    those positions could end up beside a live one, and be selected.
+    """
+    k = len(g.input_positions(block))
+    edges = g.edge_nodes
+    return any(
+        edges[eid].position < k
+        for op in g.members(block)
+        if g.op_nodes[op].name == "Phi"
+        for eid in g.stale_phi_inputs(op)
+    )
+
+
 def normalize_positions(g: ProgramGraph, target: NodeId) -> ProgramGraph:
     """Compact the input positions of one consumer to 0..n-1 on a copy.
 
@@ -108,10 +164,14 @@ def normalize_positions(g: ProgramGraph, target: NodeId) -> ProgramGraph:
     (position, edge id) order.  For a block the control entry edges are
     renumbered the same way, and the identical old-to-new position
     mapping is applied to the dataflow inputs of every Phi in the block,
-    keeping Phi selection aligned with block entries.
+    keeping Phi selection aligned with block entries; a stale Phi input
+    keeps its position.  A block where that stale input could then
+    collide with a live one is deferred, as `_normalize_all` defers it:
+    the copy is returned unchanged.
     """
     h = g.copy()
-    _renumber(h, target)
+    if not (target in g.block_nodes and _deferred(g, target)):
+        _renumber(h, target)
     return h
 
 
@@ -120,9 +180,9 @@ def _normalize_all(g: ProgramGraph) -> None:
 
     Those are the consumers `g` recorded since its last normalization;
     on a graph whose record is unknown, every consumer.  A Phi is
-    renumbered with its block, never alone.  A block with a stale Phi
-    input is deferred: renumbering it now could collide that input with
-    a live one.  Dropping the input is phi-adjust's rewrite, and it
+    renumbered with its block, never alone.  A block is deferred while
+    renumbering it could collide a stale Phi input with a live one (see
+    `_deferred`).  Dropping the input is phi-adjust's rewrite, and it
     records the block again.
 
     Consumers are independent of each other here, so one pass leaves
@@ -137,9 +197,7 @@ def _normalize_all(g: ProgramGraph) -> None:
             continue  # deleted since it was recorded
         if contiguous(g.input_positions(n)):
             continue
-        if n in g.block_nodes and any(
-            g.stale_phi_inputs(op) for op in g.members(n) if g.op_nodes[op].name == "Phi"
-        ):
+        if n in g.block_nodes and _deferred(g, n):
             continue
         _renumber(g, n)
     # Renumbering recorded only consumers it has just made compact.
@@ -165,6 +223,93 @@ class FoldResult:
         return format_trace(self.trace)
 
 
+#: A rule's anchor tuples by anchor node.
+_Found = dict[NodeId, list[tuple[NodeId, ...]]]
+
+
+class _Agenda:
+    """The current matches of every rule in one graph, for `fold` to choose from.
+
+    A rule with an anchor and a pattern keeps its anchor tuples by
+    anchor node, from one `matcher` call at the start, and a heap of
+    them from which a tuple that no longer matches is dropped only when
+    it reaches the top.  After each step, `update` re-asks the patterns
+    where the step may have changed their answer (see the module
+    docstring).  Any other rule is asked through its matcher every time
+    `best` reaches it.
+    """
+
+    def __init__(self, g: ProgramGraph, rules: tuple[Rule, ...]) -> None:
+        self.g = g
+        g.take_written()  # start the record
+        # By priority: each rule, its anchor tuples by anchor node and
+        # their heap; None for a rule without a pattern.
+        self.entries: list[tuple[Rule, _Found | None, list[tuple[NodeId, ...]]]] = []
+        # Each pattern with its tuples and heap, by anchor kind.
+        self.anchored: dict[NodeKind, list[tuple[Pattern, _Found, list[tuple[NodeId, ...]]]]] = {}
+        for rule in sorted(rules, key=lambda r: r.priority):
+            if rule.pattern is None or rule.anchor is None:
+                self.entries.append((rule, None, []))
+                continue
+            found: _Found = {}
+            for m in rule.matcher(g):
+                found.setdefault(m.anchors[0], []).append(m.anchors)
+            heap = [t for tuples in found.values() for t in tuples]
+            heapq.heapify(heap)
+            self.entries.append((rule, found, heap))
+            self.anchored.setdefault(rule.anchor, []).append((rule.pattern, found, heap))
+
+    def update(self) -> None:
+        """Re-ask the patterns around the nodes written since the last call."""
+        g = self.g
+        written = g.take_written()
+        assert written is not None, "recorded since __init__"
+        dirty = set(written)
+        for n in written:
+            if n in g.block_nodes:
+                dirty.update(g.members(n))
+            elif n in g.op_nodes and n not in g.containment:
+                dirty.update(eid for eid, _ in g.data_users(n))
+                dirty.update(eid for eid, _ in g.control_succs(n))
+        for n in dirty:
+            kind = g.kind_of(n)
+            if kind is None:
+                for _, found, _ in self.entries:
+                    if found is not None:
+                        found.pop(n, None)
+                continue
+            for pattern, found, heap in self.anchored.get(kind, ()):
+                old = found.pop(n, ())
+                new = pattern(g, n)
+                if new:
+                    found[n] = new
+                    for t in new:
+                        if t not in old:
+                            heapq.heappush(heap, t)
+
+    def current(self) -> dict[str, list[tuple[NodeId, ...]]]:
+        """The sorted anchor tuples kept for each rule with a pattern."""
+        return {
+            rule.name: sorted(t for tuples in found.values() for t in tuples)
+            for rule, found, _ in self.entries
+            if found is not None
+        }
+
+    def best(self) -> tuple[Rule, Match] | None:
+        """The lowest-priority-value rule that matches, with its smallest match."""
+        for rule, found, heap in self.entries:
+            if found is None:
+                listed = matches(self.g, rule)
+                if listed:
+                    return rule, listed[0]
+                continue
+            while heap and heap[0] not in found.get(heap[0][0], ()):
+                heapq.heappop(heap)
+            if heap:
+                return rule, Match(rule.name, heap[0])
+        return None
+
+
 def fold(
     g: ProgramGraph, rules: tuple[Rule, ...], max_steps: int = 10_000
 ) -> FoldResult:
@@ -174,23 +319,17 @@ def fold(
     was.  Raises StepLimitExceeded if a rule still matches after
     `max_steps` applications.
     """
-    ordered = sorted(rules, key=lambda r: r.priority)
     current = g.copy()
+    agenda = _Agenda(current, rules)
     trace: list[Match] = []
-    while True:
-        chosen: tuple[Rule, Match] | None = None
-        for rule in ordered:
-            found = matches(current, rule)
-            if found:
-                chosen = (rule, found[0])
-                break
-        if chosen is None:
-            return FoldResult(current, tuple(trace), len(trace))
+    while (chosen := agenda.best()) is not None:
         if len(trace) >= max_steps:
             raise StepLimitExceeded(f"no fixpoint within {max_steps} steps")
         rule, match = chosen
         _step(current, rule, match)
+        agenda.update()
         trace.append(match)
+    return FoldResult(current, tuple(trace), len(trace))
 
 
 def replay(g: ProgramGraph, rules: tuple[Rule, ...], trace: tuple[Match, ...]) -> ProgramGraph:
@@ -261,8 +400,10 @@ def explore(
     Any other successor is canonicalized, and a digest it shares with a
     stored state is confirmed with the independent isomorphism test.
     Raises StateLimitExceeded when more than `max_states` distinct
-    states turn up.
+    states turn up, the initial state included.
     """
+    if max_states < 1:
+        raise StateLimitExceeded(f"state space exceeds {max_states} states")
     ordered = sorted(rules, key=lambda r: r.priority)
     initial = canonical_hash(g)
     states: dict[str, ProgramGraph] = {initial: g}

@@ -79,6 +79,10 @@ class EdgeKind(Enum):
     CONTROLFLOW = "Controlflow"
 
 
+#: The kind of a node: an operation name, a block kind or an edge kind.
+NodeKind = str | BlockKind | EdgeKind
+
+
 #: The name of every operation kind.
 OP_NAMES = ("Const", "Cmp", "Cond", "Phi", "Add", "Jmp", "Return")
 
@@ -208,8 +212,9 @@ class ProgramGraph:
     memory.
 
     The graph also notes which consumers' input positions may have
-    changed, so that position normalization can revisit just those; see
-    `take_touched`.
+    changed, so that position normalization can revisit just those (see
+    `take_touched`), and which nodes the mutators wrote, so that a
+    driver can re-match just around those (see `take_written`).
     """
 
     __slots__ = (
@@ -220,6 +225,7 @@ class ProgramGraph:
         "_next_id",
         "_adj",
         "_touched",
+        "_written",
     )
 
     def __init__(self) -> None:
@@ -230,6 +236,7 @@ class ProgramGraph:
         self._next_id = 0
         self._adj: _Adjacency | None = None
         self._touched: set[NodeId] | None = None
+        self._written: set[NodeId] | None = None
 
     # -- adjacency index ----------------------------------------------
 
@@ -242,10 +249,15 @@ class ProgramGraph:
         if self._touched is not None:
             self._touched.add(consumer)
 
+    def _write(self, *nodes: NodeId) -> None:
+        if self._written is not None:
+            self._written.update(nodes)
+
     def _remove_edge(self, e: EdgeNode) -> None:
         del self.edge_nodes[e.id]
         if self._adj is not None:
             self._adj.unlink(e)
+        self._write(e.id, e.source, e.target)
         self._touch(e.target)
         # A block and its Phis share one position space.
         block = self.containment.get(e.target)
@@ -281,6 +293,19 @@ class ProgramGraph:
         touched, self._touched = self._touched, set()
         return touched
 
+    def take_written(self) -> set[NodeId] | None:
+        """Nodes the mutators wrote since the last call.
+
+        Those are each node added or deleted, the members of each
+        deleted block, and each Edge node connected, removed, redirected
+        or renumbered together with its endpoints (on a redirect, both
+        the old and the new source).  Deleted nodes stay in the record.
+        None means unknown, as for `take_touched`: the record restarts
+        empty after each call, and `copy` carries it over.
+        """
+        written, self._written = self._written, set()
+        return written
+
     # -- construction -------------------------------------------------
 
     def _fresh_id(self) -> NodeId:
@@ -291,6 +316,7 @@ class ProgramGraph:
     def add_block(self, kind: BlockKind) -> NodeId:
         nid = self._fresh_id()
         self.block_nodes[nid] = kind
+        self._write(nid)
         return nid
 
     def add_op(self, kind: OpKind, block: NodeId) -> NodeId:
@@ -302,6 +328,7 @@ class ProgramGraph:
         self.containment[nid] = block
         if self._adj is not None:
             self._adj.members.setdefault(block, []).append(nid)
+        self._write(nid)
         return nid
 
     def _check_edge(
@@ -366,6 +393,7 @@ class ProgramGraph:
         self.edge_nodes[nid] = edge
         self._index().link(edge)
         self._touch(target)
+        self._write(nid, source, target)
         return nid
 
     def _edge(self, edge: NodeId) -> EdgeNode:
@@ -385,6 +413,7 @@ class ProgramGraph:
         moved = EdgeNode(edge, e.kind, e.position, source, e.target)
         self.edge_nodes[edge] = moved
         adj.link(moved)
+        self._write(edge, e.source, source, e.target)
 
     def set_position(self, edge: NodeId, position: int) -> None:
         """Renumber the consumer-side port of `edge`.
@@ -396,6 +425,7 @@ class ProgramGraph:
         e = self._edge(edge)
         self.edge_nodes[edge] = EdgeNode(edge, e.kind, position, e.source, e.target, e.branch)
         self._touch(e.target)
+        self._write(edge, e.source, e.target)
 
     def delete_node(self, node: NodeId) -> int:
         """Delete a node and every Edge node incident to it.
@@ -413,6 +443,7 @@ class ProgramGraph:
         incident = {*adj.ins.get(node, ()), *adj.outs.get(node, ())}
         for eid in incident:
             self._remove_edge(self.edge_nodes[eid])
+        self._write(node)
         if node in self.op_nodes:
             del self.op_nodes[node]
             block = self.containment.pop(node, None)
@@ -420,8 +451,10 @@ class ProgramGraph:
                 _discard(adj.members, block, node)
         else:
             del self.block_nodes[node]
-            for op in adj.members.pop(node, ()):
+            members = adj.members.pop(node, ())
+            for op in members:
                 del self.containment[op]
+            self._write(*members)
         return 1 + len(incident)
 
     # -- queries ------------------------------------------------------
@@ -435,6 +468,14 @@ class ProgramGraph:
         if b not in self.block_nodes:
             raise UnknownBlockError(f"n{b} is not a block node")
         return self.block_nodes[b]
+
+    def kind_of(self, n: NodeId) -> NodeKind | None:
+        """The kind of node `n`, or None when it does not exist."""
+        if n in self.op_nodes:
+            return self.op_nodes[n].name
+        if n in self.edge_nodes:
+            return self.edge_nodes[n].kind
+        return self.block_nodes.get(n)
 
     def blocks_of_kind(self, kind: BlockKind) -> list[NodeId]:
         return sorted(b for b, k in self.block_nodes.items() if k is kind)
@@ -510,6 +551,7 @@ class ProgramGraph:
         h.containment = dict(self.containment)
         h._next_id = self._next_id
         h._touched = None if self._touched is None else set(self._touched)
+        h._written = None if self._written is None else set(self._written)
         return h
 
     @classmethod

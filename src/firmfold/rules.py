@@ -5,21 +5,22 @@ is one pattern matched around an anchor node, as a graph-transformation
 rule is: the anchor is an operation of one kind (say, every `Add`), a
 block of one kind, or an Edge node of one kind, and `pattern(g, n)`
 lists the anchor tuples of the matches at one such node `n`, reading
-only `n`'s neighbourhood (the binary folds also ask whether a start
-block exists).  A pattern demands everything its rewrite reads,
-including what must be absent.
+only `n`'s neighbourhood as the engine's read invariant bounds it (the
+binary folds also ask whether a start block exists).  A pattern demands
+everything its rewrite reads, including what must be absent.
 
-`_rule` derives both halves of a `Rule` from that one pattern.  The
-matcher filters the graph's nodes by the anchor's kind and asks the
-pattern at each of them.  The applier re-checks the one match it is
-given locally: the first anchor must still be a node of the anchor's
-kind, and the pattern at that node must still list the match.
-Otherwise it raises StaleMatchError.  So the check reads the anchor's
-neighbourhood instead of matching over the whole graph.  The applier
-then rewrites the graph it is given in place, through the graph's
-mutators only, and returns it.  The exported `rule_*` functions drive a
-single rewrite without the engine: each applies the same rewrite to a
-copy and leaves its input untouched.
+`_rule` derives both halves of a `Rule` from that one pattern, and
+hands the anchor and the pattern on, so that `fold` can re-ask the
+pattern only where a step wrote.  The matcher filters the graph's nodes
+by the anchor's kind and asks the pattern at each of them.  The applier
+re-checks the one match it is given locally: the first anchor must
+still be a node of the anchor's kind, and the pattern at that node must
+still list the match.  Otherwise it raises StaleMatchError.  So the
+check reads the anchor's neighbourhood instead of matching over the
+whole graph.  The applier then rewrites the graph it is given in place,
+through the graph's mutators only, and returns it.  The exported
+`rule_*` functions drive a single rewrite without the engine: each
+applies the same rewrite to a copy and leaves its input untouched.
 
 Folding a binary operation keeps every user edge alive by redirecting
 it to the freshly created constant; the rule only fires when at least
@@ -49,7 +50,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from .engine import Match, Rule
+from .engine import Match, Pattern, Rule
 from .errors import StaleMatchError
 from .graph import (
     ADD,
@@ -63,6 +64,7 @@ from .graph import (
     Const,
     EdgeKind,
     NodeId,
+    NodeKind,
     ProgramGraph,
     wrap32,
 )
@@ -78,14 +80,11 @@ CLEANUP_DANGLING_DATAFLOW = "cleanup-dangling-dataflow"
 CLEANUP_DANGLING_CONTROL = "cleanup-dangling-control"
 CLEANUP_UNREF_CONST = "cleanup-unref-const"
 
-#: What a rule is anchored at: an operation name, a block kind or an edge kind.
-_Anchor = str | BlockKind | EdgeKind
 #: The anchor tuples of the matches at one anchor node.
 _Matches = list[tuple[NodeId, ...]]
-_Pattern = Callable[[ProgramGraph, NodeId], _Matches]
 
 
-def _candidates(g: ProgramGraph, anchor: _Anchor) -> list[NodeId]:
+def _candidates(g: ProgramGraph, anchor: NodeKind) -> list[NodeId]:
     """The nodes of `anchor`'s kind, in insertion order."""
     if isinstance(anchor, BlockKind):
         return [b for b, kind in g.block_nodes.items() if kind is anchor]
@@ -94,20 +93,11 @@ def _candidates(g: ProgramGraph, anchor: _Anchor) -> list[NodeId]:
     return [op for op, kind in g.op_nodes.items() if kind.name == anchor]
 
 
-def _has_kind(g: ProgramGraph, n: NodeId, anchor: _Anchor) -> bool:
-    """Whether `n` exists and is a node of `anchor`'s kind."""
-    if isinstance(anchor, BlockKind):
-        return g.block_nodes.get(n) is anchor
-    if isinstance(anchor, EdgeKind):
-        return n in g.edge_nodes and g.edge_nodes[n].kind is anchor
-    return n in g.op_nodes and g.op_nodes[n].name == anchor
-
-
 def _rule(
     name: str,
     priority: int,
-    anchor: _Anchor,
-    pattern: _Pattern,
+    anchor: NodeKind,
+    pattern: Pattern,
     rewrite: Callable[..., None],
 ) -> Rule:
     """The rule that rewrites, with `rewrite(g, *anchors)`, each match of `pattern`."""
@@ -124,7 +114,7 @@ def _rule(
         if not (
             match.rule_name == name
             and anchors
-            and _has_kind(g, anchors[0], anchor)
+            and g.kind_of(anchors[0]) == anchor
             and anchors in pattern(g, anchors[0])
         ):
             raise StaleMatchError(f"{name} does not match at {anchors}")
@@ -132,7 +122,7 @@ def _rule(
         return g
 
     applier.__doc__ = rewrite.__doc__
-    return Rule(name, priority, matcher, applier)
+    return Rule(name, priority, matcher, applier, anchor, pattern)
 
 
 # -- binary folds: cmp-fold-int, add-fold-int -------------------------

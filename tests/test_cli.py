@@ -153,6 +153,16 @@ def test_explore_state_limit(tmp_path, capsys):
     assert "state space exceeds" in capsys.readouterr().err
 
 
+def test_explore_state_limit_counts_the_initial_state(tmp_path, capsys):
+    src = write_example(tmp_path / "in.gxl")
+    fixpoint = tmp_path / "fixpoint.gxl"
+    assert main(["fold", str(src), str(fixpoint)]) == 0
+    assert main(["explore", str(fixpoint), "--max-states", "0"]) == 1
+    assert "state space exceeds 0 states" in capsys.readouterr().err
+    assert main(["explore", str(fixpoint), "--max-states", "1"]) == 0
+    assert capsys.readouterr().out.startswith("states: 1\n")
+
+
 def test_dialect_override(tmp_path, capsys):
     # forcing the native reader onto an attributed document must fail
     # cleanly rather than guess

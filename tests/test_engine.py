@@ -10,26 +10,31 @@ sequential allocator hands out.  The test freezes that derivation.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from firmfold import engine
+from firmfold import engine, rules
 from firmfold import (
     CATALOG,
     JMP,
     PHI,
+    RELATIONS,
     RETURN,
     BlockKind,
     Const,
     EdgeKind,
     Match,
+    NodeId,
     ProgramGraph,
+    Rule,
     StaleMatchError,
     StateLimitExceeded,
     StepLimitExceeded,
     apply,
     build_min_plus_one,
     canonical_hash,
+    evaluate,
     explore,
     fold,
     format_trace,
@@ -150,6 +155,70 @@ def test_fold_and_replay_agree_with_the_reference_fold():
         assert save_native(g) == before
 
 
+def _without_patterns(catalog: tuple[Rule, ...]) -> tuple[Rule, ...]:
+    """`catalog` rebuilt from matchers and appliers alone, as a wrapping tracer rebuilds it."""
+    return tuple(Rule(r.name, r.priority, r.matcher, r.applier) for r in catalog)
+
+
+def test_rules_without_a_pattern_fold_the_same():
+    bare = _without_patterns(CATALOG)
+    mixed = tuple(b if i % 2 else r for i, (r, b) in enumerate(zip(CATALOG, bare)))
+    assert {r.pattern is None for r in mixed} == {True, False}
+    for index, g in enumerate(_differential_cases()):
+        expected = fold(g, CATALOG)
+        for catalog in (bare, mixed):
+            result = fold(g, catalog)
+            assert save_native(result.graph) == save_native(expected.graph), index
+            assert result.format_trace() == expected.format_trace(), index
+
+
+def _drop_block(g: ProgramGraph, block: NodeId) -> None:
+    """Delete an entryless block alone; its members lose their block."""
+    g.delete_node(block)
+
+
+# block-remove replaced by a rewrite that leaves blockless operations
+# behind, whose out-edges the cleanup rules then delete.
+_DROP_BLOCKS = tuple(
+    rules._rule("block-drop", r.priority, BlockKind.BLOCK, rules._entryless, _drop_block)
+    if r.name == "block-remove"
+    else r
+    for r in CATALOG
+)
+
+
+def test_incremental_match_sets_equal_the_matchers_after_every_step():
+    cases = [(g, CATALOG) for g in _differential_cases()]
+    cases += [(build_min_plus_one(3, 5, relation), CATALOG) for relation in RELATIONS]
+    cases += [(g, _DROP_BLOCKS) for g in _differential_cases()[60::2]]
+    for index, (g, catalog) in enumerate(cases):
+        ordered = sorted(catalog, key=lambda r: r.priority)
+        g = g.copy()
+        agenda = engine._Agenda(g, catalog)
+        while True:
+            expected = {r.name: [m.anchors for m in matches(g, r)] for r in catalog}
+            assert agenda.current() == expected, index
+            chosen = agenda.best()
+            first = next(((r, found[0]) for r in ordered if (found := matches(g, r))), None)
+            assert chosen == first, index
+            if chosen is None:
+                break
+            engine._step(g, *chosen)
+            agenda.update()
+
+
+def test_ten_thousand_element_chain_folds():
+    g = diamond_chain(random.Random(0), 430)
+    assert g.element_count() == 9896
+    began = time.perf_counter()
+    result = fold(g, CATALOG)
+    assert time.perf_counter() - began < 5.0
+    assert evaluate(result.graph) == evaluate(g)
+    assert verify(result.graph) == []
+    for r in CATALOG:
+        assert matches(result.graph, r) == []
+
+
 def test_fold_and_replay_copy_their_input_once(monkeypatch):
     copies: list[ProgramGraph] = []
     original = ProgramGraph.copy
@@ -236,6 +305,19 @@ def test_normalize_positions_block_variant_carries_phis_along():
     assert phi_positions == [0, 7]
 
 
+def test_normalize_positions_defers_a_block_whose_stale_phi_input_could_collide():
+    g = build_min_plus_one(3, 5, "lt")
+    (phi,) = [op for op, kind in g.op_nodes.items() if kind == PHI]
+    merge = g.containment[phi]
+    g.delete_node(g.control_preds(merge)[0][0])  # the entry at position 0
+    stale = g.stale_phi_inputs(phi)
+    assert len(stale) == 1
+    # renumbering would move the entry at 1, and the live input, onto the stale input's 0
+    h = normalize_positions(g, merge)
+    assert save_native(h) == save_native(g)
+    assert h.stale_phi_inputs(phi) == stale
+
+
 def test_explore_is_deterministic():
     g = build_min_plus_one(3, 5, "lt")
     runs = [explore(g, CATALOG) for _ in range(3)]
@@ -283,6 +365,12 @@ def test_state_limit():
         explore(g, CATALOG, max_states=1)
     with pytest.raises(StateLimitExceeded):
         explore(g, CATALOG, max_states=10)
+
+
+def test_state_limit_counts_the_initial_state():
+    fixpoint = fold(build_min_plus_one(3, 5, "lt"), CATALOG).graph
+    with pytest.raises(StateLimitExceeded, match="exceeds 0 states"):
+        explore(fixpoint, CATALOG, max_states=0)
 
 
 def test_explore_of_a_fixpoint_is_a_single_state():

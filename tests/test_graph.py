@@ -357,6 +357,33 @@ def test_take_touched_records_consumers_that_lost_an_input():
     assert g.take_touched() == {ret}
 
 
+def test_take_written_records_every_node_a_mutator_wrote():
+    g = ProgramGraph()
+    assert g.take_written() is None  # unknown on a fresh graph
+    start = g.add_block(BlockKind.START_BLOCK)
+    a = g.add_op(Const(1), start)
+    b = g.add_op(Const(2), start)
+    add = g.add_op(ADD, start)
+    assert g.take_written() == {start, a, b, add}
+    e0 = g.connect(a, add, EdgeKind.DATAFLOW, 0)
+    e1 = g.connect(b, add, EdgeKind.DATAFLOW, 1)
+    assert g.take_written() == {e0, e1, a, b, add}
+    g.set_position(e1, 2)
+    assert g.take_written() == {e1, b, add}
+    g.redirect(e1, a)  # both the old and the new source
+    assert g.copy().take_written() == {e1, a, b, add}  # the copy carries the record
+    assert g.take_written() == {e1, a, b, add}
+    g.delete_node(a)  # deleted nodes stay in the record
+    assert g.take_written() == {a, e0, e1, add}
+    arm = g.add_block(BlockKind.BLOCK)
+    jmp = g.add_op(JMP, arm)
+    exit_ = g.connect(jmp, arm, EdgeKind.CONTROLFLOW, 0)
+    g.take_written()
+    g.delete_node(arm)  # its members lose their block
+    assert g.take_written() == {arm, exit_, jmp}
+    assert g.take_written() == set()
+
+
 def _assert_index_matches_maps(g: ProgramGraph) -> None:
     rebuilt = ProgramGraph._from_parts(g.op_nodes, g.block_nodes, g.edge_nodes, g.containment)
     for n in sorted(g.op_nodes):
