@@ -15,6 +15,7 @@ on unusable input or arguments, a negative budget among them.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -131,7 +132,9 @@ def _cmd_example(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="firmfold",
         description="Constant folding on program graphs by graph rewriting.",

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from firmfold import build_min_plus_one, evaluate, is_isomorphic, load, save_native
-from firmfold.cli import main
+from firmfold.cli import _build_parser, main
 
 FIXTURE = Path(__file__).parent / "data" / "min_plus_one_firm.gxl"
 
@@ -109,6 +109,22 @@ def test_fold_env_step_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FIRMFOLD_MAX_STEPS", "plenty")
     assert main(["fold", str(src), str(out)]) == 2
     assert "FIRMFOLD_MAX_STEPS" in capsys.readouterr().err
+
+
+def test_consecutive_calls_share_no_state(tmp_path, monkeypatch, capsys):
+    # one parser serves every call in a process; no call's options leak into the next
+    assert _build_parser() is _build_parser()
+    monkeypatch.delenv("FIRMFOLD_MAX_STEPS", raising=False)
+    src = write_example(tmp_path / "in.gxl")
+    out = tmp_path / "out.gxl"
+    assert main(["fold", str(src), str(out), "--max-steps", "0"]) == 1
+    assert main(["fold", str(src), str(out)]) == 0
+    assert main(["verify", str(src), "--dialect", "firm"]) == 2
+    assert main(["verify", str(src)]) == 0
+    assert main(["explore", str(src), "--max-states", "1"]) == 1
+    capsys.readouterr()
+    assert main(["explore", str(src)]) == 0
+    assert "states: 26\n" in capsys.readouterr().out
 
 
 def test_negative_budgets_are_usage_errors(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -39,10 +41,16 @@ from helpers import (
     permute_native_ids,
     random_graph,
     random_program,
+    reference_detect_dialect,
+    reference_import_firm_gxl,
+    reference_load,
+    reference_load_native,
     reference_save_native,
 )
 
 FIXTURE = Path(__file__).parent / "data" / "min_plus_one_firm.gxl"
+GXL_NS = "http://www.gupro.de/GXL/gxl-1.0.dtd"
+BARE_EDGES = "native documents use bare relation edges only"
 
 
 def wrap_native(body: str) -> str:
@@ -149,7 +157,8 @@ def test_overlong_numbers_are_parse_errors():
             load(wrap_native(body))
 
 
-def test_mutated_documents_raise_only_gxl_errors():
+def mutated_documents() -> list[bytes]:
+    """2,000 damaged copies of four documents of both dialects."""
     seeds = [
         save_native(build_min_plus_one(3, 5, "lt")),
         save_native(random_graph(random.Random(3))),
@@ -157,9 +166,12 @@ def test_mutated_documents_raise_only_gxl_errors():
         FIXTURE.read_bytes(),
     ]
     rng = random.Random(2024)
+    return [mutate_document(seeds[index % len(seeds)], rng) for index in range(2000)]
+
+
+def test_mutated_documents_raise_only_gxl_errors():
     outcomes = {"graph": 0, "error": 0}
-    for index in range(2000):
-        doc = mutate_document(seeds[index % len(seeds)], rng)
+    for doc in mutated_documents():
         for reader in (load, load_native, import_firm_gxl):
             try:
                 assert isinstance(reader(doc), ProgramGraph)
@@ -168,6 +180,41 @@ def test_mutated_documents_raise_only_gxl_errors():
                 outcomes["error"] += 1
     # the mutations reach both outcomes
     assert min(outcomes.values()) > 100, outcomes
+
+
+def outcome(reader, doc: bytes) -> object:
+    """What `reader` makes of `doc`: a graph's maps, a dialect, or an error."""
+    try:
+        result = reader(doc)
+    except GxlError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, ProgramGraph):
+        return result.op_nodes, result.block_nodes, result.edge_nodes, result.containment
+    return result
+
+
+def has_edge_with_children(doc: bytes) -> bool:
+    return any(el.tag.endswith("edge") and len(el) for el in ET.fromstring(doc).iter())
+
+
+def test_reader_matches_the_reference_reader():
+    big = save_native(diamond_chain(random.Random(0), 430))
+    permuted = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        permuted.append(permute_native_ids(save_native(random_graph(rng)), rng))
+    pairs = (
+        (load, reference_load),
+        (load_native, reference_load_native),
+        (import_firm_gxl, reference_import_firm_gxl),
+        (detect_dialect, reference_detect_dialect),
+    )
+    for doc in [big, *permuted, *mutated_documents()]:
+        for reader, reference in pairs:
+            got, want = outcome(reader, doc), outcome(reference, doc)
+            if got != want:
+                # the one intended change: native edges with children are refused
+                assert got == (SchemaError, BARE_EDGES) and has_edge_with_children(doc), doc
 
 
 def test_roundtrip_random_graphs():
@@ -266,6 +313,57 @@ def test_native_rejects_untyped_node_and_typed_edge():
                 '<edge from="n2" to="n1"><type xlink:href="#Controlflow"/></edge>'
             )
         )
+
+
+def test_native_rejects_edges_with_children():
+    nodes = (
+        '<node id="n0"><type xlink:href="#StartBlock"/></node>'
+        '<node id="n1"><type xlink:href="#Return"/></node>'
+    )
+    for children in (
+        '<attr name="position"><int>7</int></attr><foo/>',
+        '<attr name="position"><int>7</int></attr>',
+        "<foo/>",
+    ):
+        doc = wrap_native(f'{nodes}<edge from="n0" to="n1">{children}</edge>')
+        for reader in (load, load_native):
+            with pytest.raises(SchemaError, match=BARE_EDGES):
+                reader(doc)
+    # text is not a child element
+    g = load_native(wrap_native(f'{nodes}<edge from="n0" to="n1"> </edge>'))
+    assert g.containment == {1: 0}
+
+
+def namespaced(doc: bytes, prefix: str) -> bytes:
+    """`doc` with every element in the GXL namespace, as the default
+    namespace or under `prefix`."""
+    if not prefix:
+        return doc.replace(b"<gxl", f'<gxl xmlns="{GXL_NS}"'.encode(), 1)
+    doc = re.sub(rb"<(/?)(\w+)", rf"<\1{prefix}:\2".encode(), doc)
+    root = f"<{prefix}:gxl"
+    return doc.replace(root.encode(), f'{root} xmlns:{prefix}="{GXL_NS}"'.encode(), 1)
+
+
+def test_namespaced_elements_load_like_plain_ones():
+    native = save_native(diamond_chain(random.Random(1), 3, frozenset({1}), frozenset({2})))
+    for reader, doc in ((load_native, native), (import_firm_gxl, FIXTURE.read_bytes())):
+        for prefix in ("", "g"):
+            spaced = namespaced(doc, prefix)
+            assert ET.fromstring(spaced).tag == f"{{{GXL_NS}}}gxl"
+            plain = outcome(reader, doc)
+            assert isinstance(plain, tuple) and isinstance(plain[0], dict)
+            assert outcome(load, spaced) == plain, prefix
+            assert detect_dialect(spaced) is detect_dialect(doc)
+
+
+def test_endpoints_resolve_under_another_spelling():
+    doc = save_native(diamond_chain(random.Random(2), 40))
+    # every endpoint `nK` respelled `n0K`; declarations keep their ids
+    respelled = re.sub(rb'(from|to)="n(\d+)"', rb'\1="n0\2"', doc)
+    assert respelled.count(b'"n0') > 1000
+    plain = outcome(load, doc)
+    assert isinstance(plain, tuple) and isinstance(plain[0], dict)
+    assert outcome(load, respelled) == plain
 
 
 def test_native_rejects_undeclared_reference():
