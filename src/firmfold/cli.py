@@ -6,7 +6,11 @@ space and reports whether it converges, and `example` emits a small
 built-in program for experimenting.  Exit codes are uniform: 0 on
 success, 1 when the requested outcome was not reached (violations
 found, no fixpoint within the step budget, state space too large), 2
-on unusable input or arguments, a negative budget among them.
+on unusable input or arguments, a negative budget among them.  `main`
+alone maps failures to these codes: every failure prints one `error:`
+line on stderr (after argparse's usage line for a bad argument), with
+no traceback, and a run that exits 1 writes no output file.  Any other
+exception is a bug and propagates.
 
 `FIRMFOLD_MAX_STEPS` provides the default step budget for `fold` when
 `--max-steps` is not given.
@@ -31,22 +35,13 @@ MAX_STEPS_ENV = "FIRMFOLD_MAX_STEPS"
 DEFAULT_MAX_STEPS = 10_000
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _read_graph(path: str, dialect_name: str | None) -> ProgramGraph:
     dialect = DialectTag(dialect_name) if dialect_name else None
     return load(Path(path).read_bytes(), dialect)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input, args.dialect)
-    except (OSError, GxlError) as exc:
-        return _fail(str(exc))
-    violations = verify(g)
+    violations = verify(_read_graph(args.input, args.dialect))
     for violation in violations:
         print(violation.render())
     return 1 if violations else 0
@@ -71,41 +66,22 @@ def _max_steps(args: argparse.Namespace) -> int:
     try:
         return _budget(raw)
     except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{MAX_STEPS_ENV} {exc}") from None
+        raise argparse.ArgumentTypeError(f"{MAX_STEPS_ENV} {exc}") from None
 
 
 def _cmd_fold(args: argparse.Namespace) -> int:
-    try:
-        max_steps = _max_steps(args)
-        g = _read_graph(args.input, args.dialect)
-    except (OSError, GxlError, ValueError) as exc:
-        return _fail(str(exc))
-    try:
-        result = fold(g, CATALOG, max_steps)
-    except StepLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        Path(args.output).write_bytes(save_native(result.graph))
-        if args.trace:
-            Path(args.trace).write_text(result.format_trace(), encoding="utf-8")
-        if args.dot:
-            Path(args.dot).write_text(export_dot(result.graph), encoding="utf-8")
-    except OSError as exc:
-        return _fail(str(exc))
+    max_steps = _max_steps(args)  # a bad budget is reported before the input is read
+    result = fold(_read_graph(args.input, args.dialect), CATALOG, max_steps)
+    Path(args.output).write_bytes(save_native(result.graph))
+    if args.trace:
+        Path(args.trace).write_text(result.format_trace(), encoding="utf-8")
+    if args.dot:
+        Path(args.dot).write_text(export_dot(result.graph), encoding="utf-8")
     return 0
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input, args.dialect)
-    except (OSError, GxlError) as exc:
-        return _fail(str(exc))
-    try:
-        lts = explore(g, CATALOG, args.max_states)
-    except StateLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    lts = explore(_read_graph(args.input, args.dialect), CATALOG, args.max_states)
     converges = lts.final_states_isomorphic()
     report = (
         f"states: {len(lts.states)}\n"
@@ -114,21 +90,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         f"final_states_isomorphic: {'true' if converges else 'false'}\n"
     )
     if args.report:
-        try:
-            Path(args.report).write_text(report, encoding="utf-8")
-        except OSError as exc:
-            return _fail(str(exc))
+        Path(args.report).write_text(report, encoding="utf-8")
     else:
         print(report, end="")
     return 0
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    g = build_min_plus_one(args.a, args.b, args.rel)
-    try:
-        Path(args.output).write_bytes(save_native(g))
-    except OSError as exc:
-        return _fail(str(exc))
+    Path(args.output).write_bytes(save_native(build_min_plus_one(args.a, args.b, args.rel)))
     return 0
 
 
@@ -194,7 +163,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (StepLimitExceeded, StateLimitExceeded) as exc:
+        failure, code = exc, 1
+    except (GxlError, OSError, argparse.ArgumentTypeError) as exc:
+        failure, code = exc, 2
+    print(f"error: {failure}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ from .graph import (
 XLINK_NS = "http://www.w3.org/1999/xlink"
 _XLINK_HREF = f"{{{XLINK_NS}}}href"
 
-_INT_RE = re.compile(r"-?\d+")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 _BLOCK_TYPES = {k.value: k for k in BlockKind}
 _EDGE_NODE_TYPES = {"DataflowEdge": EdgeKind.DATAFLOW, "ControlflowEdge": EdgeKind.CONTROLFLOW}
@@ -200,7 +200,7 @@ def _key(raw: str, native: bool) -> NodeId | str | None:
     if not native:
         return raw or None
     digits = raw[1:]
-    return _decimal(digits) if raw[:1] == "n" and digits.isdecimal() else None
+    return _decimal(digits) if raw[:1] == "n" and digits.isascii() and digits.isdecimal() else None
 
 
 def _declarations(doc: _Document, native: bool) -> tuple[dict, dict, dict, dict]:

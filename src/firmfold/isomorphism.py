@@ -116,29 +116,28 @@ def _compress(colors: dict[NodeId, _Color]) -> dict[NodeId, int]:
     return {n: ranking[c] for n, c in colors.items()}
 
 
-def _backward_order(g: ProgramGraph, colors: dict[NodeId, int]) -> list[NodeId]:
+def _backward_order(g: ProgramGraph, colors: dict[NodeId, int], in_arcs: _Arcs) -> list[NodeId]:
     """The nodes that reach the one EndBlock, in backward traversal order.
 
-    Empty when the order is not determined by the labels: there is no
-    EndBlock or more than one, or a visited node has two in-edges of
-    equal color.
+    A node's in-edges are its `"in"` in-arcs, and an Edge node's one
+    in-arc names its source.  Empty when the order is not determined by
+    the labels: there is no EndBlock or more than one, or a visited node
+    has two in-edges of equal color.
     """
     ends = [b for b, kind in g.block_nodes.items() if kind is BlockKind.END_BLOCK]
     if len(ends) != 1:
         return []
-    in_edges: dict[NodeId, list[tuple[int, NodeId, NodeId]]] = defaultdict(list)
-    for eid, e in g.edge_nodes.items():
-        in_edges[e.target].append((colors[eid], eid, e.source))
     order = ends
     seen = set(order)
     for n in order:  # grows while it is read: a queue
         if n in g.edge_nodes:
             continue
-        entries = sorted(in_edges.get(n, ()))
+        entries = sorted((colors[eid], eid) for label, eid in in_arcs.get(n, ()) if label == "in")
         if any(a[0] == b[0] for a, b in zip(entries, entries[1:])):
             return []
-        for _, eid, src in entries:
+        for _, eid in entries:
             order.append(eid)
+            [(_, src)] = in_arcs[eid]
             if src not in seen:
                 seen.add(src)
                 order.append(src)
@@ -161,13 +160,11 @@ def canonical_form(g: ProgramGraph) -> tuple:
     if not initial:
         return ((), ())
     arcs = _arcs(g)
-    adjacency = _adjacency(arcs)
+    adjacency = out_arcs, in_arcs = _adjacency(arcs)
     compressed = _compress(initial)
-    order = _backward_order(g, compressed)
+    order = _backward_order(g, compressed, in_arcs)
     seeded = {n: len(order) + c for n, c in compressed.items()}
     seeded.update((n, i) for i, n in enumerate(order))
-
-    out_arcs, in_arcs = adjacency
 
     def branches(colors: dict[NodeId, int], cell: list[NodeId]) -> Iterator[dict[NodeId, int]]:
         """The refined colorings below `colors` that individualize `cell`."""

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
-from firmfold import build_min_plus_one, evaluate, is_isomorphic, load, save_native
+import pytest
+
+from firmfold import build_min_plus_one, cli, evaluate, is_isomorphic, load, save_native
 from firmfold.cli import _build_parser, main
 
 FIXTURE = Path(__file__).parent / "data" / "min_plus_one_firm.gxl"
@@ -197,3 +200,81 @@ def test_usage_errors_exit_2(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "firmfold" in capsys.readouterr().out
+
+
+def sweep_dir(path: Path) -> Path:
+    """The inputs of the failure sweep: the example, a truncated copy of
+    it, the attributed fixture and a directory."""
+    example = write_example(path / "ex.gxl")
+    (path / "truncated.gxl").write_bytes(example.read_bytes()[:300])
+    (path / "firm.gxl").write_bytes(FIXTURE.read_bytes())
+    (path / "adir").mkdir()
+    return path
+
+
+# (argv, FIRMFOLD_MAX_STEPS or None, exit code): each way each subcommand fails
+FAILURES = [
+    *(
+        ([cmd, source, *rest], None, 2)
+        for cmd, rest in (("verify", []), ("fold", ["out.gxl"]), ("explore", []))
+        for source in ("missing.gxl", "adir", "truncated.gxl")
+    ),
+    (["verify", "ex.gxl", "--dialect", "firm"], None, 2),
+    (["fold", "firm.gxl", "out.gxl", "--dialect", "native"], None, 2),
+    (["explore", "ex.gxl", "--dialect", "firm"], None, 2),
+    (["fold", "ex.gxl", "adir"], None, 2),
+    (["fold", "ex.gxl", "out.gxl", "--trace", "adir"], None, 2),
+    (["fold", "ex.gxl", "out.gxl", "--dot", "adir"], None, 2),
+    (["explore", "ex.gxl", "--report", "adir"], None, 2),
+    (["example", "-o", "adir"], None, 2),
+    (["fold", "ex.gxl", "out.gxl"], "plenty", 2),
+    (["fold", "ex.gxl", "o.gxl", "--trace", "t", "--dot", "d", "--max-steps", "3"], None, 1),
+    (["fold", "ex.gxl", "out.gxl"], "3", 1),
+    (["explore", "ex.gxl", "--max-states", "2", "--report", "report.txt"], None, 1),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "env", "code"),
+    FAILURES,
+    ids=[
+        " ".join(argv) + (f" with FIRMFOLD_MAX_STEPS={env}" if env else "")
+        for argv, env, _ in FAILURES
+    ],
+)
+def test_every_failure_is_one_error_line_and_an_exit_code(
+    argv, env, code, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(sweep_dir(tmp_path))
+    if env is None:
+        monkeypatch.delenv("FIRMFOLD_MAX_STEPS", raising=False)
+    else:
+        monkeypatch.setenv("FIRMFOLD_MAX_STEPS", env)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    if code == 1:
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_each_subcommand_reaches_the_names_it_calls_through_its_module(
+    tmp_path, monkeypatch, capsys
+):
+    # the benchmark harness wraps these names on firmfold.cli
+    calls: Counter[str] = Counter()
+    for name in ("load", "verify", "fold", "explore", "save_native", "export_dot"):
+        def counting(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counting)
+    monkeypatch.chdir(tmp_path)
+    assert main(["example", "-o", "ex.gxl"]) == 0
+    assert main(["verify", "ex.gxl"]) == 0
+    assert main(["fold", "ex.gxl", "out.gxl", "--dot", "out.dot"]) == 0
+    assert main(["explore", "ex.gxl"]) == 0
+    capsys.readouterr()
+    expected = {"load": 3, "verify": 1, "fold": 1, "explore": 1, "save_native": 2, "export_dot": 1}
+    assert calls == expected

@@ -61,6 +61,32 @@ def wrap_native(body: str) -> str:
     )
 
 
+def start_and_return(one: str = "1", edge_to: str = "n1") -> str:
+    """A start block n0 holding a Return declared `n<one>`, whose
+    containment edge names it `edge_to`."""
+    return (
+        '<node id="n0"><type xlink:href="#StartBlock"/></node>'
+        f'<node id="n{one}"><type xlink:href="#Return"/></node>'
+        f'<edge from="n0" to="{edge_to}"/>'
+    )
+
+
+def const_of(text: str) -> str:
+    return (
+        '<node id="n1"><type xlink:href="#Const"/>'
+        f'<attr name="value"><int>{text}</int></attr></node>'
+    )
+
+
+# One Arabic-Indic digit in an id, in an endpoint, and in an <int>; the
+# readers take ASCII digits only, so each of these is refused.
+NON_ASCII_DIGITS = (
+    start_and_return(one="\u0661", edge_to="n\u0661"),
+    start_and_return(edge_to="n\u0661"),
+    const_of("\u0663\u0667"),
+)
+
+
 def test_save_load_roundtrip_preserves_ids():
     g = build_min_plus_one(3, 5, "lt")
     h = load_native(save_native(g))
@@ -197,6 +223,10 @@ def has_edge_with_children(doc: bytes) -> bool:
     return any(el.tag.endswith("edge") and len(el) for el in ET.fromstring(doc).iter())
 
 
+def has_non_ascii_digit(doc: bytes) -> bool:
+    return any(ch.isdecimal() and not ch.isascii() for ch in doc.decode(errors="ignore"))
+
+
 def test_reader_matches_the_reference_reader():
     big = save_native(diamond_chain(random.Random(0), 430))
     permuted = []
@@ -209,12 +239,24 @@ def test_reader_matches_the_reference_reader():
         (import_firm_gxl, reference_import_firm_gxl),
         (detect_dialect, reference_detect_dialect),
     )
-    for doc in [big, *permuted, *mutated_documents()]:
+    digits = [wrap_native(body).encode() for body in NON_ASCII_DIGITS]
+    refused = 0
+    for doc in [big, *permuted, *digits, *mutated_documents()]:
         for reader, reference in pairs:
             got, want = outcome(reader, doc), outcome(reference, doc)
-            if got != want:
-                # the one intended change: native edges with children are refused
-                assert got == (SchemaError, BARE_EDGES) and has_edge_with_children(doc), doc
+            if got == want:
+                continue
+            # the two intended changes: native edges with children are
+            # refused, and so are ids and ints with non-ASCII digits, which
+            # the reference reader took
+            if got == (SchemaError, BARE_EDGES):
+                assert has_edge_with_children(doc), doc
+            else:
+                assert got[0] in (SchemaError, GxlReferenceError), doc
+                assert isinstance(want[0], dict) and has_non_ascii_digit(doc), doc
+                refused += 1
+    # each by load and by load_native, and the <int> by import_firm_gxl too
+    assert refused == 2 * len(NON_ASCII_DIGITS) + 1
 
 
 def test_roundtrip_random_graphs():
@@ -294,6 +336,23 @@ def test_native_rejects_bad_ids_and_duplicates():
                 '<node id="n1"><type xlink:href="#Block"/></node>'
             )
         )
+
+
+def test_native_ids_take_ascii_digits_only():
+    assert load_native(wrap_native(start_and_return())).containment == {1: 0}
+    with pytest.raises(SchemaError, match="is not of the form n<int>"):
+        load_native(wrap_native(NON_ASCII_DIGITS[0]))
+
+
+def test_native_endpoints_take_ascii_digits_only():
+    with pytest.raises(GxlReferenceError, match="undeclared node 'n\u0661'"):
+        load_native(wrap_native(NON_ASCII_DIGITS[1]))
+
+
+def test_native_ints_take_ascii_digits_only():
+    assert load_native(wrap_native(const_of("37"))).op_nodes == {1: Const(37)}
+    with pytest.raises(SchemaError, match="is not a decimal integer"):
+        load_native(wrap_native(NON_ASCII_DIGITS[2]))
 
 
 def test_native_rejects_unknown_type():
