@@ -45,9 +45,8 @@ no rule has to renumber anything itself.  Only a consumer whose inputs
 changed can acquire a gap, so a step renumbers just those; the graph
 records them, and a copy carries the record.  Only a graph whose record
 is unknown (fresh or loaded) has every consumer checked.  A block whose
-renumbering could collide a stale Phi input
-(`ProgramGraph.stale_phi_inputs`) with a live one keeps its gap until
-the input is dropped, which records the block again.
+renumbering could collide a stale Phi input with a live one keeps its
+gap until the input is dropped (see `_renumber`).
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import StateLimitExceeded, StepLimitExceeded
+from .errors import StaleMatchError, StateLimitExceeded, StepLimitExceeded
 from .graph import NodeId, NodeKind, ProgramGraph, contiguous
 from .isomorphism import canonical_hash, is_isomorphic
 
@@ -122,56 +121,44 @@ def apply(g: ProgramGraph, rule: Rule, match: Match) -> ProgramGraph:
 
 
 def _renumber(g: ProgramGraph, target: NodeId) -> None:
-    """Compact the input positions of one consumer to 0..n-1, in place."""
-    if target in g.op_nodes:
-        for index, (eid, _) in enumerate(g.data_inputs(target)):
-            g.set_position(eid, index)
-        return
-    mapping: dict[int, int] = {}
-    for index, (eid, _) in enumerate(g.control_preds(target)):
-        mapping.setdefault(g.edge_nodes[eid].position, index)
-        g.set_position(eid, index)
-    for phi in g.members(target):
-        if g.op_nodes[phi].name != "Phi":
-            continue
-        for eid, _ in g.data_inputs(phi):
-            position = g.edge_nodes[eid].position
-            if position in mapping:
-                g.set_position(eid, mapping[position])
-
-
-def _deferred(g: ProgramGraph, block: NodeId) -> bool:
-    """Whether renumbering `block` now could collide a stale Phi input with a live one.
-
-    Renumbering moves the block's k entries, and the Phi inputs aligned
-    with them, to positions 0..k-1; a stale input already at one of
-    those positions could end up beside a live one, and be selected.
-    """
-    k = len(g.input_positions(block))
-    edges = g.edge_nodes
-    return any(
-        edges[eid].position < k
-        for op in g.members(block)
-        if g.op_nodes[op].name == "Phi"
-        for eid in g.stale_phi_inputs(op)
-    )
-
-
-def normalize_positions(g: ProgramGraph, target: NodeId) -> ProgramGraph:
-    """Compact the input positions of one consumer to 0..n-1 on a copy.
+    """Compact the input positions of one consumer to 0..n-1, in place.
 
     For an operation node the dataflow input edges are renumbered in
     (position, edge id) order.  For a block the control entry edges are
     renumbered the same way, and the identical old-to-new position
     mapping is applied to the dataflow inputs of every Phi in the block,
     keeping Phi selection aligned with block entries; a stale Phi input
-    keeps its position.  A block where that stale input could then
-    collide with a live one is deferred, as `_normalize_all` defers it:
-    the copy is returned unchanged.
+    (`ProgramGraph.stale_phi_inputs`) keeps its position.  A block with
+    k entries waits, unchanged, while a stale Phi input sits below k:
+    renumbering moves the entries, and the Phi inputs aligned with them,
+    to 0..k-1, where the stale input could end up beside a live one and
+    be selected.  Dropping the input is phi-adjust's rewrite, and it
+    records the block again.
     """
+    if target in g.op_nodes:
+        for index, (eid, _) in enumerate(g.data_inputs(target)):
+            g.set_position(eid, index)
+        return
+    entries = g.control_preds(target)
+    phis = [op for op in g.members(target) if g.op_nodes[op].name == "Phi"]
+    edges = g.edge_nodes
+    if any(edges[eid].position < len(entries) for phi in phis for eid in g.stale_phi_inputs(phi)):
+        return
+    mapping: dict[int, int] = {}
+    for index, (eid, _) in enumerate(entries):
+        mapping.setdefault(edges[eid].position, index)
+        g.set_position(eid, index)
+    for phi in phis:
+        for eid, _ in g.data_inputs(phi):
+            position = edges[eid].position
+            if position in mapping:
+                g.set_position(eid, mapping[position])
+
+
+def normalize_positions(g: ProgramGraph, target: NodeId) -> ProgramGraph:
+    """Compact the input positions of one consumer to 0..n-1 on a copy, as `_renumber` does."""
     h = g.copy()
-    if not (target in g.block_nodes and _deferred(g, target)):
-        _renumber(h, target)
+    _renumber(h, target)
     return h
 
 
@@ -180,13 +167,11 @@ def _normalize_all(g: ProgramGraph) -> None:
 
     Those are the consumers `g` recorded since its last normalization;
     on a graph whose record is unknown, every consumer.  A Phi is
-    renumbered with its block, never alone.  A block is deferred while
-    renumbering it could collide a stale Phi input with a live one (see
-    `_deferred`).  Dropping the input is phi-adjust's rewrite, and it
-    records the block again.
+    renumbered with its block, never alone, and a block may wait (see
+    `_renumber`).
 
     Consumers are independent of each other here, so one pass leaves
-    every consumer compact or deferred.
+    every consumer compact or waiting.
     """
     touched = g.take_touched()
     for n in sorted(touched if touched is not None else [*g.op_nodes, *g.block_nodes]):
@@ -195,11 +180,8 @@ def _normalize_all(g: ProgramGraph) -> None:
                 continue
         elif n not in g.block_nodes:
             continue  # deleted since it was recorded
-        if contiguous(g.input_positions(n)):
-            continue
-        if n in g.block_nodes and _deferred(g, n):
-            continue
-        _renumber(g, n)
+        if not contiguous(g.input_positions(n)):
+            _renumber(g, n)
     # Renumbering recorded only consumers it has just made compact.
     g.take_touched()
 
@@ -340,6 +322,8 @@ def replay(g: ProgramGraph, rules: tuple[Rule, ...], trace: tuple[Match, ...]) -
     by_name = {r.name: r for r in rules}
     current = g.copy()
     for match in trace:
+        if match.rule_name not in by_name:
+            raise StaleMatchError(f"no rule named {match.rule_name}")
         _step(current, by_name[match.rule_name], match)
     return current
 
@@ -395,10 +379,11 @@ def explore(
     """Breadth-first closure of `g` under all matches of all rules.
 
     States are deduplicated by canonical digest.  A successor identical,
-    node id for node id, to a stored state takes that state's digest
-    without being canonicalized: the identity map is the isomorphism.
-    Any other successor is canonicalized, and a digest it shares with a
-    stored state is confirmed with the independent isomorphism test.
+    node id for node id, to the first stored state with its content key
+    takes that state's digest without being canonicalized: the identity
+    map is the isomorphism.  Any other successor is canonicalized, and a
+    digest it shares with a stored state is confirmed with the
+    independent isomorphism test.
     Raises StateLimitExceeded when more than `max_states` distinct
     states turn up, the initial state included.
     """
@@ -407,8 +392,9 @@ def explore(
     ordered = sorted(rules, key=lambda r: r.priority)
     initial = canonical_hash(g)
     states: dict[str, ProgramGraph] = {initial: g}
-    # Content key -> digests of the stored states with that key.
-    by_content: dict[int, list[str]] = {_content_key(g): [initial]}
+    # Content key -> digest of the first stored state with that key; a
+    # successor of other content under the same key is canonicalized.
+    by_content: dict[int, str] = {_content_key(g): initial}
     transitions: set[tuple[str, str, str]] = set()
     queue: deque[str] = deque([initial])
     while queue:
@@ -418,11 +404,8 @@ def explore(
             for match in matches(state, rule):
                 successor = apply(state, rule, match)
                 key = _content_key(successor)
-                candidates = by_content.get(key, ())
-                succ_digest = next(
-                    (d for d in candidates if _same_content(successor, states[d])), None
-                )
-                if succ_digest is None:
+                succ_digest = by_content.get(key)
+                if succ_digest is None or not _same_content(successor, states[succ_digest]):
                     succ_digest = canonical_hash(successor)
                     if succ_digest in states:
                         if not is_isomorphic(successor, states[succ_digest]):
@@ -437,7 +420,7 @@ def explore(
                         # Stored states hold no index; expansion rebuilds it.
                         successor.drop_index()
                         states[succ_digest] = successor
-                        by_content.setdefault(key, []).append(succ_digest)
+                        by_content.setdefault(key, succ_digest)
                         queue.append(succ_digest)
                 transitions.add((digest, rule.name, succ_digest))
         state.drop_index()

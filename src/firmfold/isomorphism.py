@@ -250,24 +250,20 @@ def _extends(
 
 
 def is_isomorphic(g1: ProgramGraph, g2: ProgramGraph) -> bool:
-    """Exact isomorphism test by backtracking over refined color classes."""
-    if (
-        len(g1.op_nodes) != len(g2.op_nodes)
-        or len(g1.block_nodes) != len(g2.block_nodes)
-        or len(g1.edge_nodes) != len(g2.edge_nodes)
-        or len(g1.containment) != len(g2.containment)
-    ):
-        return False
+    """Exact isomorphism test by backtracking over refined color classes.
+
+    The two graphs are refined jointly, and a class with unequal
+    per-graph populations rules the pair out before any search: that
+    alone rejects graphs that differ in size, in initial colors or in
+    containment.
+    """
     init1 = _initial_colors(g1)
     init2 = _initial_colors(g2)
-    if sorted(init1.values(), key=repr) != sorted(init2.values(), key=repr):
-        return False
-    if not init1:
+    if not init1 and not init2:
         return True
 
     # Joint refinement over the tagged disjoint union: nodes of the two
-    # graphs share the color space, so a class with unequal per-graph
-    # populations rules the pair out immediately.
+    # graphs share the color space.
     joint_initial: dict[tuple[int, NodeId], _Color] = {}
     for n, c in init1.items():
         joint_initial[(1, n)] = c
@@ -282,11 +278,8 @@ def is_isomorphic(g1: ProgramGraph, g2: ProgramGraph) -> bool:
     classes2: dict[int, list[NodeId]] = defaultdict(list)
     for (tag, n), c in joint.items():
         (classes1 if tag == 1 else classes2)[c].append(n)
-    if set(classes1) != set(classes2):
+    if any(len(classes1[c]) != len(classes2[c]) for c in {*classes1, *classes2}):
         return False
-    for c in classes1:
-        if len(classes1[c]) != len(classes2[c]):
-            return False
 
     color1 = {n: c for (tag, n), c in joint.items() if tag == 1}
     links1, links2 = _links(arcs1), _links(arcs2)

@@ -31,6 +31,7 @@ from firmfold import (
     StaleMatchError,
     StateLimitExceeded,
     StepLimitExceeded,
+    UnknownBlockError,
     apply,
     build_min_plus_one,
     canonical_hash,
@@ -119,6 +120,12 @@ def test_replay_reproduces_the_fold():
     assert replayed.block_nodes == result.graph.block_nodes
     assert sorted(replayed.edge_nodes) == sorted(result.graph.edge_nodes)
     assert canonical_hash(replayed) == canonical_hash(result.graph)
+
+
+def test_replay_rejects_a_match_of_an_unknown_rule():
+    g = build_min_plus_one(3, 5, "lt")
+    with pytest.raises(StaleMatchError, match="no-such-rule"):
+        replay(g, CATALOG, (Match("no-such-rule", (1,)),))
 
 
 def test_step_limit():
@@ -318,6 +325,13 @@ def test_normalize_positions_defers_a_block_whose_stale_phi_input_could_collide(
     assert h.stale_phi_inputs(phi) == stale
 
 
+def test_normalize_positions_rejects_a_target_that_is_no_consumer():
+    g = build_min_plus_one(3, 5, "lt")
+    for target in (max(g.edge_nodes), g.element_count() + 1):
+        with pytest.raises(UnknownBlockError):
+            normalize_positions(g, target)
+
+
 def test_explore_is_deterministic():
     g = build_min_plus_one(3, 5, "lt")
     runs = [explore(g, CATALOG) for _ in range(3)]
@@ -446,6 +460,23 @@ def test_explore_canonicalizes_each_distinct_state_once(monkeypatch):
     assert (len(lts.states), len(lts.transitions)) == (26, 44)
     assert calls["canonical_hash"] <= 30
     assert calls["is_isomorphic"] <= 4
+
+
+def test_explore_without_content_hits_gives_the_same_lts(monkeypatch):
+    cases = [
+        (build_min_plus_one(3, 5, "lt"), 26),
+        (build_min_plus_one(3, 5, "gt"), 30),
+        (diamond_chain(random.Random(3), 1, dead=frozenset({0})), 164),
+    ]
+    expected = [explore(g, CATALOG) for g, _ in cases]
+    # One key for every graph: each successor misses the first stored
+    # state's content and takes the canonical path.
+    monkeypatch.setattr(engine, "_content_key", lambda g: 0)
+    for index, ((g, states), want) in enumerate(zip(cases, expected)):
+        lts = explore(g, CATALOG)
+        assert len(lts.states) == states, index
+        assert_same_lts(lts, want, index)
+        assert (lts.initial, lts.final) == (want.initial, want.final), index
 
 
 def test_explore_still_confirms_digest_hits(monkeypatch):

@@ -476,6 +476,57 @@ def test_native_rejects_wrong_endpoint_classes():
         load_native(wrap_native(body))
 
 
+def test_native_rejects_nameless_and_mistyped_attrs():
+    for body, message in (
+        (
+            '<node id="n5"><type xlink:href="#Const"/><attr><int>1</int></attr></node>',
+            "node 'n5': attr without a name",
+        ),
+        (
+            '<node id="n1"><type xlink:href="#Const"/>'
+            '<attr name="value"><string>3</string></attr></node>',
+            "node 'n1': attr 'value' has the wrong value type",
+        ),
+        (
+            '<node id="n2"><type xlink:href="#DataflowEdge"/>'
+            '<attr name="position"><string>0</string></attr></node>',
+            "node 'n2': attr 'position' has the wrong value type",
+        ),
+        (
+            '<node id="n2"><type xlink:href="#ControlflowEdge"/>'
+            '<attr name="position"><int>0</int></attr>'
+            '<attr name="branch"><string>1</string></attr></node>',
+            "node 'n2': attr 'branch' has the wrong value type",
+        ),
+    ):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_native(wrap_native(body))
+
+
+def test_native_rejects_a_node_without_an_id():
+    with pytest.raises(SchemaError, match="node without an id"):
+        load_native(wrap_native('<node><type xlink:href="#Block"/></node>'))
+
+
+def test_native_rejects_a_relation_edge_between_edge_nodes():
+    edge_node = (
+        '<node id="n{}"><type xlink:href="#DataflowEdge"/>'
+        '<attr name="position"><int>0</int></attr></node>'
+    )
+    body = edge_node.format(1) + edge_node.format(2) + '<edge from="n1" to="n2"/>'
+    with pytest.raises(SchemaError, match="relation edge links two Edge nodes n1 and n2"):
+        load_native(wrap_native(body))
+
+
+def test_native_rejects_a_negative_position():
+    doc = save_native(build_min_plus_one(3, 5, "lt")).decode()
+    start = doc.index('<node id="n15">')
+    doc = doc[:start] + doc[start:].replace("<int>0</int>", "<int>-1</int>", 1)
+    # the graph model refuses it, and the reader reports that as a schema error
+    with pytest.raises(SchemaError, match="edge n15 has negative position"):
+        load_native(doc)
+
+
 def test_native_accepts_unprefixed_href():
     doc = wrap_native('<node id="n0"><type href="#StartBlock"/></node>')
     g = load_native(doc.replace(' xmlns:xlink="http://www.w3.org/1999/xlink"', ""))

@@ -116,6 +116,38 @@ def test_phi_without_entry_is_malformed():
     assert "Phi" in str(err.value)
 
 
+def test_jmp_without_successor_is_malformed():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    jmp = g.add_op(JMP, start)
+    with pytest.raises(MalformedGraphError, match=f"Jmp n{jmp} needs exactly one successor"):
+        evaluate(g)
+
+
+def test_phi_without_input_for_its_entry_is_malformed():
+    g = build_min_plus_one(3, 5, "lt")
+    (phi,) = [op for op, kind in g.op_nodes.items() if kind == PHI]
+    for eid, _ in g.data_inputs(phi):
+        g.delete_node(eid)
+    with pytest.raises(MalformedGraphError, match=f"Phi n{phi} has no unique input for entry"):
+        evaluate(g)
+
+
+def test_add_reading_a_jmp_is_malformed():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    end = g.add_block(BlockKind.END_BLOCK)
+    jmp = g.add_op(JMP, g.add_block(BlockKind.BLOCK))
+    add = g.add_op(ADD, start)
+    ret = g.add_op(RETURN, start)
+    g.connect(jmp, add, EdgeKind.DATAFLOW, 0)
+    g.connect(g.add_op(Const(1), start), add, EdgeKind.DATAFLOW, 1)
+    g.connect(add, ret, EdgeKind.DATAFLOW, 0)
+    g.connect(ret, end, EdgeKind.CONTROLFLOW, 0)
+    with pytest.raises(MalformedGraphError, match=rf"n{jmp} \(Jmp\) produces no value"):
+        evaluate(g)
+
+
 def test_cond_with_missing_branch_edge():
     g = build_min_plus_one(3, 5, "lt")
     g.delete_node(18)  # the branch-1 successor edge, which (3 < 5) takes

@@ -138,6 +138,29 @@ def test_size_mismatch_is_cheap_rejection():
     assert not is_isomorphic(g1, g2)
 
 
+def test_single_differences_break_isomorphism():
+    g = build_min_plus_one(3, 5, "lt")
+    (add,) = [n for n, k in g.op_nodes.items() if k == ADD]
+    (const,) = [n for n, k in g.op_nodes.items() if k == Const(3)]
+    extra = g.copy()
+    extra.add_op(Const(3), min(g.blocks_of_kind(BlockKind.START_BLOCK)))
+    # outside every block and unread: no arc touches it, so only the
+    # class populations tell the graphs apart
+    stray = ProgramGraph._from_parts(
+        {**g.op_nodes, g.element_count(): Const(3)}, g.block_nodes, g.edge_nodes, g.containment
+    )
+    moved = ProgramGraph._from_parts(
+        g.op_nodes, g.block_nodes, g.edge_nodes, {**g.containment, add: g.containment[const]}
+    )
+    revalued = ProgramGraph._from_parts(
+        {**g.op_nodes, const: Const(4)}, g.block_nodes, g.edge_nodes, g.containment
+    )
+    for other in (extra, stray, moved, revalued):
+        assert not is_isomorphic(g, other)
+        assert not is_isomorphic(other, g)
+    assert is_isomorphic(g, relabel(g, random.Random(4)))
+
+
 def test_random_edits_break_isomorphism():
     for seed in range(10):
         rng = random.Random(seed)

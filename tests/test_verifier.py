@@ -112,6 +112,20 @@ def test_position_gap_and_arity_both_fire():
     assert any("takes 2 inputs" in m for m in messages)
 
 
+def test_entry_gap_trips_pos_check():
+    g = build_min_plus_one(3, 5, "lt")
+    (phi,) = [op for op, kind in g.op_nodes.items() if kind.name == "Phi"]
+    merge = g.containment[phi]
+    # entries at 0 and 2, with the Phi input aligned to each
+    for eid, _ in [*g.control_preds(merge), *g.data_inputs(phi)]:
+        g.set_position(eid, 2 * g.edge_nodes[eid].position)
+    assert [g.edge_nodes[eid].position for eid, _ in g.control_preds(merge)] == [0, 2]
+    (gap,) = [v for v in verify(g) if v.witnesses == (merge,)]
+    assert gap.render() == (
+        f"pos-check: control entry positions are not 0..n-1 [witnesses: n{merge}]"
+    )
+
+
 def test_const_outside_start_block():
     g = build_min_plus_one(3, 5, "lt")
     stray = g.add_op(Const(9), 3)
