@@ -11,8 +11,15 @@ so observes whether all maximal rewrites end in the same place; it keeps
 every state, so each successor comes from `apply`, which rewrites a
 copy.  Confluent rewrites often rebuild a stored state node id for node
 id, so a successor is first looked up by its exact content; only one
-that is not identical to a stored state is canonicalized, and a digest
-hit on it is confirmed by the independent isomorphism test.
+that is not identical to a stored state is canonicalized.  A digest hit
+is confirmed by comparing the two graphs' canonical forms, recomputed
+then rather than stored: a certificate lists every node's initial
+colour in canonical order and every arc renumbered by that order, so
+two equal certificates define a bijection that keeps every colour and
+every arc, which is an isomorphism.  A fault in the canonical form can
+thus split one state in two but never merge two that differ.
+`is_isomorphic`, which searches independently, stays the oracle:
+`Lts.final_states_isomorphic` and the tests call it.
 
 The fold driver does not match every rule over the whole graph before
 each step, as a graph-transformation tool does.  It keeps each rule's
@@ -58,7 +65,7 @@ from typing import Callable
 
 from .errors import StaleMatchError, StateLimitExceeded, StepLimitExceeded
 from .graph import NodeId, NodeKind, ProgramGraph, contiguous
-from .isomorphism import canonical_hash, is_isomorphic
+from .isomorphism import canonical_form, canonical_hash, is_isomorphic
 
 
 @dataclass(frozen=True)
@@ -382,8 +389,8 @@ def explore(
     node id for node id, to the first stored state with its content key
     takes that state's digest without being canonicalized: the identity
     map is the isomorphism.  Any other successor is canonicalized, and a
-    digest it shares with a stored state is confirmed with the
-    independent isomorphism test.
+    digest it shares with a stored state is confirmed by equal canonical
+    forms, both recomputed; unequal forms raise RuntimeError.
     Raises StateLimitExceeded when more than `max_states` distinct
     states turn up, the initial state included.
     """
@@ -408,7 +415,7 @@ def explore(
                 if succ_digest is None or not _same_content(successor, states[succ_digest]):
                     succ_digest = canonical_hash(successor)
                     if succ_digest in states:
-                        if not is_isomorphic(successor, states[succ_digest]):
+                        if canonical_form(successor) != canonical_form(states[succ_digest]):
                             raise RuntimeError(
                                 "canonical digest collision between non-isomorphic states"
                             )

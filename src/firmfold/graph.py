@@ -16,6 +16,9 @@ the Phi inputs at a position no entry of the Phi's block carries.
 
 Node ids are ints, unique within a graph and never reused, not even
 after deletion.  All queries return deterministically ordered results.
+`block_nodes` holds its blocks in ascending id order: loaders insert
+them sorted, fresh ids only grow, and copies keep the order.  So the
+first block of a kind in that map is the one with the smallest id.
 
 Queries read an adjacency index (in-edges by target, out-edges by
 source, members by block) rather than scanning every Edge node, so a
@@ -565,14 +568,15 @@ class ProgramGraph:
         """Assemble a graph from raw maps, validating structural invariants.
 
         Used by loaders.  Position uniqueness is deliberately not
-        enforced here; pos-check reports it.
+        enforced here; pos-check reports it.  Blocks are inserted in
+        ascending id order (see the module docstring).
         """
         ids = list(op_nodes) + list(block_nodes) + list(edge_nodes)
         if len(set(ids)) != len(ids):
             raise UnknownNodeError("node classes share an id")
         g = cls()
         g.op_nodes = dict(op_nodes)
-        g.block_nodes = dict(block_nodes)
+        g.block_nodes = dict(sorted(block_nodes.items()))
         g.edge_nodes = dict(edge_nodes)
         g.containment = dict(containment)
         g._next_id = max(ids, default=-1) + 1

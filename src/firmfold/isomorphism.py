@@ -2,13 +2,18 @@
 
 Two independent routes to the same question:
 
-* `canonical_hash` computes a label-preserving canonical form and
-  digests it.  Equal hashes mean isomorphic graphs (collisions aside);
-  the state-space explorer uses the digest as a dedup key.
+* `canonical_form` computes a label-preserving certificate, and
+  `canonical_hash` digests it.  The certificate lists every node's
+  initial color in canonical order and every arc renumbered by that
+  order, so two equal certificates define a bijection that keeps every
+  color and every arc: they prove isomorphism.  The state-space
+  explorer keys its states by the digest and confirms a digest hit by
+  comparing the two certificates.
 * `is_isomorphic` decides isomorphism exactly, by backtracking search
   over refinement-compatible candidate maps.  It shares neither the
-  traversal nor the search of the canonical form, so the two can
-  cross-check each other.
+  traversal nor the search of the canonical form, so it is the
+  independent oracle that checks the canonical form in the tests and
+  the benchmark, and compares an exploration's final states.
 
 Both treat the graph as a colored digraph: nodes keep their attribute
 tuples as initial colors, and the arcs are the out/in halves of every

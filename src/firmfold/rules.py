@@ -145,7 +145,7 @@ def _binary_on_consts(g: ProgramGraph, op: NodeId) -> _Matches:
 
 
 def _replace_with_const(g: ProgramGraph, op: NodeId, value: int) -> None:
-    start = g.blocks_of_kind(BlockKind.START_BLOCK)[0]
+    start = next(b for b, kind in g.block_nodes.items() if kind is BlockKind.START_BLOCK)
     folded = g.add_op(Const(value), start)
     for eid, _ in g.data_users(op):
         g.redirect(eid, folded)

@@ -459,7 +459,23 @@ def test_explore_canonicalizes_each_distinct_state_once(monkeypatch):
     lts = explore(build_min_plus_one(3, 5, "lt"), CATALOG)
     assert (len(lts.states), len(lts.transitions)) == (26, 44)
     assert calls["canonical_hash"] <= 30
-    assert calls["is_isomorphic"] <= 4
+    assert calls["is_isomorphic"] == 0
+
+
+def test_explore_confirms_digest_hits_without_an_isomorphism_search(monkeypatch):
+    searches = []
+    real = engine.is_isomorphic
+    monkeypatch.setattr(
+        engine, "is_isomorphic", lambda g1, g2: searches.append(1) or real(g1, g2)
+    )
+    cases = [
+        (build_min_plus_one(3, 5, "lt"), (26, 44, 1)),
+        (diamond_chain(random.Random(0), 2), (1467, 6604, 1)),
+    ]
+    for g, counts in cases:
+        lts = explore(g, CATALOG)
+        assert (len(lts.states), len(lts.transitions), len(lts.final)) == counts
+    assert searches == []
 
 
 def test_explore_without_content_hits_gives_the_same_lts(monkeypatch):

@@ -21,6 +21,7 @@ from firmfold import (
     Const,
     DuplicatePositionError,
     EdgeKind,
+    EdgeNode,
     IncompatibleEndpointsError,
     OpKind,
     ProgramGraph,
@@ -209,6 +210,35 @@ def test_query_ordering():
     assert g.blocks_of_kind(BlockKind.BLOCK) == [phi_block]
 
 
+def test_kind_queries():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    c = g.add_op(Const(7), start)
+    assert g.op_kind(c) == Const(7)
+    assert g.block_kind(start) is BlockKind.START_BLOCK
+    with pytest.raises(UnknownNodeError):
+        g.op_kind(start)
+    with pytest.raises(UnknownBlockError):
+        g.block_kind(c)
+    with pytest.raises(UnknownBlockError):
+        g.block_kind(99)
+
+
+def test_operation_queries_reject_other_nodes():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    a = g.add_op(Const(1), start)
+    ret = g.add_op(RETURN, start)
+    edge = g.connect(a, ret, EdgeKind.DATAFLOW, 0)
+    for query in (g.data_inputs, g.data_users, g.control_succs):
+        for node in (start, edge, 99):
+            with pytest.raises(UnknownNodeError):
+                query(node)
+    for node in (a, edge, 99):
+        with pytest.raises(UnknownBlockError):
+            g.members(node)
+
+
 def test_contiguous():
     assert contiguous([]) and contiguous([0]) and contiguous([0, 1, 2])
     assert not contiguous([1]) and not contiguous([0, 2]) and not contiguous([0, 0])
@@ -271,6 +301,34 @@ def test_copy_is_independent():
     assert a in g.op_nodes
     # copies continue the id sequence of the original
     assert h.add_block(BlockKind.BLOCK) == g.add_block(BlockKind.BLOCK)
+
+
+def _parts() -> tuple[dict, dict, dict, dict]:
+    """The four node maps of a start block holding a Const that feeds a Return."""
+    ops = {1: Const(1), 2: RETURN}
+    edges = {3: EdgeNode(3, EdgeKind.DATAFLOW, 0, 1, 2)}
+    return ops, {0: BlockKind.START_BLOCK}, edges, {1: 0, 2: 0}
+
+
+def test_from_parts_rejects_broken_maps():
+    ops, blocks, edges, containment = _parts()
+    assert ProgramGraph._from_parts(ops, blocks, edges, containment).element_count() == 4
+    with pytest.raises(UnknownNodeError, match="share an id"):
+        ProgramGraph._from_parts(ops, {1: BlockKind.BLOCK, **blocks}, edges, containment)
+    with pytest.raises(UnknownNodeError, match="containment key n0 is not an operation"):
+        ProgramGraph._from_parts(ops, blocks, edges, {**containment, 0: 0})
+    with pytest.raises(UnknownBlockError, match="containment target n2 is not a block"):
+        ProgramGraph._from_parts(ops, blocks, edges, {1: 0, 2: 2})
+
+
+def test_from_parts_inserts_blocks_by_ascending_id():
+    ops, blocks, edges, containment = _parts()
+    blocks = {9: BlockKind.BLOCK, 5: BlockKind.START_BLOCK, **blocks}
+    g = ProgramGraph._from_parts(ops, blocks, edges, containment)
+    assert list(g.block_nodes) == [0, 5, 9]
+    # Fresh ids only grow, and copies keep the order.
+    g.add_block(BlockKind.BLOCK)
+    assert list(g.copy().block_nodes) == [0, 5, 9, 10]
 
 
 def test_element_count():

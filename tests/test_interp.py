@@ -8,6 +8,7 @@ import pytest
 
 from firmfold import (
     ADD,
+    COND,
     INT32_MAX,
     INT32_MIN,
     JMP,
@@ -15,6 +16,7 @@ from firmfold import (
     RELATIONS,
     RETURN,
     BlockKind,
+    Cmp,
     Const,
     EdgeKind,
     FuelExhaustedError,
@@ -70,6 +72,30 @@ def test_straightline_return():
     g.connect(c, ret, EdgeKind.DATAFLOW, 0)
     g.connect(ret, 1, EdgeKind.CONTROLFLOW, 0)
     assert evaluate(g) == 41
+
+
+def test_return_reads_the_value_the_cond_computed():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    end = g.add_block(BlockKind.END_BLOCK)
+    taken = g.add_block(BlockKind.BLOCK)
+    a = g.add_op(Const(3), start)
+    b = g.add_op(Const(5), start)
+    cmp_ = g.add_op(Cmp("lt"), start)
+    cond = g.add_op(COND, start)
+    ret = g.add_op(RETURN, taken)
+    g.connect(a, cmp_, EdgeKind.DATAFLOW, 0)
+    g.connect(b, cmp_, EdgeKind.DATAFLOW, 1)
+    g.connect(cmp_, cond, EdgeKind.DATAFLOW, 0)
+    g.connect(cond, taken, EdgeKind.CONTROLFLOW, 0, branch=1)
+    g.connect(cond, end, EdgeKind.CONTROLFLOW, 0, branch=0)
+    g.connect(cmp_, ret, EdgeKind.DATAFLOW, 0)
+    g.connect(ret, end, EdgeKind.CONTROLFLOW, 1)
+    # Four units of fuel: the Cmp and its two operands at the Cond, then
+    # the jump.  The Return reads the memoized Cmp for nothing.
+    assert evaluate(g, fuel=4) == 1
+    with pytest.raises(FuelExhaustedError):
+        evaluate(g, fuel=3)
 
 
 def test_requires_unique_start_block():

@@ -23,6 +23,8 @@ from firmfold import (
     StaleMatchError,
     apply,
     build_min_plus_one,
+    fold,
+    load_native,
     matches,
 )
 from firmfold.rules import (
@@ -152,6 +154,54 @@ def test_add_fold_requires_a_start_block():
     assert matches(g, rule("add-fold-int")) == []
 
 
+# Two start blocks, the larger id declared first.  An Add of two
+# constants in n9 feeds a Return.
+TWO_START_BLOCKS = """<?xml version='1.0' encoding='utf-8'?>
+<gxl xmlns:xlink="http://www.w3.org/1999/xlink">
+  <graph id="program" edgeids="false" edgemode="directed">
+    <node id="n9"><type xlink:href="#StartBlock" /></node>
+    <node id="n1"><type xlink:href="#StartBlock" /></node>
+    <node id="n2"><type xlink:href="#Const" /><attr name="value"><int>2</int></attr></node>
+    <node id="n3"><type xlink:href="#Const" /><attr name="value"><int>3</int></attr></node>
+    <node id="n4"><type xlink:href="#Add" /></node>
+    <node id="n5"><type xlink:href="#Return" /></node>
+    <node id="n6"><type xlink:href="#DataflowEdge" /><attr name="position"><int>0</int></attr></node>
+    <node id="n7"><type xlink:href="#DataflowEdge" /><attr name="position"><int>1</int></attr></node>
+    <node id="n8"><type xlink:href="#DataflowEdge" /><attr name="position"><int>0</int></attr></node>
+    <edge from="n2" to="n6" /><edge from="n6" to="n4" />
+    <edge from="n3" to="n7" /><edge from="n7" to="n4" />
+    <edge from="n4" to="n8" /><edge from="n8" to="n5" />
+    <edge from="n9" to="n2" /><edge from="n9" to="n3" />
+    <edge from="n9" to="n4" /><edge from="n9" to="n5" />
+  </graph>
+</gxl>
+"""
+
+
+def test_binary_fold_parks_its_constant_in_the_smallest_start_block():
+    g = load_native(TWO_START_BLOCKS)
+    assert list(g.block_nodes) == [1, 9]
+    result = fold(g, CATALOG)
+    assert result.format_trace().splitlines() == [
+        "step 1: add-fold-int @ [n4, n2, n3]",
+        "step 2: cleanup-unref-const @ [n2]",
+        "step 3: cleanup-unref-const @ [n3]",
+    ]
+    assert result.graph.op_nodes == {5: RETURN, 10: Const(5)}
+    assert result.graph.containment == {5: 9, 10: 1}
+
+
+def test_fold_finds_the_start_block_without_sorting_blocks(monkeypatch):
+    calls = []
+    real = ProgramGraph.blocks_of_kind
+    monkeypatch.setattr(
+        ProgramGraph, "blocks_of_kind", lambda g, kind: calls.append(kind) or real(g, kind)
+    )
+    assert fold(diamond(), CATALOG).steps == 10
+    assert fold(diamond_chain(random.Random(4), 6), CATALOG).steps > 0
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "relation,a,b,expected",
     [
@@ -227,6 +277,15 @@ def test_cond_fold_needs_const_selector():
     assert matches(g, rule("cond-fold-false")) == []
 
 
+def test_cond_fold_needs_both_branch_successors():
+    g = cond_ready(1)
+    cond = next(op for op, kind in g.op_nodes.items() if kind == COND)
+    g.delete_node(g.control_succs(cond)[1][0])
+    assert len(g.control_succs(cond)) == 1
+    assert matches(g, rule("cond-fold-true")) == []
+    assert matches(g, rule("cond-fold-false")) == []
+
+
 def test_block_remove_only_predless_ordinary_blocks():
     g = diamond()
     assert matches(g, rule("block-remove")) == []
@@ -289,6 +348,20 @@ def test_phi_fold_single_shorts_out_the_phi():
 
 def test_phi_fold_single_needs_single_entry():
     g = diamond()
+    assert matches(g, rule("phi-fold-single")) == []
+
+
+def test_phi_fold_single_needs_a_block():
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    merge = g.add_block(BlockKind.BLOCK)
+    c = g.add_op(Const(9), start)
+    jmp = g.add_op(JMP, start)
+    phi = g.add_op(PHI, merge)
+    g.connect(jmp, merge, EdgeKind.CONTROLFLOW, 0)
+    g.connect(c, phi, EdgeKind.DATAFLOW, 0)
+    assert matches(g, rule("phi-fold-single")) == [Match("phi-fold-single", (phi, c))]
+    g.delete_node(merge)
     assert matches(g, rule("phi-fold-single")) == []
 
 
