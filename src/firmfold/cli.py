@@ -12,15 +12,15 @@ line on stderr (after argparse's usage line for a bad argument), with
 no traceback, and a run that exits 1 writes no output file.  Any other
 exception is a bug and propagates.
 
-`FIRMFOLD_MAX_STEPS` provides the default step budget for `fold` when
-`--max-steps` is not given.
+Without `--max-steps`, `fold` runs to its fixpoint: its default budget
+is the input's element count, which a shrinking rule never reaches
+(see `engine.fold`).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -30,9 +30,6 @@ from .graph import RELATIONS, ProgramGraph
 from .gxl import DialectTag, export_dot, load, save_native
 from .rules import CATALOG, build_min_plus_one
 from .verifier import verify
-
-MAX_STEPS_ENV = "FIRMFOLD_MAX_STEPS"
-DEFAULT_MAX_STEPS = 10_000
 
 
 def _read_graph(path: str, dialect_name: str | None) -> ProgramGraph:
@@ -57,21 +54,8 @@ def _budget(raw: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
 
 
-def _max_steps(args: argparse.Namespace) -> int:
-    if args.max_steps is not None:
-        return args.max_steps
-    raw = os.environ.get(MAX_STEPS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_STEPS
-    try:
-        return _budget(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentTypeError(f"{MAX_STEPS_ENV} {exc}") from None
-
-
 def _cmd_fold(args: argparse.Namespace) -> int:
-    max_steps = _max_steps(args)  # a bad budget is reported before the input is read
-    result = fold(_read_graph(args.input, args.dialect), CATALOG, max_steps)
+    result = fold(_read_graph(args.input, args.dialect), CATALOG, args.max_steps)
     Path(args.output).write_bytes(save_native(result.graph))
     if args.trace:
         Path(args.trace).write_text(result.format_trace(), encoding="utf-8")
@@ -130,8 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fold.add_argument(
         "--max-steps",
         type=_budget,
-        default=None,
-        help=f"step budget (default: ${MAX_STEPS_ENV} or {DEFAULT_MAX_STEPS})",
+        help="step budget (default: the input's element count, which folding never reaches)",
     )
     add_dialect(p_fold)
     p_fold.set_defaults(handler=_cmd_fold)
@@ -167,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (StepLimitExceeded, StateLimitExceeded) as exc:
         failure, code = exc, 1
-    except (GxlError, OSError, argparse.ArgumentTypeError) as exc:
+    except (GxlError, OSError) as exc:
         failure, code = exc, 2
     print(f"error: {failure}", file=sys.stderr)
     return code

@@ -12,12 +12,13 @@ every state, so each successor comes from `apply`, which rewrites a
 copy.  Confluent rewrites often rebuild a stored state node id for node
 id, so a successor is first looked up by its exact content; only one
 that is not identical to a stored state is canonicalized.  A digest hit
-is confirmed by comparing the two graphs' canonical forms, recomputed
-then rather than stored: a certificate lists every node's initial
-colour in canonical order and every arc renumbered by that order, so
-two equal certificates define a bijection that keeps every colour and
-every arc, which is an isomorphism.  A fault in the canonical form can
-thus split one state in two but never merge two that differ.
+is confirmed by comparing the successor's canonical form with the
+stored state's, recomputed then rather than stored: a certificate
+lists every node's initial colour in canonical order and every arc
+renumbered by that order, so two equal certificates define a bijection
+that keeps every colour and every arc, which is an isomorphism.  A
+fault in the canonical form can thus split one state in two but never
+merge two that differ.
 `is_isomorphic`, which searches independently, stays the oracle:
 `Lts.final_states_isomorphic` and the tests call it.
 
@@ -46,14 +47,15 @@ as much as matching from scratch.  A rule without a pattern is asked
 through its matcher before every step.
 
 Both drivers advance by one `_step`: rewrite a match, assert that the
-element count shrank (the measure that bounds both drivers), then
-compact input positions back to 0..n-1 (see `normalize_positions`), so
-no rule has to renumber anything itself.  Only a consumer whose inputs
-changed can acquire a gap, so a step renumbers just those; the graph
-records them, and a copy carries the record.  Only a graph whose record
-is unknown (fresh or loaded) has every consumer checked.  A block whose
-renumbering could collide a stale Phi input with a live one keeps its
-gap until the input is dropped (see `_renumber`).
+element count shrank (the measure that bounds both drivers, and so
+`fold`'s default step budget), then compact input positions back to
+0..n-1 (see `normalize_positions`), so no rule has to renumber
+anything itself.  Only a consumer whose inputs changed can acquire a
+gap, so a step renumbers just those; the graph records them, and a
+copy carries the record.  Only a graph whose record is unknown (fresh
+or loaded) has every consumer checked.  A block whose renumbering
+could collide a stale Phi input with a live one keeps its gap until
+the input is dropped (see `_renumber`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from typing import Callable
 
 from .errors import StaleMatchError, StateLimitExceeded, StepLimitExceeded
 from .graph import NodeId, NodeKind, ProgramGraph, contiguous
-from .isomorphism import canonical_form, canonical_hash, is_isomorphic
+from .isomorphism import canonical_form, canonical_hash, form_digest, is_isomorphic
 
 
 @dataclass(frozen=True)
@@ -300,14 +302,19 @@ class _Agenda:
 
 
 def fold(
-    g: ProgramGraph, rules: tuple[Rule, ...], max_steps: int = 10_000
+    g: ProgramGraph, rules: tuple[Rule, ...], max_steps: int | None = None
 ) -> FoldResult:
     """Rewrite deterministically until no rule matches.
 
     Works on one copy of `g`, rewritten in place; `g` is left as it
     was.  Raises StepLimitExceeded if a rule still matches after
-    `max_steps` applications.
+    `max_steps` applications.  By default the budget is `g`'s element
+    count: every step removes an element, so rules that keep the
+    measure never reach it, and under `python -O`, where `_step`'s
+    assertion is stripped, it still stops a rule that breaks it.
     """
+    if max_steps is None:
+        max_steps = g.element_count()
     current = g.copy()
     agenda = _Agenda(current, rules)
     trace: list[Match] = []
@@ -388,9 +395,10 @@ def explore(
     States are deduplicated by canonical digest.  A successor identical,
     node id for node id, to the first stored state with its content key
     takes that state's digest without being canonicalized: the identity
-    map is the isomorphism.  Any other successor is canonicalized, and a
-    digest it shares with a stored state is confirmed by equal canonical
-    forms, both recomputed; unequal forms raise RuntimeError.
+    map is the isomorphism.  Any other successor is canonicalized once,
+    and a digest it shares with a stored state is confirmed by comparing
+    that form with the stored state's, recomputed; unequal forms raise
+    RuntimeError.
     Raises StateLimitExceeded when more than `max_states` distinct
     states turn up, the initial state included.
     """
@@ -413,9 +421,10 @@ def explore(
                 key = _content_key(successor)
                 succ_digest = by_content.get(key)
                 if succ_digest is None or not _same_content(successor, states[succ_digest]):
-                    succ_digest = canonical_hash(successor)
+                    form = canonical_form(successor)
+                    succ_digest = form_digest(form)
                     if succ_digest in states:
-                        if canonical_form(successor) != canonical_form(states[succ_digest]):
+                        if form != canonical_form(states[succ_digest]):
                             raise RuntimeError(
                                 "canonical digest collision between non-isomorphic states"
                             )

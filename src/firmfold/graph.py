@@ -163,7 +163,8 @@ _BY_ID = operator.attrgetter("id")
 
 class _Adjacency:
     """The index behind the queries: in-edges by target, out-edges by
-    source, and member operations by block, all as lists of node ids.
+    source, and member operations by block, each an insertion-ordered
+    set of node ids (a dict of Nones), so a removal costs O(1).
 
     The in-edges of a node all have one kind, since Dataflow edges
     target operations and Controlflow edges target blocks.
@@ -172,26 +173,26 @@ class _Adjacency:
     __slots__ = ("ins", "outs", "members")
 
     def __init__(self, g: ProgramGraph) -> None:
-        self.ins: dict[NodeId, list[NodeId]] = {}
-        self.outs: dict[NodeId, list[NodeId]] = {}
-        self.members: dict[NodeId, list[NodeId]] = {}
+        self.ins: dict[NodeId, dict[NodeId, None]] = {}
+        self.outs: dict[NodeId, dict[NodeId, None]] = {}
+        self.members: dict[NodeId, dict[NodeId, None]] = {}
         for e in g.edge_nodes.values():
             self.link(e)
         for op, block in g.containment.items():
-            self.members.setdefault(block, []).append(op)
+            self.members.setdefault(block, {})[op] = None
 
     def link(self, e: EdgeNode) -> None:
-        self.ins.setdefault(e.target, []).append(e.id)
-        self.outs.setdefault(e.source, []).append(e.id)
+        self.ins.setdefault(e.target, {})[e.id] = None
+        self.outs.setdefault(e.source, {})[e.id] = None
 
     def unlink(self, e: EdgeNode) -> None:
         _discard(self.ins, e.target, e.id)
         _discard(self.outs, e.source, e.id)
 
 
-def _discard(table: dict[NodeId, list[NodeId]], key: NodeId, item: NodeId) -> None:
+def _discard(table: dict[NodeId, dict[NodeId, None]], key: NodeId, item: NodeId) -> None:
     ids = table[key]
-    ids.remove(item)
+    del ids[item]
     if not ids:
         del table[key]
 
@@ -330,7 +331,7 @@ class ProgramGraph:
         self.op_nodes[nid] = kind
         self.containment[nid] = block
         if self._adj is not None:
-            self._adj.members.setdefault(block, []).append(nid)
+            self._adj.members.setdefault(block, {})[nid] = None
         self._write(nid)
         return nid
 

@@ -11,6 +11,13 @@ rewrites that is exact; a cyclic graph whose values change between
 iterations will pin its exit condition to the first computed value,
 never leave the loop, and exhaust its fuel, so the memo can cost
 termination but never a wrong result.
+
+The memo also bounds every run that ends.  Each operation's value is
+computed, spending one unit of fuel, at most once, and a block's
+successor is fixed on its first visit, since its Cond selector is
+memoized; so a run that enters a block twice never ends, and one that
+ends spends at most operations + blocks - 1.  That count is the
+default fuel.
 """
 
 from __future__ import annotations
@@ -19,21 +26,23 @@ from .errors import FuelExhaustedError, MalformedGraphError
 from .graph import ARITY, CONTROL_SOURCES, RELATION_TESTS, BlockKind, NodeId, ProgramGraph
 from .graph import contiguous, wrap32
 
-DEFAULT_FUEL = 10_000
 
-
-def evaluate(g: ProgramGraph, fuel: int = DEFAULT_FUEL) -> int:
+def evaluate(g: ProgramGraph, fuel: int | None = None) -> int:
     """Execute `g` and return its Return value.
 
     Raises MalformedGraphError when the graph cannot be executed (no
     unique start block, a block without exactly one control operation,
     missing operands, an unresolvable Phi) and FuelExhaustedError when
     `fuel` value computations plus block transitions are not enough.
+    By default `fuel` is the number of operations and blocks, which
+    only a run that never ends exhausts (see the module docstring).
     """
     starts = g.blocks_of_kind(BlockKind.START_BLOCK)
     if len(starts) != 1:
         raise MalformedGraphError(f"execution needs exactly one start block, found {len(starts)}")
 
+    if fuel is None:
+        fuel = len(g.op_nodes) + len(g.block_nodes)
     budget = fuel
     env: dict[NodeId, int] = {}
     entered: dict[NodeId, int] = {}

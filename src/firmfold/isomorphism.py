@@ -2,13 +2,13 @@
 
 Two independent routes to the same question:
 
-* `canonical_form` computes a label-preserving certificate, and
-  `canonical_hash` digests it.  The certificate lists every node's
-  initial color in canonical order and every arc renumbered by that
-  order, so two equal certificates define a bijection that keeps every
-  color and every arc: they prove isomorphism.  The state-space
-  explorer keys its states by the digest and confirms a digest hit by
-  comparing the two certificates.
+* `canonical_form` computes a label-preserving certificate,
+  `form_digest` digests one, and `canonical_hash` digests a graph's.
+  The certificate lists every node's initial color in canonical order
+  and every arc renumbered by that order, so two equal certificates
+  define a bijection that keeps every color and every arc: they prove
+  isomorphism.  The state-space explorer keys its states by the
+  digest and confirms a digest hit by comparing the two certificates.
 * `is_isomorphic` decides isomorphism exactly, by backtracking search
   over refinement-compatible candidate maps.  It shares neither the
   traversal nor the search of the canonical form, so it is the
@@ -208,9 +208,14 @@ def canonical_form(g: ProgramGraph) -> tuple:
     return best
 
 
+def form_digest(form: tuple) -> str:
+    """Hex digest of a canonical form."""
+    return hashlib.sha256(repr(form).encode("utf-8")).hexdigest()
+
+
 def canonical_hash(g: ProgramGraph) -> str:
     """Hex digest of the canonical form; stable across id-renamings."""
-    return hashlib.sha256(repr(canonical_form(g)).encode("utf-8")).hexdigest()
+    return form_digest(canonical_form(g))
 
 
 _Links = dict[NodeId, dict[NodeId, tuple[list[str], list[str]]]]

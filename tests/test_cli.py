@@ -1,7 +1,8 @@
-"""Command-line behavior: exit codes, outputs, environment handling."""
+"""Command-line behavior: exit codes, outputs, budgets."""
 
 from __future__ import annotations
 
+import random
 import sys
 from collections import Counter
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from firmfold import build_min_plus_one, cli, evaluate, is_isomorphic, load, save_native
 from firmfold.cli import _build_parser, main
+from helpers import diamond_chain
 
 FIXTURE = Path(__file__).parent / "data" / "min_plus_one_firm.gxl"
 
@@ -101,23 +103,22 @@ def test_fold_step_limit_blocks_all_output(tmp_path, capsys):
     assert not trace.exists()
 
 
-def test_fold_env_step_budget(tmp_path, monkeypatch, capsys):
-    src = write_example(tmp_path / "in.gxl")
-    out = tmp_path / "out.gxl"
-    monkeypatch.setenv("FIRMFOLD_MAX_STEPS", "3")
-    assert main(["fold", str(src), str(out)]) == 1
-    capsys.readouterr()
-    # an explicit flag beats the environment
-    assert main(["fold", str(src), str(out), "--max-steps", "100"]) == 0
-    monkeypatch.setenv("FIRMFOLD_MAX_STEPS", "plenty")
-    assert main(["fold", str(src), str(out)]) == 2
-    assert "FIRMFOLD_MAX_STEPS" in capsys.readouterr().err
+def test_fold_runs_past_ten_thousand_steps_by_default(tmp_path):
+    src = tmp_path / "chain.gxl"
+    g = diamond_chain(random.Random(0), 1024)
+    assert g.element_count() == 23558
+    src.write_bytes(save_native(g))
+    out, trace = tmp_path / "out.gxl", tmp_path / "steps.txt"
+    assert main(["fold", str(src), str(out), "--trace", str(trace)]) == 0
+    assert trace.read_text().count("\n") == 11264
+    capped = tmp_path / "capped.gxl"
+    assert main(["fold", str(src), str(capped), "--max-steps", "23558"]) == 0
+    assert out.read_bytes() == capped.read_bytes()
 
 
-def test_consecutive_calls_share_no_state(tmp_path, monkeypatch, capsys):
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
     # one parser serves every call in a process; no call's options leak into the next
     assert _build_parser() is _build_parser()
-    monkeypatch.delenv("FIRMFOLD_MAX_STEPS", raising=False)
     src = write_example(tmp_path / "in.gxl")
     out = tmp_path / "out.gxl"
     assert main(["fold", str(src), str(out), "--max-steps", "0"]) == 1
@@ -130,15 +131,11 @@ def test_consecutive_calls_share_no_state(tmp_path, monkeypatch, capsys):
     assert "states: 26\n" in capsys.readouterr().out
 
 
-def test_negative_budgets_are_usage_errors(tmp_path, monkeypatch, capsys):
+def test_negative_budgets_are_usage_errors(tmp_path, capsys):
     src = write_example(tmp_path / "in.gxl")
     out = tmp_path / "out.gxl"
     assert main(["fold", str(src), str(out), "--max-steps", "-3"]) == 2
     assert "error:" in capsys.readouterr().err
-    monkeypatch.setenv("FIRMFOLD_MAX_STEPS", "-3")
-    assert main(["fold", str(src), str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "error: FIRMFOLD_MAX_STEPS must be a non-negative integer" in err
     assert not out.exists()
     assert main(["explore", str(src), "--max-states", "-1"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -212,44 +209,33 @@ def sweep_dir(path: Path) -> Path:
     return path
 
 
-# (argv, FIRMFOLD_MAX_STEPS or None, exit code): each way each subcommand fails
+# (argv, exit code): each way each subcommand fails
 FAILURES = [
     *(
-        ([cmd, source, *rest], None, 2)
+        ([cmd, source, *rest], 2)
         for cmd, rest in (("verify", []), ("fold", ["out.gxl"]), ("explore", []))
         for source in ("missing.gxl", "adir", "truncated.gxl")
     ),
-    (["verify", "ex.gxl", "--dialect", "firm"], None, 2),
-    (["fold", "firm.gxl", "out.gxl", "--dialect", "native"], None, 2),
-    (["explore", "ex.gxl", "--dialect", "firm"], None, 2),
-    (["fold", "ex.gxl", "adir"], None, 2),
-    (["fold", "ex.gxl", "out.gxl", "--trace", "adir"], None, 2),
-    (["fold", "ex.gxl", "out.gxl", "--dot", "adir"], None, 2),
-    (["explore", "ex.gxl", "--report", "adir"], None, 2),
-    (["example", "-o", "adir"], None, 2),
-    (["fold", "ex.gxl", "out.gxl"], "plenty", 2),
-    (["fold", "ex.gxl", "o.gxl", "--trace", "t", "--dot", "d", "--max-steps", "3"], None, 1),
-    (["fold", "ex.gxl", "out.gxl"], "3", 1),
-    (["explore", "ex.gxl", "--max-states", "2", "--report", "report.txt"], None, 1),
+    (["verify", "ex.gxl", "--dialect", "firm"], 2),
+    (["fold", "firm.gxl", "out.gxl", "--dialect", "native"], 2),
+    (["explore", "ex.gxl", "--dialect", "firm"], 2),
+    (["fold", "ex.gxl", "adir"], 2),
+    (["fold", "ex.gxl", "out.gxl", "--trace", "adir"], 2),
+    (["fold", "ex.gxl", "out.gxl", "--dot", "adir"], 2),
+    (["explore", "ex.gxl", "--report", "adir"], 2),
+    (["example", "-o", "adir"], 2),
+    (["fold", "ex.gxl", "o.gxl", "--trace", "t", "--dot", "d", "--max-steps", "3"], 1),
+    (["explore", "ex.gxl", "--max-states", "2", "--report", "report.txt"], 1),
 ]
 
 
 @pytest.mark.parametrize(
-    ("argv", "env", "code"),
-    FAILURES,
-    ids=[
-        " ".join(argv) + (f" with FIRMFOLD_MAX_STEPS={env}" if env else "")
-        for argv, env, _ in FAILURES
-    ],
+    ("argv", "code"), FAILURES, ids=[" ".join(argv) for argv, _ in FAILURES]
 )
 def test_every_failure_is_one_error_line_and_an_exit_code(
-    argv, env, code, tmp_path, monkeypatch, capsys
+    argv, code, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(sweep_dir(tmp_path))
-    if env is None:
-        monkeypatch.delenv("FIRMFOLD_MAX_STEPS", raising=False)
-    else:
-        monkeypatch.setenv("FIRMFOLD_MAX_STEPS", env)
     before = sorted(tmp_path.rglob("*"))
     assert main(argv) == code
     out, err = capsys.readouterr()

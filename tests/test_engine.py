@@ -9,12 +9,17 @@ sequential allocator hands out.  The test freezes that derivation.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from firmfold import engine, rules
+from firmfold import engine, isomorphism, rules
 from firmfold import (
     CATALOG,
     JMP,
@@ -224,6 +229,38 @@ def test_ten_thousand_element_chain_folds():
     assert verify(result.graph) == []
     for r in CATALOG:
         assert matches(result.graph, r) == []
+
+
+def test_default_budgets_reach_past_ten_thousand():
+    g = diamond_chain(random.Random(0), 2048)
+    # 24,580 units of fuel and 22,528 steps, both past 10,000
+    assert len(g.op_nodes) + len(g.block_nodes) == 24580
+    result = fold(g, CATALOG)
+    assert result.steps == 22528
+    assert evaluate(g) == evaluate(result.graph)
+
+
+_STALL = """
+from firmfold import Match, Rule, StepLimitExceeded, build_min_plus_one, fold
+stall = Rule("stall", 0, lambda g: [Match("stall", (min(g.op_nodes),))], lambda g, m: g)
+try:
+    fold(build_min_plus_one(3, 5, "lt"), (stall,))
+except StepLimitExceeded as exc:
+    print(exc)
+"""
+
+
+def test_default_step_budget_stops_a_rule_that_keeps_the_size():
+    stall = Rule("stall", 0, lambda g: [Match("stall", (min(g.op_nodes),))], lambda g, m: g)
+    with pytest.raises(AssertionError, match="stall did not shrink the graph"):
+        fold(build_min_plus_one(3, 5, "lt"), (stall,))
+    # Under -O the assertion is gone; the budget, 28 elements, remains.
+    env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _STALL],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert run.stdout == "no fixpoint within 28 steps\n"
 
 
 def test_fold_and_replay_copy_their_input_once(monkeypatch):
@@ -442,24 +479,38 @@ def test_explore_agrees_with_the_reference_explore():
         assert_same_lts(explore(g, rules), reference_explore(g, rules), index)
 
 
-def test_explore_canonicalizes_each_distinct_state_once(monkeypatch):
-    calls = {"canonical_hash": 0, "is_isomorphic": 0}
+def _spy(monkeypatch, calls: Counter[str], name: str, *modules) -> None:
+    """Count in `calls[name]` every call of `name` through any of `modules`."""
+    for module in modules:
+        real = getattr(module, name)
 
-    def spy(name):
-        real = getattr(engine, name)
-
-        def counted(*args):
+        def counted(*args, _real=real):
             calls[name] += 1
-            return real(*args)
+            return _real(*args)
 
-        return counted
+        monkeypatch.setattr(module, name, counted)
 
-    for name in calls:
-        monkeypatch.setattr(engine, name, spy(name))
+
+def test_explore_canonicalizes_each_distinct_state_once(monkeypatch):
+    calls: Counter[str] = Counter()
+    # `canonical_hash` digests through `isomorphism.form_digest`
+    _spy(monkeypatch, calls, "form_digest", engine, isomorphism)
+    _spy(monkeypatch, calls, "is_isomorphic", engine)
     lts = explore(build_min_plus_one(3, 5, "lt"), CATALOG)
     assert (len(lts.states), len(lts.transitions)) == (26, 44)
-    assert calls["canonical_hash"] <= 30
+    assert calls["form_digest"] <= 30
     assert calls["is_isomorphic"] == 0
+
+
+def test_explore_computes_each_successor_form_once(monkeypatch):
+    calls: Counter[str] = Counter()
+    # `canonical_hash` computes through `isomorphism.canonical_form`
+    _spy(monkeypatch, calls, "canonical_form", engine, isomorphism)
+    lts = explore(diamond_chain(random.Random(0), 2), CATALOG)
+    assert (len(lts.states), len(lts.transitions)) == (1467, 6604)
+    # 1 initial + 1,914 canonicalized successors + 448 stored states
+    # recomputed on a digest hit
+    assert calls["canonical_form"] == 2363
 
 
 def test_explore_confirms_digest_hits_without_an_isomorphism_search(monkeypatch):
@@ -496,7 +547,7 @@ def test_explore_without_content_hits_gives_the_same_lts(monkeypatch):
 
 
 def test_explore_still_confirms_digest_hits(monkeypatch):
-    monkeypatch.setattr(engine, "canonical_hash", lambda g: "same digest for every graph")
+    monkeypatch.setattr(engine, "form_digest", lambda form: "same digest for every successor")
     with pytest.raises(RuntimeError, match="digest collision"):
         explore(build_min_plus_one(3, 5, "lt"), CATALOG)
 

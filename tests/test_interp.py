@@ -191,6 +191,9 @@ def test_infinite_loop_exhausts_fuel():
     g.connect(jl, loop, EdgeKind.CONTROLFLOW, 1)
     with pytest.raises(FuelExhaustedError):
         evaluate(g, fuel=500)
+    # the default fuel, 4 operations and blocks, runs out on the second lap
+    with pytest.raises(FuelExhaustedError, match="within 4 steps"):
+        evaluate(g)
 
 
 def test_fuel_bounds_value_computations_too():
