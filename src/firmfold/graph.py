@@ -285,6 +285,14 @@ class ProgramGraph:
         """
         self._adj = None
 
+    def adjacency_index(self) -> _Adjacency:
+        """The adjacency index, for reading in bulk; never to be mutated.
+
+        A graph without an index gets a fresh one that it does not keep,
+        so reading a stored graph leaves it without an index.
+        """
+        return self._adj if self._adj is not None else _Adjacency(self)
+
     def take_touched(self) -> set[NodeId] | None:
         """Consumers whose input positions may have changed since the last call.
 

@@ -9,15 +9,19 @@ Two independent routes to the same question:
   define a bijection that keeps every color and every arc: they prove
   isomorphism.  The state-space explorer keys its states by the
   digest and confirms a digest hit by comparing the two certificates.
+  A certificate holds only tuples and ints, and the digest hashes its
+  `marshal` version 2 bytes, which depend on its value alone (see
+  `form_digest`).
 * `is_isomorphic` decides isomorphism exactly, by backtracking search
   over refinement-compatible candidate maps.  It shares neither the
   traversal nor the search of the canonical form, so it is the
   independent oracle that checks the canonical form in the tests and
   the benchmark, and compares an exploration's final states.
 
-Both treat the graph as a colored digraph: nodes keep their attribute
-tuples as initial colors, and the arcs are the out/in halves of every
-Edge node plus the containment adjacencies.
+Both treat the graph as a colored digraph: each node's initial color
+encodes its attributes as a tuple of ints, and the arcs, labelled by
+ints, are the out/in halves of every Edge node plus the containment
+adjacencies.
 
 The canonical form numbers nodes in three stages:
 
@@ -33,10 +37,14 @@ The canonical form numbers nodes in three stages:
    graph), the order is not determined by the labels, and no node is
    seeded.  Nodes the traversal does not reach, such as unreferenced
    constants or blocks that never reach the end, keep their initial
-   colors.
+   colors, ranked above the visit indices.  Where the traversal
+   numbers every node, its order is the canonical order, and stages 2
+   and 3 do not run.
 2. **Color refinement** splits classes by neighborhood signature until
-   the partition is stable.  Where the traversal numbered every node,
-   this costs one pass.
+   the partition is stable.  It re-signs only the nodes the traversal
+   left unnumbered: the numbered ones are singletons below every other
+   color, so full refinement would keep their colors, and refining
+   the rest alone gives the same coloring.
 3. **Individualization.**  While a class has several members, each
    candidate of the smallest class is given a fresh color in turn and
    the result refined again; the smallest certificate over all leaves
@@ -51,35 +59,54 @@ The canonical form numbers nodes in three stages:
 from __future__ import annotations
 
 import hashlib
+import marshal
 from collections import defaultdict
-from typing import Iterator
+from typing import Collection, Iterator
 
-from .graph import BlockKind, NodeId, ProgramGraph
+from .graph import OP_NAMES, RELATIONS, BlockKind, EdgeKind, NodeId, ProgramGraph
+from .graph import _Adjacency as _GraphIndex
 
-_Color = tuple
-_Arc = tuple[NodeId, str, NodeId]
-_Arcs = dict[NodeId, list[tuple[str, NodeId]]]
+_Color = tuple[int, ...]
+_Arc = tuple[NodeId, int, NodeId]
+_Arcs = dict[NodeId, list[tuple[int, NodeId]]]
 _Adjacency = tuple[_Arcs, _Arcs]
+
+#: Arc labels: an Edge node's source arc, its target arc, and a block's
+#: arc to each operation it contains.
+_OUT, _IN, _CONTAINS = 0, 1, 2
+
+_OP_INDEX = {name: i for i, name in enumerate(OP_NAMES)}
+_RELATION_INDEX = {relation: i for i, relation in enumerate(RELATIONS)}
+_BLOCK_INDEX = {kind: i for i, kind in enumerate(BlockKind)}
+_EDGE_INDEX = {kind: i for i, kind in enumerate(EdgeKind)}
 
 
 def _initial_colors(g: ProgramGraph) -> dict[NodeId, _Color]:
+    """Each node's attributes as a tuple of ints; equal tuples mean equal
+    attributes.
+
+    An operation gets (0, name, value or 0, relation or -1), a block
+    (1, kind) and an Edge node (2, kind, position, branch or -1), each
+    name, kind and relation by its index in its declaration.
+    """
     colors: dict[NodeId, _Color] = {}
     for n, kind in g.op_nodes.items():
-        colors[n] = ("op", kind.name, kind.value, kind.relation)
+        relation = _RELATION_INDEX.get(kind.relation, -1)
+        colors[n] = (0, _OP_INDEX[kind.name], kind.value or 0, relation)
     for b, kind in g.block_nodes.items():
-        colors[b] = ("block", kind.value)
+        colors[b] = (1, _BLOCK_INDEX[kind])
     for eid, e in g.edge_nodes.items():
-        colors[eid] = ("edge", e.kind.value, e.position, e.branch)
+        colors[eid] = (2, _EDGE_INDEX[e.kind], e.position, -1 if e.branch is None else e.branch)
     return colors
 
 
 def _arcs(g: ProgramGraph) -> list[_Arc]:
     arcs: list[_Arc] = []
     for eid, e in g.edge_nodes.items():
-        arcs.append((e.source, "out", eid))
-        arcs.append((eid, "in", e.target))
+        arcs.append((e.source, _OUT, eid))
+        arcs.append((eid, _IN, e.target))
     for op, blk in g.containment.items():
-        arcs.append((blk, "contains", op))
+        arcs.append((blk, _CONTAINS, op))
     return arcs
 
 
@@ -93,115 +120,168 @@ def _adjacency(arcs: list[_Arc]) -> _Adjacency:
     return out_arcs, in_arcs
 
 
-def _refine(colors: dict[NodeId, int], adjacency: _Adjacency) -> dict[NodeId, int]:
-    """Iterate neighborhood-signature splitting until the partition is stable."""
+def _adjacency_of(g: ProgramGraph, index: _GraphIndex, nodes: list[NodeId]) -> _Adjacency:
+    """The out-arcs and in-arcs of `nodes` alone, as `_adjacency` lists them,
+    read from `g`'s adjacency index."""
+    edges, containment = g.edge_nodes, g.containment
+    out_arcs: _Arcs = {}
+    in_arcs: _Arcs = {}
+    for n in nodes:
+        e = edges.get(n)
+        if e is not None:
+            out_arcs[n] = [(_IN, e.target)]
+            in_arcs[n] = [(_OUT, e.source)]
+            continue
+        out_arcs[n] = [(_OUT, eid) for eid in index.outs.get(n, ())]
+        out_arcs[n] += [(_CONTAINS, op) for op in index.members.get(n, ())]
+        in_arcs[n] = [(_IN, eid) for eid in index.ins.get(n, ())]
+        if n in containment:
+            in_arcs[n].append((_CONTAINS, containment[n]))
+    return out_arcs, in_arcs
+
+
+def _refine(
+    colors: dict[NodeId, int], adjacency: _Adjacency, movable: Collection[NodeId] | None = None
+) -> dict[NodeId, int]:
+    """Iterate neighborhood-signature splitting until the partition is stable.
+
+    Only the `movable` nodes, all by default, are re-signed, and
+    `adjacency` needs only their arcs.  They are ranked from k, the
+    number of other nodes, which must be singletons colored 0 to k - 1,
+    below every movable color.  A signature starts with the node's
+    color, so full refinement would rank those k nodes 0 to k - 1 again
+    and the rest from k: it gives the same coloring.
+    """
     out_arcs, in_arcs = adjacency
     current = dict(colors)
-    n_classes = len(set(current.values()))
-    while n_classes < len(current):
-        signatures = {}
-        for n in current:
-            sig = (
+    if movable is None:
+        movable = colors.keys()
+    start = len(current) - len(movable)
+    n_classes = len({current[n] for n in movable})
+    while n_classes < len(movable):
+        signatures = {
+            n: (
                 current[n],
                 tuple(sorted((lab, current[d]) for lab, d in out_arcs.get(n, ()))),
                 tuple(sorted((lab, current[s]) for lab, s in in_arcs.get(n, ()))),
             )
-            signatures[n] = sig
-        ranking = {sig: i for i, sig in enumerate(sorted(set(signatures.values())))}
-        new = {n: ranking[signatures[n]] for n in current}
-        new_classes = len(set(new.values()))
-        if new_classes == n_classes:
-            return new
-        current, n_classes = new, new_classes
+            for n in movable
+        }
+        ranking = {sig: start + i for i, sig in enumerate(sorted(set(signatures.values())))}
+        for n, sig in signatures.items():
+            current[n] = ranking[sig]
+        if len(ranking) == n_classes:
+            break
+        n_classes = len(ranking)
     return current
 
 
 def _compress(colors: dict[NodeId, _Color]) -> dict[NodeId, int]:
-    ranking = {c: i for i, c in enumerate(sorted(set(colors.values()), key=repr))}
+    ranking = {c: i for i, c in enumerate(sorted(set(colors.values())))}
     return {n: ranking[c] for n, c in colors.items()}
 
 
-def _backward_order(g: ProgramGraph, colors: dict[NodeId, int], in_arcs: _Arcs) -> list[NodeId]:
+def _backward_order(
+    g: ProgramGraph, colors: dict[NodeId, _Color], ins: dict[NodeId, dict[NodeId, None]]
+) -> list[NodeId]:
     """The nodes that reach the one EndBlock, in backward traversal order.
 
-    A node's in-edges are its `"in"` in-arcs, and an Edge node's one
-    in-arc names its source.  Empty when the order is not determined by
-    the labels: there is no EndBlock or more than one, or a visited node
-    has two in-edges of equal color.
+    `ins` lists each node's in-edges, as `g`'s adjacency index does.
+    Empty when the order is not determined by the labels: there is no
+    EndBlock or more than one, or a visited node has two in-edges of
+    equal color.
     """
     ends = [b for b, kind in g.block_nodes.items() if kind is BlockKind.END_BLOCK]
     if len(ends) != 1:
         return []
+    edges, containment = g.edge_nodes, g.containment
+    color = colors.__getitem__
     order = ends
     seen = set(order)
     for n in order:  # grows while it is read: a queue
-        if n in g.edge_nodes:
+        if n in edges:
             continue
-        entries = sorted((colors[eid], eid) for label, eid in in_arcs.get(n, ()) if label == "in")
-        if any(a[0] == b[0] for a, b in zip(entries, entries[1:])):
-            return []
-        for _, eid in entries:
+        entries = ins.get(n, ())
+        if len(entries) > 1:
+            entries = sorted(entries, key=color)
+            if len(set(map(color, entries))) < len(entries):
+                return []
+        for eid in entries:
             order.append(eid)
-            [(_, src)] = in_arcs[eid]
+            src = edges[eid].source
             if src not in seen:
                 seen.add(src)
                 order.append(src)
-        block = g.containment.get(n)
+        block = containment.get(n)
         if block is not None and block not in seen:
             seen.add(block)
             order.append(block)
     return order
 
 
-def _certificate(order: list[NodeId], initial: dict[NodeId, _Color], arcs: list[_Arc]) -> tuple:
+def _certificate(order: list[NodeId], initial: dict[NodeId, _Color], g: ProgramGraph) -> tuple:
+    """The initial colors in `order` and every arc of `g` renumbered by it."""
     index = {n: i for i, n in enumerate(order)}
-    numbered = sorted((index[s], lab, index[d]) for s, lab, d in arcs)
-    return (tuple(initial[n] for n in order), tuple(numbered))
+    arcs = [(index[blk], _CONTAINS, index[op]) for op, blk in g.containment.items()]
+    for eid, e in g.edge_nodes.items():
+        i = index[eid]
+        arcs.append((index[e.source], _OUT, i))
+        arcs.append((i, _IN, index[e.target]))
+    arcs.sort()
+    return (tuple(initial[n] for n in order), tuple(arcs))
 
 
 def canonical_form(g: ProgramGraph) -> tuple:
-    """A certificate identical across all id-renamings of `g`."""
+    """A certificate identical across all id-renamings of `g`.
+
+    Leaves `g`'s adjacency index as it found it, built or absent.
+    """
     initial = _initial_colors(g)
     if not initial:
         return ((), ())
-    arcs = _arcs(g)
-    adjacency = out_arcs, in_arcs = _adjacency(arcs)
-    compressed = _compress(initial)
-    order = _backward_order(g, compressed, in_arcs)
-    seeded = {n: len(order) + c for n, c in compressed.items()}
-    seeded.update((n, i) for i, n in enumerate(order))
+    index = g.adjacency_index()
+    order = _backward_order(g, initial, index.ins)
+    if len(order) == len(initial):
+        return _certificate(order, initial, g)
+    # Stages 2 and 3 move only the nodes the traversal left unnumbered,
+    # colored above the numbered ones in the order of their initial colors.
+    seeded = {n: i for i, n in enumerate(order)}
+    movable = [n for n in initial if n not in seeded]
+    ranks = _compress({n: initial[n] for n in movable})
+    seeded.update((n, len(order) + ranks[n]) for n in movable)
+    adjacency = out_arcs, in_arcs = _adjacency_of(g, index, movable)
 
     def branches(colors: dict[NodeId, int], cell: list[NodeId]) -> Iterator[dict[NodeId, int]]:
         """The refined colorings below `colors` that individualize `cell`."""
-        fresh = max(colors.values()) + 1
+        fresh = max(colors[n] for n in movable) + 1
         candidates: dict[tuple, NodeId] = {}  # one per raw neighborhood
         for n in sorted(cell):
-            raw = (tuple(sorted(out_arcs.get(n, ()))), tuple(sorted(in_arcs.get(n, ()))))
+            raw = (tuple(sorted(out_arcs[n])), tuple(sorted(in_arcs[n])))
             candidates.setdefault(raw, n)
         if len(candidates) == 1:  # all twins: any order is an automorphism
             twins = {n: fresh + i for i, n in enumerate(sorted(cell))}
-            yield _refine({**colors, **twins}, adjacency)
+            yield _refine({**colors, **twins}, adjacency, movable)
             return
         for n in candidates.values():
-            yield _refine({**colors, n: fresh}, adjacency)
+            yield _refine({**colors, n: fresh}, adjacency, movable)
 
     best: tuple | None = None
     # Depth-first over the individualization tree: stack[d] yields the
     # untried colorings at depth d.
-    stack: list[Iterator[dict[NodeId, int]]] = [iter([_refine(seeded, adjacency)])]
+    stack: list[Iterator[dict[NodeId, int]]] = [iter([_refine(seeded, adjacency, movable)])]
     while stack:
         colors = next(stack[-1], None)
         if colors is None:
             stack.pop()
             continue
         classes: dict[int, list[NodeId]] = defaultdict(list)
-        for n, c in colors.items():
-            classes[c].append(n)
+        for n in movable:
+            classes[colors[n]].append(n)
         cells = [(len(ns), c) for c, ns in classes.items() if len(ns) > 1]
         if cells:
             stack.append(branches(colors, classes[min(cells)[1]]))
             continue
-        cert = _certificate(sorted(colors, key=colors.__getitem__), initial, arcs)
+        cert = _certificate(order + sorted(movable, key=colors.__getitem__), initial, g)
         if best is None or cert < best:
             best = cert
     assert best is not None
@@ -209,8 +289,17 @@ def canonical_form(g: ProgramGraph) -> tuple:
 
 
 def form_digest(form: tuple) -> str:
-    """Hex digest of a canonical form."""
-    return hashlib.sha256(repr(form).encode("utf-8")).hexdigest()
+    """Hex digest of a canonical form.
+
+    A form holds only tuples and ints, and `marshal` version 2 writes
+    those by value alone, so equal forms give equal bytes in every
+    process, whatever its hash seed.  Later versions, the default
+    included, write an object met twice as a back-reference chosen by
+    object identity and reference count: two equal forms whose large
+    ints are distinct objects would then digest differently, and one
+    state would be split in two.
+    """
+    return hashlib.sha256(marshal.dumps(form, 2)).hexdigest()
 
 
 def canonical_hash(g: ProgramGraph) -> str:
@@ -218,7 +307,7 @@ def canonical_hash(g: ProgramGraph) -> str:
     return form_digest(canonical_form(g))
 
 
-_Links = dict[NodeId, dict[NodeId, tuple[list[str], list[str]]]]
+_Links = dict[NodeId, dict[NodeId, tuple[list[int], list[int]]]]
 
 
 def _links(arcs: list[_Arc]) -> _Links:

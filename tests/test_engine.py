@@ -560,3 +560,22 @@ def test_explore_stores_only_normalized_successors():
         for digest, state in lts.states.items():
             if digest != lts.initial:
                 assert save_native(_reference_normalize(state)) == save_native(state), index
+
+
+def test_explore_stores_no_state_with_an_adjacency_index(monkeypatch):
+    # A digest hit recomputes a stored state's form, which reads its
+    # index; the state must still wait for expansion without one.
+    indexed: dict[int, bool] = {}
+    real = engine.matches
+
+    def spying(g, rule):
+        indexed.setdefault(id(g), g._adj is not None)
+        return real(g, rule)
+
+    monkeypatch.setattr(engine, "matches", spying)
+    for index, (g, rules) in enumerate(_explore_differential_cases()[:4]):
+        indexed.clear()
+        lts = explore(g, rules)
+        waited = [s for d, s in lts.states.items() if d != lts.initial]
+        assert not any(indexed[id(s)] for s in waited), index
+        assert all(s._adj is None for s in lts.states.values()), index

@@ -7,12 +7,18 @@ backtracking test's verdict across randomized renamings and edits.
 
 from __future__ import annotations
 
+import copy
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from firmfold import (
     ADD,
+    CATALOG,
     COND,
     JMP,
     RELATIONS,
@@ -26,11 +32,24 @@ from firmfold import (
     build_min_plus_one,
     canonical_form,
     canonical_hash,
+    explore,
+    fold,
     is_isomorphic,
     load_native,
+    replay,
     save_native,
 )
-from firmfold.isomorphism import _extends
+from firmfold.isomorphism import (
+    _adjacency,
+    _adjacency_of,
+    _arcs,
+    _backward_order,
+    _compress,
+    _extends,
+    _initial_colors,
+    _refine,
+    form_digest,
+)
 from helpers import (
     GraphPlan,
     diamond_chain,
@@ -39,6 +58,7 @@ from helpers import (
     random_program,
     relabel,
 )
+from test_engine import _explore_differential_cases
 
 
 def test_empty_graphs():
@@ -396,3 +416,92 @@ def test_extension_needs_as_many_mapped_neighbours_in_both_graphs():
     assert _extends({0: 10}, {10}, linked, linked2, 1, 11)
     assert not _extends({0: 10}, {10}, linked, {}, 1, 11)
     assert not _extends({0: 10}, {10}, {}, linked2, 1, 11)
+
+
+def test_form_digest_depends_only_on_the_value_of_the_form():
+    big = 10**6
+    shared = ((big, big), ((0, 1, big),))  # one int object, met three times
+    distinct = ((int("1000000"), int("1000000")), ((0, 1, int("1000000")),))
+    assert shared == distinct
+    assert form_digest(shared) == form_digest(distinct)
+
+
+_DIGESTS = """
+import random
+from firmfold import CATALOG, build_min_plus_one, canonical_hash, fold, replay
+from helpers import diamond_chain
+g = diamond_chain(random.Random(0), 2)
+# nine steps in, two nodes lie outside the backward traversal
+state = replay(g, CATALOG, fold(g, CATALOG).trace[:9])
+print(canonical_hash(build_min_plus_one(3, 5, "lt")), canonical_hash(state))
+"""
+
+
+def test_canonical_hash_is_the_same_under_every_hash_seed():
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    printed = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+        run = subprocess.run(
+            [sys.executable, "-c", _DIGESTS],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        printed.add(run.stdout)
+    assert len(printed) == 1
+
+
+def _seeded(g: ProgramGraph) -> tuple[dict[int, int], list[int]]:
+    """The coloring `canonical_form` refines first, and the nodes its
+    backward traversal left unnumbered."""
+    initial = _initial_colors(g)
+    order = _backward_order(g, initial, g.adjacency_index().ins)
+    seeded = {n: i for i, n in enumerate(order)}
+    movable = [n for n in initial if n not in seeded]
+    ranks = _compress({n: initial[n] for n in movable})
+    seeded.update((n, len(order) + ranks[n]) for n in movable)
+    return seeded, movable
+
+
+def test_refining_the_unnumbered_nodes_alone_gives_full_refinement():
+    explored = [
+        state
+        for g, rules in _explore_differential_cases()
+        for state in explore(g, rules).states.values()
+    ]
+    # duplicate positions, two EndBlocks, no EndBlock: nothing is numbered
+    fallbacks = _differential_corpus()[-4:]
+    assert all(len(movable) == len(seeded) for seeded, movable in map(_seeded, fallbacks))
+    partly_numbered = 0
+    for index, g in enumerate(explored + fallbacks):
+        seeded, movable = _seeded(g)
+        partly_numbered += 0 < len(movable) < len(seeded)
+        everything = _adjacency(_arcs(g))
+        own = _adjacency_of(g, g.adjacency_index(), movable)
+        colors = _refine(seeded, own, movable)
+        assert colors == _refine(seeded, everything), index
+        # and below the individualization of each class's first member
+        classes: dict[int, list[int]] = {}
+        for n in movable:
+            classes.setdefault(colors[n], []).append(n)
+        for members in classes.values():
+            if len(members) > 1:
+                fresh = {**colors, min(members): max(colors.values()) + 1}
+                assert _refine(fresh, own, movable) == _refine(fresh, everything), index
+    assert partly_numbered > 100
+
+
+def test_canonical_form_leaves_the_adjacency_index_as_it_found_it():
+    # numbered through, with unnumbered constants, and with none numbered
+    chain = diamond_chain(random.Random(0), 2)
+    dead = replay(chain, CATALOG, fold(chain, CATALOG).trace[:9])
+    for g in (build_min_plus_one(3, 5, "lt"), dead, _differential_corpus()[-1]):
+        g.drop_index()
+        canonical_form(g)
+        assert g._adj is None
+        g.members(min(g.block_nodes))  # a query builds the index
+        index = g._adj
+        contents = copy.deepcopy((index.ins, index.outs, index.members))
+        canonical_form(g)
+        assert g._adj is index
+        assert (index.ins, index.outs, index.members) == contents

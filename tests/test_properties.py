@@ -1,4 +1,5 @@
-"""Properties of `fold` and `evaluate` on generated programs, checked with hypothesis.
+"""Properties of `fold`, `evaluate` and canonical forms on generated
+programs, checked with hypothesis.
 
 Each example draws a seed and a shape for a generator in `helpers`: a
 random program built in a random legal order, or a diamond chain with
@@ -11,6 +12,7 @@ programs.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,13 +21,17 @@ from firmfold import (
     CATALOG,
     FirmFoldError,
     ProgramGraph,
+    canonical_form,
+    canonical_hash,
     evaluate,
+    explore,
     fold,
+    is_isomorphic,
     replay,
     save_native,
     verify,
 )
-from helpers import diamond_chain, gapped, random_graph
+from helpers import diamond_chain, gapped, random_graph, relabel
 
 CHECKED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -83,3 +89,39 @@ def test_default_fuel_decides_as_ample_fuel_does(g, gaps):
     g = gapped(g) if gaps else g
     for h in (g, fold(g, CATALOG).graph):
         assert _outcome(h) == _outcome(h, 10**7)
+
+
+@CHECKED
+@given(programs(), st.booleans(), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_canonical_form_is_invariant_under_relabelling(g, gaps, steps, seed):
+    g = gapped(g) if gaps else g
+    # part way through a fold, unreferenced constants lie outside the
+    # backward traversal
+    g = replay(g, CATALOG, fold(g, CATALOG).trace[:steps])
+    assert canonical_form(relabel(g, random.Random(seed))) == canonical_form(g)
+
+
+@st.composite
+def small_programs(draw: st.DrawFn) -> ProgramGraph:
+    """A random program or one diamond, whose state space stays small."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = random_graph(rng)
+    else:
+        entries = st.frozensets(st.just(0))
+        g = diamond_chain(rng, 1, draw(entries), draw(entries))
+    return gapped(g) if draw(st.booleans()) else g
+
+
+@settings(CHECKED, max_examples=15)
+@given(small_programs(), st.integers(0, 2**32 - 1))
+def test_digests_agree_with_isomorphism_on_explored_states(g, seed):
+    states = list(explore(g, CATALOG, max_states=5000).states.values())
+    # the most crowded size holds the pairs hardest to tell apart
+    size, _ = Counter(s.element_count() for s in states).most_common(1)[0]
+    crowd = [s for s in states if s.element_count() == size][:8]
+    rng = random.Random(seed)
+    for a in crowd:
+        for b in crowd:
+            b = relabel(b, rng)
+            assert (canonical_hash(a) == canonical_hash(b)) == is_isomorphic(a, b)
