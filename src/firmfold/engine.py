@@ -10,25 +10,27 @@ from every reachable state, deduplicating states up to isomorphism, and
 so observes whether all maximal rewrites end in the same place; it keeps
 every state, so each successor comes from `apply`, which rewrites a
 copy.  Confluent rewrites often rebuild a stored state node id for node
-id, so a successor is first looked up by its exact content; only one
-that is not identical to a stored state is canonicalized.  A digest hit
-is confirmed by comparing the successor's canonical form with the
-stored state's, recomputed then rather than stored: a certificate
-lists every node's initial colour in canonical order and every arc
-renumbered by that order, so two equal certificates define a bijection
-that keeps every colour and every arc, which is an isomorphism.  A
-fault in the canonical form can thus split one state in two but never
-merge two that differ.
+id, so a successor is first looked up by its exact content, under a key
+that is its parent's updated at the nodes its step wrote (see below);
+only one that is not identical to a stored state is canonicalized.  A
+digest hit is confirmed by comparing the successor's canonical form
+with the stored state's, recomputed then rather than stored: a
+certificate lists every node's initial colour in canonical order and
+every arc renumbered by that order, so two equal certificates define a
+bijection that keeps every colour and every arc, which is an
+isomorphism.  A fault in the canonical form can thus split one state in
+two but never merge two that differ.
 `is_isomorphic`, which searches independently, stays the oracle:
 `Lts.final_states_isomorphic` and the tests call it.
 
-The fold driver does not match every rule over the whole graph before
-each step, as a graph-transformation tool does.  It keeps each rule's
+Neither driver matches every rule over the whole graph before each
+step, as a graph-transformation tool does.  `fold` keeps each rule's
 current matches and, after a step, asks a rule's `pattern` again only
 at the nodes where the step may have changed its answer, in the manner
 of Rete (Forgy 1982) and of incremental graph queries (Bergmann et al.
-2008).  This rests on a read invariant: a pattern asked at node `n`
-reads only
+2008).  `explore` gives each state its parent's matches, asked again
+in the same way where the step that made the state wrote.  Both rest on
+one read invariant: a pattern asked at node `n` reads only
 - `n` itself;
 - `n`'s in-edges and out-edges, and their far endpoints, whose kinds
   never change;
@@ -41,10 +43,17 @@ written together with its endpoints.  So a step's answers can change
 only at (a) a recorded node that still exists, (b) a member of a
 recorded block, whose entries changed, and (c) an out-edge of a
 recorded operation that has no block (it lost it).  Only those are
-re-asked.  The record is not a radius-2 walk: the start block holds
-every constant, and re-asking all its members on every step would cost
-as much as matching from scratch.  A rule without a pattern is asked
-through its matcher before every step.
+re-asked (`_dirty`).  The record is not a radius-2 walk: the start block
+holds every constant, and re-asking all its members on every step would
+cost as much as matching from scratch.  A rule without a pattern is
+asked through its matcher before every step and in every state.
+
+The same record keys `explore`'s content lookup.  The key is the XOR
+over nodes of a hash of each node's entries in the four node maps, as
+in Zobrist hashing (Zobrist 1970).  It is computed in full only for the
+input; every node whose entries a step changed is in the step's record,
+so a successor's key is its parent's with just those nodes' hashes
+swapped.
 
 Both drivers advance by one `_step`: rewrite a match, assert that the
 element count shrank (the measure that bounds both drivers, and so
@@ -93,8 +102,9 @@ class Rule:
     start at, and its `pattern`: `pattern(g, n)` lists the anchor
     tuples of the matches at one node `n` of that kind, each starting
     with `n`, and reads no more than the module docstring allows.
-    `fold` then keeps the rule's matches up to date step by step;
-    without both it asks `matcher` before every step.
+    `fold` then keeps the rule's matches up to date step by step, and
+    `explore` derives each state's from its parent's; without both,
+    either driver asks `matcher` before every step and in every state.
     """
 
     name: str
@@ -218,6 +228,31 @@ class FoldResult:
 _Found = dict[NodeId, list[tuple[NodeId, ...]]]
 
 
+def _found(g: ProgramGraph, rule: Rule) -> _Found:
+    """All of `rule`'s anchor tuples in `g`, from one `matcher` call."""
+    found: _Found = {}
+    for m in rule.matcher(g):
+        found.setdefault(m.anchors[0], []).append(m.anchors)
+    return found
+
+
+def _dirty(g: ProgramGraph, written: set[NodeId]) -> set[NodeId]:
+    """The nodes of `g` where a pattern's answer may differ from before the
+    step that wrote `written` (see the module docstring).
+
+    Those are the written nodes, the members of each written block,
+    and the out-edges of each written operation that has no block.
+    """
+    dirty = set(written)
+    for n in written:
+        if n in g.block_nodes:
+            dirty.update(g.members(n))
+        elif n in g.op_nodes and n not in g.containment:
+            dirty.update(eid for eid, _ in g.data_users(n))
+            dirty.update(eid for eid, _ in g.control_succs(n))
+    return dirty
+
+
 class _Agenda:
     """The current matches of every rule in one graph, for `fold` to choose from.
 
@@ -242,9 +277,7 @@ class _Agenda:
             if rule.pattern is None or rule.anchor is None:
                 self.entries.append((rule, None, []))
                 continue
-            found: _Found = {}
-            for m in rule.matcher(g):
-                found.setdefault(m.anchors[0], []).append(m.anchors)
+            found = _found(g, rule)
             heap = [t for tuples in found.values() for t in tuples]
             heapq.heapify(heap)
             self.entries.append((rule, found, heap))
@@ -255,14 +288,7 @@ class _Agenda:
         g = self.g
         written = g.take_written()
         assert written is not None, "recorded since __init__"
-        dirty = set(written)
-        for n in written:
-            if n in g.block_nodes:
-                dirty.update(g.members(n))
-            elif n in g.op_nodes and n not in g.containment:
-                dirty.update(eid for eid, _ in g.data_users(n))
-                dirty.update(eid for eid, _ in g.control_succs(n))
-        for n in dirty:
+        for n in _dirty(g, written):
             kind = g.kind_of(n)
             if kind is None:
                 for _, found, _ in self.entries:
@@ -365,16 +391,80 @@ class Lts:
         return all(is_isomorphic(first, self.states[d]) for d in finals[1:])
 
 
+def _node_key(g: ProgramGraph, n: NodeId) -> int:
+    """A hash of node `n`'s entries in `g`'s four node maps; 0 when `n` is absent."""
+    op, block, edge = g.op_nodes.get(n), g.block_nodes.get(n), g.edge_nodes.get(n)
+    if op is None and block is None and edge is None:
+        return 0
+    return hash((n, op, block, edge, g.containment.get(n)))
+
+
 def _content_key(g: ProgramGraph) -> int:
-    """A hash of `g`'s four node maps: graphs of equal content hash equal."""
-    return hash(
-        (
-            frozenset(g.op_nodes.items()),
-            frozenset(g.block_nodes.items()),
-            frozenset(g.edge_nodes.items()),
-            frozenset(g.containment.items()),
-        )
-    )
+    """The XOR of `_node_key` over `g`'s nodes: graphs of equal content key equal.
+
+    `explore` computes it in full only for its input; a successor's key
+    is its parent's, updated by `_step_key` where the step wrote.
+    """
+    key = 0
+    for n in (*g.op_nodes, *g.block_nodes, *g.edge_nodes):
+        key ^= _node_key(g, n)
+    return key
+
+
+def _step_key(key: int, g: ProgramGraph, h: ProgramGraph, written: set[NodeId]) -> int:
+    """The content key of `h` from `key`, that of `g`, where the step from `g` to `h` wrote.
+
+    Every node whose entries differ between `g` and `h` is in `written`,
+    so XOR-ing out its old hash and in its new one at those nodes alone
+    gives `_content_key(h)`.
+    """
+    for n in written:
+        key ^= _node_key(g, n) ^ _node_key(h, n)
+    return key
+
+
+#: A state's match sets: for each rule, by priority, its anchor tuples
+#: by anchor node, or None for a rule without a pattern.
+_MatchSets = list[_Found | None]
+
+#: A stored successor's parent's match sets and the nodes its step wrote.
+_Inherited = tuple[_MatchSets, set[NodeId]]
+
+
+def _match_sets(g: ProgramGraph, ordered: list[Rule], inherited: _Inherited | None) -> _MatchSets:
+    """The match sets of a state `explore` is about to expand.
+
+    `inherited` holds the parent's match sets and the nodes written by
+    the step that made `g`; the patterns are re-asked only where that
+    step may have changed their answer (`_dirty`), as `fold` does.
+    Without it (the initial state), every rule with a pattern is asked
+    through its matcher.
+    """
+    if inherited is None:
+        return [
+            None if rule.pattern is None or rule.anchor is None else _found(g, rule)
+            for rule in ordered
+        ]
+    parent, written = inherited
+    sets = [None if found is None else dict(found) for found in parent]
+    by_anchor: dict[NodeKind, list[tuple[Pattern, _Found]]] = {}
+    for rule, found in zip(ordered, sets):
+        if found is not None:
+            by_anchor.setdefault(rule.anchor, []).append((rule.pattern, found))
+    for n in _dirty(g, written):
+        kind = g.kind_of(n)
+        if kind is None:
+            for found in sets:
+                if found is not None:
+                    found.pop(n, None)
+            continue
+        for pattern, found in by_anchor.get(kind, ()):
+            new = pattern(g, n)
+            if new:
+                found[n] = new
+            else:
+                found.pop(n, None)
+    return sets
 
 
 def _same_content(a: ProgramGraph, b: ProgramGraph) -> bool:
@@ -401,24 +491,43 @@ def explore(
     RuntimeError.
     Raises StateLimitExceeded when more than `max_states` distinct
     states turn up, the initial state included.
+
+    Only `g` is matched and keyed in full.  Each stored successor keeps
+    the nodes its step wrote (`take_written`); its content key is its
+    parent's updated at those nodes (`_step_key`), and on expansion its
+    match sets are its parent's with the patterns re-asked around them
+    (`_match_sets`).  A wrong key could only cause a miss, since
+    `_same_content` confirms every hit.  Expanding `g` restarts its
+    write record, as it would any state's.
     """
     if max_states < 1:
         raise StateLimitExceeded(f"state space exceeds {max_states} states")
     ordered = sorted(rules, key=lambda r: r.priority)
     initial = canonical_hash(g)
     states: dict[str, ProgramGraph] = {initial: g}
+    initial_key = _content_key(g)
     # Content key -> digest of the first stored state with that key; a
     # successor of other content under the same key is canonicalized.
-    by_content: dict[int, str] = {_content_key(g): initial}
+    by_content: dict[int, str] = {initial_key: initial}
     transitions: set[tuple[str, str, str]] = set()
-    queue: deque[str] = deque([initial])
+    # Each waiting state's digest and content key, with its parent's
+    # match sets and its step's written nodes (None for `g`).
+    queue: deque[tuple[str, int, _Inherited | None]] = deque([(initial, initial_key, None)])
     while queue:
-        digest = queue.popleft()
+        digest, state_key, inherited = queue.popleft()
         state = states[digest]
-        for rule in ordered:
-            for match in matches(state, rule):
+        sets = _match_sets(state, ordered, inherited)
+        state.take_written()  # each successor's copy starts an empty record
+        for rule, found in zip(ordered, sets):
+            if found is None:
+                listed = matches(state, rule)
+            else:
+                tuples = sorted(t for ts in found.values() for t in ts)
+                listed = [Match(rule.name, t) for t in tuples]
+            for match in listed:
                 successor = apply(state, rule, match)
-                key = _content_key(successor)
+                written = successor.take_written()
+                key = _step_key(state_key, state, successor, written)
                 succ_digest = by_content.get(key)
                 if succ_digest is None or not _same_content(successor, states[succ_digest]):
                     form = canonical_form(successor)
@@ -437,7 +546,7 @@ def explore(
                         successor.drop_index()
                         states[succ_digest] = successor
                         by_content.setdefault(key, succ_digest)
-                        queue.append(succ_digest)
+                        queue.append((succ_digest, key, (sets, written)))
                 transitions.add((digest, rule.name, succ_digest))
         state.drop_index()
     outgoing = {src for src, _, _ in transitions}

@@ -536,9 +536,10 @@ def test_explore_without_content_hits_gives_the_same_lts(monkeypatch):
         (diamond_chain(random.Random(3), 1, dead=frozenset({0})), 164),
     ]
     expected = [explore(g, CATALOG) for g, _ in cases]
-    # One key for every graph: each successor misses the first stored
-    # state's content and takes the canonical path.
-    monkeypatch.setattr(engine, "_content_key", lambda g: 0)
+    # One key for every graph, the input's and each step-updated one:
+    # each successor misses the first stored state's content and takes
+    # the canonical path.
+    monkeypatch.setattr(engine, "_node_key", lambda g, n: 0)
     for index, ((g, states), want) in enumerate(zip(cases, expected)):
         lts = explore(g, CATALOG)
         assert len(lts.states) == states, index
@@ -566,16 +567,60 @@ def test_explore_stores_no_state_with_an_adjacency_index(monkeypatch):
     # A digest hit recomputes a stored state's form, which reads its
     # index; the state must still wait for expansion without one.
     indexed: dict[int, bool] = {}
-    real = engine.matches
+    real = engine._match_sets
 
-    def spying(g, rule):
+    def spying(g, ordered, inherited):
         indexed.setdefault(id(g), g._adj is not None)
-        return real(g, rule)
+        return real(g, ordered, inherited)
 
-    monkeypatch.setattr(engine, "matches", spying)
+    monkeypatch.setattr(engine, "_match_sets", spying)
     for index, (g, rules) in enumerate(_explore_differential_cases()[:4]):
         indexed.clear()
         lts = explore(g, rules)
         waited = [s for d, s in lts.states.items() if d != lts.initial]
         assert not any(indexed[id(s)] for s in waited), index
         assert all(s._adj is None for s in lts.states.values()), index
+
+
+def test_explore_inherits_the_matchers_answers_and_the_content_key(monkeypatch):
+    # On every expanded state, the match sets inherited from the parent
+    # equal the matchers' answers; on every successor, the step-updated
+    # content key equals the key computed from scratch.
+    checked: Counter[str] = Counter()
+    real_sets, real_key = engine._match_sets, engine._step_key
+
+    def sets_checked(g, ordered, inherited):
+        sets = real_sets(g, ordered, inherited)
+        for rule, found in zip(ordered, sets):
+            if found is not None:
+                kept = sorted(t for tuples in found.values() for t in tuples)
+                assert kept == [m.anchors for m in matches(g, rule)], rule.name
+        checked["inherited" if inherited is not None else "initial"] += 1
+        return sets
+
+    def key_checked(key, g, h, written):
+        new = real_key(key, g, h, written)
+        assert new == engine._content_key(h)
+        checked["keys"] += 1
+        return new
+
+    monkeypatch.setattr(engine, "_match_sets", sets_checked)
+    monkeypatch.setattr(engine, "_step_key", key_checked)
+    cases = _explore_differential_cases()
+    cases += [(gapped(g), rules) for g, rules in cases]
+    for g, rules in cases:
+        explore(g, rules)
+    assert checked["initial"] == len(cases)
+    assert checked["inherited"] > 1000
+    assert checked["keys"] > checked["inherited"]
+
+
+def test_explore_without_patterns_gives_the_same_lts():
+    # The traced benchmark rebuilds the catalog without patterns, so its
+    # explores ask every matcher at every expansion.
+    for index, (g, rules) in enumerate(_explore_differential_cases()):
+        bare = _without_patterns(rules)
+        mixed = tuple(b if i % 2 else r for i, (r, b) in enumerate(zip(rules, bare)))
+        expected = explore(g, rules)
+        for catalog in (bare, mixed):
+            assert_same_lts(explore(g, catalog), expected, index)

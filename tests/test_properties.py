@@ -1,5 +1,5 @@
-"""Properties of `fold`, `evaluate` and canonical forms on generated
-programs, checked with hypothesis.
+"""Properties of `fold`, `evaluate`, canonical forms and a step's write
+record on generated programs, checked with hypothesis.
 
 Each example draws a seed and a shape for a generator in `helpers`: a
 random program built in a random legal order, or a diamond chain with
@@ -21,12 +21,14 @@ from firmfold import (
     CATALOG,
     FirmFoldError,
     ProgramGraph,
+    apply,
     canonical_form,
     canonical_hash,
     evaluate,
     explore,
     fold,
     is_isomorphic,
+    matches,
     replay,
     save_native,
     verify,
@@ -125,3 +127,24 @@ def test_digests_agree_with_isomorphism_on_explored_states(g, seed):
         for b in crowd:
             b = relabel(b, rng)
             assert (canonical_hash(a) == canonical_hash(b)) == is_isomorphic(a, b)
+
+
+def _entries(g: ProgramGraph, n: int) -> tuple:
+    return g.op_nodes.get(n), g.block_nodes.get(n), g.edge_nodes.get(n), g.containment.get(n)
+
+
+@CHECKED
+@given(programs(), st.booleans())
+def test_a_step_records_every_node_whose_entries_it_changes(g, gaps):
+    # `explore`'s inherited match sets and step-updated content keys
+    # both rest on this record.
+    g = gapped(g) if gaps else g
+    g.take_written()  # start the record, which copies carry
+    for rule in CATALOG:
+        for match in matches(g, rule):
+            h = apply(g, rule, match)
+            written = h.take_written()
+            nodes = {*g.op_nodes, *g.block_nodes, *g.edge_nodes}
+            nodes |= {*h.op_nodes, *h.block_nodes, *h.edge_nodes}
+            changed = {n for n in nodes if _entries(g, n) != _entries(h, n)}
+            assert changed <= written, (rule.name, match)
