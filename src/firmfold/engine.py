@@ -61,10 +61,12 @@ element count shrank (the measure that bounds both drivers, and so
 0..n-1 (see `normalize_positions`), so no rule has to renumber
 anything itself.  Only a consumer whose inputs changed can acquire a
 gap, so a step renumbers just those; the graph records them, and a
-copy carries the record.  Only a graph whose record is unknown (fresh
-or loaded) has every consumer checked.  A block whose renumbering
-could collide a stale Phi input with a live one keeps its gap until
-the input is dropped (see `_renumber`).
+copy carries the record.  Each driver also compacts the copy it starts
+from (`_start`), so that gaps in a loaded graph hide no match; only
+there, when the graph's record is unknown (fresh or loaded), is every
+consumer checked.  A block whose renumbering could collide a stale Phi
+input with a live one keeps its gap until the input is dropped (see
+`_renumber`).
 """
 
 from __future__ import annotations
@@ -205,6 +207,15 @@ def _normalize_all(g: ProgramGraph) -> None:
     g.take_touched()
 
 
+def _start(g: ProgramGraph) -> ProgramGraph:
+    """The copy of `g` a driver starts from, with its positions compacted
+    as every step leaves them; a loaded graph's gaps could otherwise hide
+    matches from the rules, which read positions 0 and 1."""
+    start = g.copy()
+    _normalize_all(start)
+    return start
+
+
 def format_trace(trace: tuple[Match, ...]) -> str:
     """One line per step: `step 1: rule-name @ [n8, n5]`."""
     out = []
@@ -332,16 +343,16 @@ def fold(
 ) -> FoldResult:
     """Rewrite deterministically until no rule matches.
 
-    Works on one copy of `g`, rewritten in place; `g` is left as it
-    was.  Raises StepLimitExceeded if a rule still matches after
-    `max_steps` applications.  By default the budget is `g`'s element
-    count: every step removes an element, so rules that keep the
+    Works on one copy of `g` (`_start`), rewritten in place; `g` is
+    left as it was.  Raises StepLimitExceeded if a rule still matches
+    after `max_steps` applications.  By default the budget is `g`'s
+    element count: every step removes an element, so rules that keep the
     measure never reach it, and under `python -O`, where `_step`'s
     assertion is stripped, it still stops a rule that breaks it.
     """
     if max_steps is None:
         max_steps = g.element_count()
-    current = g.copy()
+    current = _start(g)
     agenda = _Agenda(current, rules)
     trace: list[Match] = []
     while (chosen := agenda.best()) is not None:
@@ -355,12 +366,12 @@ def fold(
 
 
 def replay(g: ProgramGraph, rules: tuple[Rule, ...], trace: tuple[Match, ...]) -> ProgramGraph:
-    """Re-apply a recorded trace step by step, on one copy of `g`.
+    """Re-apply a recorded trace step by step, on one copy of `g` (`_start`).
 
     Raises StaleMatchError when a recorded match does not occur.
     """
     by_name = {r.name: r for r in rules}
-    current = g.copy()
+    current = _start(g)
     for match in trace:
         if match.rule_name not in by_name:
             raise StaleMatchError(f"no rule named {match.rule_name}")
@@ -482,6 +493,7 @@ def explore(
 ) -> Lts:
     """Breadth-first closure of `g` under all matches of all rules.
 
+    The initial state is a copy of `g` (`_start`); `g` is left as it was.
     States are deduplicated by canonical digest.  A successor identical,
     node id for node id, to the first stored state with its content key
     takes that state's digest without being canonicalized: the identity
@@ -492,17 +504,20 @@ def explore(
     Raises StateLimitExceeded when more than `max_states` distinct
     states turn up, the initial state included.
 
-    Only `g` is matched and keyed in full.  Each stored successor keeps
-    the nodes its step wrote (`take_written`); its content key is its
-    parent's updated at those nodes (`_step_key`), and on expansion its
-    match sets are its parent's with the patterns re-asked around them
-    (`_match_sets`).  A wrong key could only cause a miss, since
-    `_same_content` confirms every hit.  Expanding `g` restarts its
-    write record, as it would any state's.
+    Only the initial state is matched and keyed in full.  Each stored
+    successor waits in the queue with the nodes its step wrote
+    (`take_written`); its content key is its parent's updated at those
+    nodes (`_step_key`), and on expansion its match sets are its
+    parent's with the patterns re-asked around them (`_match_sets`).
+    A wrong key could only cause a miss, since `_same_content` confirms
+    every hit.  Expanding a state restarts its write record, so that
+    each successor's record holds just its own step's writes; a stored
+    state keeps neither a record nor an index (`shelve`).
     """
     if max_states < 1:
         raise StateLimitExceeded(f"state space exceeds {max_states} states")
     ordered = sorted(rules, key=lambda r: r.priority)
+    g = _start(g)
     initial = canonical_hash(g)
     states: dict[str, ProgramGraph] = {initial: g}
     initial_key = _content_key(g)
@@ -542,13 +557,14 @@ def explore(
                             raise StateLimitExceeded(
                                 f"state space exceeds {max_states} states"
                             )
-                        # Stored states hold no index; expansion rebuilds it.
-                        successor.drop_index()
+                        # Stored states hold no index and no write record;
+                        # expansion rebuilds the one and restarts the other.
+                        successor.shelve()
                         states[succ_digest] = successor
                         by_content.setdefault(key, succ_digest)
                         queue.append((succ_digest, key, (sets, written)))
                 transitions.add((digest, rule.name, succ_digest))
-        state.drop_index()
+        state.shelve()
     outgoing = {src for src, _, _ in transitions}
     final = frozenset(d for d in states if d not in outgoing)
     return Lts(states, tuple(sorted(transitions)), initial, final)

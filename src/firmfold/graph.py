@@ -278,12 +278,15 @@ class ProgramGraph:
             edges[eid] for eid in self._index().outs.get(node, ()) if edges[eid].kind is kind
         ]
 
-    def drop_index(self) -> None:
-        """Free the adjacency index; the next query rebuilds it.
+    def shelve(self) -> None:
+        """Free the adjacency index and stop the write record.
 
-        For graphs kept in bulk, such as the states `explore` stores.
+        For graphs kept in bulk, such as the states `explore` stores: the
+        next query rebuilds the index, and the next `take_written` call
+        returns None and restarts the record.
         """
         self._adj = None
+        self._written = None
 
     def adjacency_index(self) -> _Adjacency:
         """The adjacency index, for reading in bulk; never to be mutated.

@@ -17,11 +17,33 @@ position/branch attributes themselves.  Importing nodifies each typed
 flow edge.  Dialect detection keys on exactly that difference: any
 `<edge>` with a `<type>` child means the attributed dialect.
 
-Each reader parses its document once, sorts the `<graph>` children in
-one walk, and reads each element's children in one pass; one reader
-serves the `<node>` declarations of both dialects.  The writer emits
-the fixed native layout directly; every value in it is an integer or a
-name from a closed set, so nothing needs escaping.
+A native document in the *plain* subset is read without an element
+tree: one `fullmatch` of a compiled pattern proves that the document
+lies in the subset, and `findall` lists its node declarations and its
+relation edges in document order.  The subset covers what `save_native`
+writes and the same elements laid out without indentation:
+- printable ASCII only, with no entity or character reference,
+  comment, CDATA section or processing instruction, no `\\r` in text
+  and no whitespace in attribute values;
+- an optional `<?xml version='1.0' encoding='utf-8'?>`;
+- exactly `<gxl xmlns:xlink="http://www.w3.org/1999/xlink">` and
+  `<graph id="..." edgeids="false" edgemode="directed">`;
+- `<node id="n<digits>">` holding one `<type xlink:href="#Name"/>` and
+  then `<attr name="..."><int>` or `<string>` text `</...></attr>`
+  elements, and `<edge from="n<digits>" to="n<digits>"/>`, with any
+  whitespace between tags.
+ElementTree parses every other document: the attributed dialect,
+namespaced or commented documents, the empty graph `save_native`
+writes, and any read that forces the attributed dialect.  It also
+parses a plain document that the plain reader finds invalid, so every
+error comes from one reader.  Both readers hand each distinct node
+signature (its type href and its attrs' names, value tags and texts)
+to one validator, `_label_of`, and resolve native relation edges in
+one loop, `_relations`; so a document reads to the same graph whichever
+reader reads it.
+
+The writer emits the fixed native layout directly; every value in it
+is an integer or a name from a closed set, so nothing needs escaping.
 """
 
 from __future__ import annotations
@@ -30,9 +52,11 @@ import io
 import re
 import xml.etree.ElementTree as ET
 from enum import Enum
+from typing import Iterable
 
 from .errors import (
     FirmFoldError,
+    GxlError,
     GxlParseError,
     GxlReferenceError,
     SchemaError,
@@ -62,6 +86,42 @@ _FLOW_EDGE_TYPES = {"Dataflow": EdgeKind.DATAFLOW, "Controlflow": EdgeKind.CONTR
 _OP_ATTRS: dict[str, dict[str, type]] = {"Const": {"value": int}, "Cmp": {"relation": str}}
 #: The one label each attribute-free operation kind needs.
 _PLAIN_OPS = {name: OpKind(name) for name in OP_NAMES if name not in _OP_ATTRS}
+
+# The plain subset (see the module docstring).  XML whitespace; an
+# attribute value's character: printable ASCII but space, `"`, `&`, `<`;
+# text: printable ASCII, tab and newline, but `&`, `<`, `>`.
+_S = "[ \t\n\r]*"
+_VALUE = "[!#-%'-;=-~]"
+_TEXT = "[\t\n -%'-;=?-~]*"
+_ATTR = (
+    rf'<attr name="{_VALUE}+"{_S}>{_S}'
+    rf"(?:<int>{_TEXT}</int>|<string>{_TEXT}</string>){_S}</attr>"
+)
+#: A node: its id, its type href and its attrs as written.
+_PLAIN_NODE = re.compile(
+    rf'<node id="(n[0-9]+)"{_S}>{_S}<type xlink:href="(#[A-Za-z]+)"{_S}/>'
+    rf"((?:{_S}{_ATTR})*){_S}</node>"
+)
+#: A relation edge: its two endpoints.
+_PLAIN_EDGE = re.compile(rf'<edge from="(n[0-9]+)" to="(n[0-9]+)"{_S}/>')
+# The body repeats possessively, so matching keeps no backtracking state
+# per element.
+_PLAIN = re.compile(
+    rf"(?:<\?xml version='1\.0' encoding='utf-8'\?>)?{_S}"
+    rf'<gxl xmlns:xlink="http://www\.w3\.org/1999/xlink">{_S}'
+    rf'<graph id="{_VALUE}*" edgeids="false" edgemode="directed">'
+    rf"(?:{_S}(?:{_PLAIN_NODE.pattern}|{_PLAIN_EDGE.pattern}))*+"
+    rf"{_S}</graph>{_S}</gxl>{_S}"
+)
+#: One attr of a plain node's attrs: its name, value tag and text.
+_PLAIN_ATTR = re.compile(rf'name="([^"]*)"{_S}>{_S}<(int|string)>([^<]*)<')
+
+#: A node's type href (None if its type has none) and each attr's name,
+#: value tag (None unless it has exactly one value element) and text.
+_Signature = tuple[str | None, tuple[tuple[str | None, str | None, str], ...]]
+
+# Where `_label_of` puts a node: the operation, block or Edge node map.
+_OP, _BLOCK, _EDGE = range(3)
 
 
 class DialectTag(Enum):
@@ -111,86 +171,102 @@ class _Document:
                     typed = any(names[c.tag] == "type" for c in el)
         self.dialect = DialectTag.FIRM_ATTRIBUTED if typed else DialectTag.NATIVE
 
-    def parts(self, el: ET.Element) -> tuple[str | None, dict[str, int | str]]:
-        """The `<type>` fragment and the attrs of a node or typed edge, read
-        in one pass over its children; (None, {}) if it has no type."""
+    def signature(self, el: ET.Element) -> _Signature | None:
+        """The signature of a node or typed edge, read in one pass over its
+        children; None if it has no type."""
         names = self.names
-        type_el, attr_els = None, []
+        typed, href, attrs = False, None, []
         for child in el:
             name = names[child.tag]
             if name == "attr":
-                attr_els.append(child)
+                one = len(child) == 1
+                tag, text = (names[child[0].tag], child[0].text or "") if one else (None, "")
+                attrs.append((child.get("name"), tag, text))
             elif name == "type":
-                if type_el is not None:
+                if typed:
                     raise SchemaError("element declares more than one type")
-                type_el = child
-        if type_el is None:
-            return None, {}
-        href = type_el.get(_XLINK_HREF) or type_el.get("href")
-        if href is None or not href.startswith("#") or len(href) < 2:
-            raise SchemaError("type element lacks a usable href fragment")
-        attrs: dict[str, int | str] = {}
-        for attr in attr_els:
-            name = attr.get("name")
-            if not name:
-                raise SchemaError(f"{_context(el)}: attr without a name")
-            if name in attrs:
-                raise SchemaError(f"{_context(el)}: duplicate attr {name!r}")
-            if len(attr) != 1 or (value_tag := names[attr[0].tag]) not in ("int", "string"):
-                raise SchemaError(
-                    f"{_context(el)}: attr {name!r} needs exactly one int or string value"
-                )
-            text = (attr[0].text or "").strip()
-            if value_tag == "int":
-                if not _INT_RE.fullmatch(text):
-                    raise SchemaError(f"{_context(el)}: attr {name!r} is not a decimal integer")
-                attrs[name] = _decimal(text, el, name)
-            else:
-                attrs[name] = text
-        return href[1:], attrs
+                typed, href = True, child.get(_XLINK_HREF) or child.get("href")
+        return (href, tuple(attrs)) if typed else None
 
 
-def _context(el: ET.Element) -> str:
-    """How error messages name a node or edge element."""
-    if _local(el.tag) == "node":
-        return f"node {el.get('id')!r}"
-    return f"edge {el.get('from')!r} -> {el.get('to')!r}"
+def _typed(sig: _Signature, context: str) -> tuple[str, dict[str, int | str]]:
+    """The type name and the attrs of a signature, checked; `context`
+    names its element in error messages."""
+    href, attrs = sig
+    if href is None or not href.startswith("#") or len(href) < 2:
+        raise SchemaError("type element lacks a usable href fragment")
+    values: dict[str, int | str] = {}
+    for name, tag, text in attrs:
+        if not name:
+            raise SchemaError(f"{context}: attr without a name")
+        if name in values:
+            raise SchemaError(f"{context}: duplicate attr {name!r}")
+        if tag not in ("int", "string"):
+            raise SchemaError(f"{context}: attr {name!r} needs exactly one int or string value")
+        text = text.strip()
+        if tag == "int":
+            if not _INT_RE.fullmatch(text):
+                raise SchemaError(f"{context}: attr {name!r} is not a decimal integer")
+            values[name] = _decimal(text, f"{context}: attr {name!r}")
+        else:
+            values[name] = text
+    return href[1:], values
 
 
-def _decimal(digits: str, el: ET.Element | None = None, attr: str = "") -> int:
-    """`int(digits)`; past the digit limit, GxlParseError naming `el`'s `attr` or a node id."""
+def _label_of(sig: _Signature, context: str, native: bool) -> tuple[int, object]:
+    """Where a node of signature `sig` goes and what it holds there: its
+    operation or block kind, or an Edge node's (kind, position, branch)."""
+    type_name, attrs = _typed(sig, context)
+    if type_name in _PLAIN_OPS and not attrs:
+        return _OP, _PLAIN_OPS[type_name]
+    if type_name in OP_NAMES:
+        _expect_attrs(attrs, context, _OP_ATTRS.get(type_name, {}))
+        try:
+            return _OP, OpKind(type_name, **attrs)  # type: ignore[arg-type]
+        except ValueError as exc:
+            raise SchemaError(f"{context}: {exc}") from None
+    if type_name in _BLOCK_TYPES:
+        _expect_attrs(attrs, context, {})
+        return _BLOCK, _BLOCK_TYPES[type_name]
+    if native and type_name in _EDGE_NODE_TYPES:
+        kind = _EDGE_NODE_TYPES[type_name]
+        return _EDGE, (kind, *_flow_attrs(kind, attrs, context))
+    raise UnsupportedNodeTypeError(f"unsupported node type #{type_name}")
+
+
+def _decimal(digits: str, what: str) -> int:
+    """`int(digits)`; past the digit limit, GxlParseError naming `what`."""
     try:
         return int(digits)
     except ValueError:
-        what = f"{_context(el)}: attr {attr!r}" if el is not None else "node id"
         raise GxlParseError(f"{what} has {len(digits)} digits, too many to read") from None
 
 
 def _expect_attrs(
     attrs: dict[str, int | str],
-    el: ET.Element,
+    context: str,
     required: dict[str, type],
     optional: dict[str, type] = {},
 ) -> None:
     for name, typ in required.items():
         if name not in attrs:
-            raise SchemaError(f"{_context(el)}: missing attr {name!r}")
+            raise SchemaError(f"{context}: missing attr {name!r}")
         if not isinstance(attrs[name], typ):
-            raise SchemaError(f"{_context(el)}: attr {name!r} has the wrong value type")
+            raise SchemaError(f"{context}: attr {name!r} has the wrong value type")
     for name in attrs:
         if name not in required and name not in optional:
-            raise SchemaError(f"{_context(el)}: unexpected attr {name!r}")
+            raise SchemaError(f"{context}: unexpected attr {name!r}")
         if name in optional and not isinstance(attrs[name], optional[name]):
-            raise SchemaError(f"{_context(el)}: attr {name!r} has the wrong value type")
+            raise SchemaError(f"{context}: attr {name!r} has the wrong value type")
 
 
 def _flow_attrs(
-    kind: EdgeKind, attrs: dict[str, int | str], el: ET.Element
+    kind: EdgeKind, attrs: dict[str, int | str], context: str
 ) -> tuple[int, int | None]:
     """The position and branch of a flow edge: `position` is required,
     and `branch` is allowed on Controlflow edges only."""
     optional = {"branch": int} if kind is EdgeKind.CONTROLFLOW else {}
-    _expect_attrs(attrs, el, {"position": int}, optional)
+    _expect_attrs(attrs, context, {"position": int}, optional)
     return attrs["position"], attrs.get("branch")  # type: ignore[return-value]
 
 
@@ -200,21 +276,25 @@ def _key(raw: str, native: bool) -> NodeId | str | None:
     if not native:
         return raw or None
     digits = raw[1:]
-    return _decimal(digits) if raw[:1] == "n" and digits.isascii() and digits.isdecimal() else None
+    if raw[:1] == "n" and digits.isascii() and digits.isdecimal():
+        return _decimal(digits, "node id")
+    return None
 
 
-def _declarations(doc: _Document, native: bool) -> tuple[dict, dict, dict, dict]:
+#: Operations, blocks and each Edge node's (kind, position, branch), by
+#: node; and each node's number by its `_key` and by its id as written.
+_Declared = tuple[dict, dict, dict, dict]
+
+
+def _declarations(doc: _Document, native: bool) -> _Declared:
     """Read the `<node>` elements of either dialect.
 
     Native nodes keep the number their id names; attributed nodes are
-    numbered in document order and may not be Edge nodes.  Returns the
-    operation and block maps, each Edge node's (kind, position, branch),
-    and each node's number by its `_key` and by its id as written.
+    numbered in document order and may not be Edge nodes.
     """
-    op_nodes: dict[NodeId, OpKind] = {}
-    block_nodes: dict[NodeId, BlockKind] = {}
-    edge_meta: dict[NodeId, tuple[EdgeKind, int, int | None]] = {}
+    maps: tuple[dict, dict, dict] = ({}, {}, {})
     ids: dict[NodeId | str, NodeId] = {}
+    labels: dict[_Signature, tuple[int, object]] = {}
     for el in doc.nodes:
         raw_id = el.get("id")
         if raw_id is None or (key := _key(raw_id, native)) is None:
@@ -225,32 +305,45 @@ def _declarations(doc: _Document, native: bool) -> tuple[dict, dict, dict, dict]
             raise SchemaError(f"duplicate node id {raw_id!r}")
         # An attributed id is its own key, so `ids` has one entry per node.
         nid = ids[key] = ids[raw_id] = key if native else len(ids)  # type: ignore[assignment]
-        type_name, attrs = doc.parts(el)
-        if type_name is None:
+        sig = doc.signature(el)
+        if sig is None:
             raise SchemaError(f"node {raw_id!r} declares no type")
-        if type_name in _PLAIN_OPS and not attrs:
-            op_nodes[nid] = _PLAIN_OPS[type_name]
-        elif type_name in OP_NAMES:
-            _expect_attrs(attrs, el, _OP_ATTRS.get(type_name, {}))
-            try:
-                op_nodes[nid] = OpKind(type_name, **attrs)  # type: ignore[arg-type]
-            except ValueError as exc:
-                raise SchemaError(f"{_context(el)}: {exc}") from None
-        elif type_name in _BLOCK_TYPES:
-            _expect_attrs(attrs, el, {})
-            block_nodes[nid] = _BLOCK_TYPES[type_name]
-        elif native and type_name in _EDGE_NODE_TYPES:
-            kind = _EDGE_NODE_TYPES[type_name]
-            edge_meta[nid] = (kind, *_flow_attrs(kind, attrs, el))
-        else:
-            raise UnsupportedNodeTypeError(f"unsupported node type #{type_name}")
-    return op_nodes, block_nodes, edge_meta, ids
+        if (label := labels.get(sig)) is None:
+            label = labels[sig] = _label_of(sig, f"node {raw_id!r}", native)
+        which, value = label
+        maps[which][nid] = value
+    return (*maps, ids)
 
 
-def _endpoint(el: ET.Element, attr: str, ids: dict, native: bool) -> NodeId:
+def _read_plain(data: bytes | str) -> ProgramGraph | None:
+    """The graph of a plain document; None for any other document, and for
+    a plain one that is not a valid graph."""
+    text = data if isinstance(data, str) else data.decode("latin-1")
+    if not _PLAIN.fullmatch(text):
+        return None
+    maps: tuple[dict, dict, dict] = ({}, {}, {})
+    ids: dict[NodeId | str, NodeId] = {}
+    labels: dict[tuple[str, str], tuple[int, object]] = {}
+    try:
+        for raw_id, href, attrs in _PLAIN_NODE.findall(text):
+            nid = _decimal(raw_id[1:], "node id")
+            if nid in ids:
+                return None
+            ids[nid] = ids[raw_id] = nid
+            if (label := labels.get((href, attrs))) is None:
+                sig = (href, tuple(_PLAIN_ATTR.findall(attrs)))
+                label = labels[href, attrs] = _label_of(sig, f"node {raw_id!r}", True)
+            which, value = label
+            maps[which][nid] = value
+        return _relations(_PLAIN_EDGE.findall(text), (*maps, ids))
+    except GxlError:
+        return None
+
+
+def _endpoint(raw: str | None, attr: str, ids: dict, native: bool) -> NodeId:
     """The declared node an `<edge>` names in `attr`, found by its id as
     written, or by `_key` for another spelling (`n1` for `n01`)."""
-    if (raw := el.get(attr)) is None:
+    if raw is None:
         raise SchemaError(f"edge without a {attr!r} endpoint")
     if (nid := ids.get(raw)) is None and (nid := ids.get(_key(raw, native))) is None:
         raise GxlReferenceError(f"edge references undeclared node {raw!r}")
@@ -264,20 +357,23 @@ def _assemble(*parts: dict) -> ProgramGraph:
         raise SchemaError(str(exc)) from None
 
 
-def _read_native(doc: _Document) -> ProgramGraph:
-    if doc.graph.get("edgeids", "false") != "false":
-        raise SchemaError("native documents do not assign edge identities")
-    op_nodes, block_nodes, edge_meta, ids = _declarations(doc, native=True)
+def _relations(
+    pairs: Iterable[tuple[str | None, str | None]], declared: _Declared
+) -> ProgramGraph:
+    """The native graph of the declared nodes and the relation edges, each
+    given by its `from` and `to` ids as written."""
+    op_nodes, block_nodes, edge_meta, ids = declared
     sources: dict[NodeId, NodeId] = {}
     targets: dict[NodeId, NodeId] = {}
     containment: dict[NodeId, NodeId] = {}
-    for el in doc.edges:
-        if len(el):
-            raise SchemaError("native documents use bare relation edges only")
-        frm, to = _endpoint(el, "from", ids, True), _endpoint(el, "to", ids, True)
-        if frm in edge_meta and to in edge_meta:
-            raise SchemaError(f"relation edge links two Edge nodes n{frm} and n{to}")
+    for raw_from, raw_to in pairs:
+        if (frm := ids.get(raw_from)) is None:
+            frm = _endpoint(raw_from, "from", ids, True)
+        if (to := ids.get(raw_to)) is None:
+            to = _endpoint(raw_to, "to", ids, True)
         if to in edge_meta:
+            if frm in edge_meta:
+                raise SchemaError(f"relation edge links two Edge nodes n{frm} and n{to}")
             if to in sources:
                 raise SchemaError(f"Edge node n{to} has two sources")
             sources[to] = frm
@@ -300,29 +396,46 @@ def _read_native(doc: _Document) -> ProgramGraph:
     return _assemble(op_nodes, block_nodes, edge_nodes, containment)
 
 
+def _bare(edges: list[ET.Element]) -> Iterable[tuple[str | None, str | None]]:
+    """The endpoints of native `<edge>` elements, refusing any with children."""
+    for el in edges:
+        if len(el):
+            raise SchemaError("native documents use bare relation edges only")
+        yield el.get("from"), el.get("to")
+
+
+def _read_native(doc: _Document) -> ProgramGraph:
+    if doc.graph.get("edgeids", "false") != "false":
+        raise SchemaError("native documents do not assign edge identities")
+    return _relations(_bare(doc.edges), _declarations(doc, native=True))
+
+
 def _read_attributed(doc: _Document) -> ProgramGraph:
     op_nodes, block_nodes, _, ids = _declarations(doc, native=False)
     edge_nodes: dict[NodeId, EdgeNode] = {}
     containment: dict[NodeId, NodeId] = {}
     for el in doc.edges:
-        frm, to = _endpoint(el, "from", ids, False), _endpoint(el, "to", ids, False)
-        type_name, attrs = doc.parts(el)
-        if type_name is None:
+        frm = _endpoint(el.get("from"), "from", ids, False)
+        to = _endpoint(el.get("to"), "to", ids, False)
+        sig = doc.signature(el)
+        if sig is None:
             raise SchemaError("attributed documents require a type on every edge")
+        context = f"edge {el.get('from')!r} -> {el.get('to')!r}"
+        type_name, attrs = _typed(sig, context)
         if type_name in _FLOW_EDGE_TYPES:
             kind = _FLOW_EDGE_TYPES[type_name]
-            position, branch = _flow_attrs(kind, attrs, el)
+            position, branch = _flow_attrs(kind, attrs, context)
             eid = len(ids) + len(edge_nodes)
             edge_nodes[eid] = EdgeNode(eid, kind, position, frm, to, branch)
         elif type_name == "contains":
-            _expect_attrs(attrs, el, {})
+            _expect_attrs(attrs, context, {})
             if frm not in block_nodes or to not in op_nodes:
-                raise SchemaError(f"{_context(el)}: containment runs from a block to an operation")
+                raise SchemaError(f"{context}: containment runs from a block to an operation")
             if to in containment:
-                raise SchemaError(f"{_context(el)}: operation is contained twice")
+                raise SchemaError(f"{context}: operation is contained twice")
             containment[to] = frm
         else:
-            raise SchemaError(f"{_context(el)}: unknown edge type #{type_name}")
+            raise SchemaError(f"{context}: unknown edge type #{type_name}")
     return _assemble(op_nodes, block_nodes, edge_nodes, containment)
 
 
@@ -333,7 +446,8 @@ def detect_dialect(data: bytes | str) -> DialectTag:
 
 def load_native(data: bytes | str) -> ProgramGraph:
     """Read a native-dialect document, preserving its node numbering."""
-    return _read_native(_Document(data))
+    g = _read_plain(data)
+    return g if g is not None else _read_native(_Document(data))
 
 
 def import_firm_gxl(data: bytes | str) -> ProgramGraph:
@@ -347,6 +461,8 @@ def import_firm_gxl(data: bytes | str) -> ProgramGraph:
 
 def load(data: bytes | str, dialect: DialectTag | None = None) -> ProgramGraph:
     """Read either dialect, auto-detecting unless one is forced."""
+    if dialect is not DialectTag.FIRM_ATTRIBUTED and (g := _read_plain(data)) is not None:
+        return g
     doc = _Document(data)
     if (dialect or doc.dialect) is DialectTag.NATIVE:
         return _read_native(doc)

@@ -23,10 +23,12 @@ through the graph's mutators only, and returns it.  The exported
 applies the same rewrite to a copy and leaves its input untouched.
 
 Folding a binary operation keeps every user edge alive by redirecting
-it to the freshly created constant; the rule only fires when at least
-one user edge exists, so the new constant is never born unreferenced.
-Orphaned constants left behind when their last user disappears are the
-cleanup rules' job, which is why cleanups take priority over folds.
+it to the freshly created constant.  It fires whether or not anything
+reads the operation: an unread one folds to an unread constant, which
+cleanup-unref-const deletes, so it ends deleted in every rewrite order,
+also where phi-adjust dropped its last user.  Orphaned constants left
+behind when their last user disappears are the cleanup rules' job,
+which is why cleanups take priority over folds.
 
 Priorities (lower fires first under the deterministic driver) and
 anchors:
@@ -135,11 +137,9 @@ def _binary_on_consts(g: ProgramGraph, op: NodeId) -> _Matches:
     if g.input_positions(op) != [0, 1]:
         return []
     s0, s1 = sources
-    # All user edges get redirected, and there must be at least one; an
-    # unused operation is deletion's case, not folding's.  The rewrite
-    # parks the result constant in the start block, so a start block is
-    # part of the pattern.
-    if not g.data_users(op) or BlockKind.START_BLOCK not in g.block_nodes.values():
+    # The rewrite parks the result constant in the start block, so a
+    # start block is part of the pattern.
+    if BlockKind.START_BLOCK not in g.block_nodes.values():
         return []
     return [(op, s0, s1)]
 

@@ -318,11 +318,12 @@ def reference_fold(
 ) -> tuple[ProgramGraph, tuple[Match, ...]]:
     """The deterministic fold, one fresh copy per step and per renumbered consumer.
 
-    After every step each consumer is re-checked, not just those the
-    step touched.  Returns the final graph and the trace.
+    The input is normalized first, as `fold`'s is.  After every step
+    each consumer is re-checked, not just those the step touched.
+    Returns the final graph and the trace.
     """
     ordered = sorted(rules, key=lambda r: r.priority)
-    current = g
+    current = _reference_normalize(g)
     trace: list[Match] = []
     while True:
         chosen = next(((r, found[0]) for r in ordered if (found := matches(current, r))), None)
@@ -338,12 +339,14 @@ def reference_explore(
 ) -> Lts:
     """The breadth-first explorer with no identity shortcut.
 
+    The initial state is a normalized copy of `g`, as `explore`'s is.
     Every successor is canonicalized, and every digest hit is confirmed
     with `is_isomorphic`.
     """
     ordered = sorted(rules, key=lambda r: r.priority)
-    initial = canonical_hash(g)
-    states: dict[str, ProgramGraph] = {initial: g}
+    start = _reference_normalize(g.copy())
+    initial = canonical_hash(start)
+    states: dict[str, ProgramGraph] = {initial: start}
     transitions: set[tuple[str, str, str]] = set()
     queue: deque[str] = deque([initial])
     while queue:
@@ -363,11 +366,11 @@ def reference_explore(
                         raise StateLimitExceeded(
                             f"state space exceeds {max_states} states"
                         )
-                    successor.drop_index()
+                    successor.shelve()
                     states[succ_digest] = successor
                     queue.append(succ_digest)
                 transitions.add((digest, rule.name, succ_digest))
-        state.drop_index()
+        state.shelve()
     outgoing = {src for src, _, _ in transitions}
     final = frozenset(d for d in states if d not in outgoing)
     return Lts(states, tuple(sorted(transitions)), initial, final)

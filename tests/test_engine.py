@@ -443,6 +443,37 @@ def test_random_programs_fold_clean_and_confluent():
         assert canonical_hash(result.graph) in lts.final, seed
 
 
+def test_an_unread_add_ends_deleted_in_every_rewrite_order():
+    # phi-adjust can drop the only user of an Add of constants before
+    # add-fold-int folds it; the Add must fold away all the same
+    for seed in (9, 28, 37):
+        rng = random.Random(seed)
+        g = materialize(random_program(rng), rng)
+        lts = explore(g, CATALOG, max_states=3000)
+        assert len(lts.final) == 1, seed
+        assert canonical_hash(fold(g, CATALOG).graph) in lts.final, seed
+
+
+def test_drivers_start_from_a_normalized_copy_of_their_input():
+    # gaps in a loaded graph would otherwise hide the rules' matches,
+    # which read positions 0 and 1
+    for seed in range(60):
+        g = random_graph(random.Random(seed))
+        wide = gapped(g)
+        before = save_native(wide)
+        result = fold(wide, CATALOG)
+        assert result.steps == fold(g, CATALOG).steps, seed
+        assert verify(result.graph) == [], seed
+        assert save_native(replay(wide, CATALOG, result.trace)) == save_native(result.graph)
+        if seed < 6:
+            lts = explore(wide, CATALOG, max_states=5000)
+            assert lts.initial == canonical_hash(g), seed
+            assert lts.states[lts.initial] is not wide, seed
+        # the caller's graph is left as it was, its write record unknown
+        assert save_native(wide) == before, seed
+        assert wide.take_written() is None, seed
+
+
 def _maps(g: ProgramGraph) -> tuple:
     return g.op_nodes, g.block_nodes, g.edge_nodes, g.containment
 
@@ -558,9 +589,8 @@ def test_explore_stores_only_normalized_successors():
     cases += [(gapped(g), rules) for g, rules in cases]
     for index, (g, rules) in enumerate(cases):
         lts = explore(g, rules)
-        for digest, state in lts.states.items():
-            if digest != lts.initial:
-                assert save_native(_reference_normalize(state)) == save_native(state), index
+        for state in lts.states.values():
+            assert save_native(_reference_normalize(state)) == save_native(state), index
 
 
 def test_explore_stores_no_state_with_an_adjacency_index(monkeypatch):

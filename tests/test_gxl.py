@@ -135,10 +135,12 @@ def test_load_parses_each_document_once(monkeypatch):
         return real(data)
 
     monkeypatch.setattr(gxl.ET, "fromstring", counted)
-    for doc in (save_native(build_min_plus_one(3, 5, "lt")), FIXTURE.read_bytes()):
+    native = save_native(build_min_plus_one(3, 5, "lt"))
+    commented = native.replace(b"<graph", b"<!-- c --><graph", 1)
+    for doc, trees in ((native, 0), (commented, 1), (FIXTURE.read_bytes(), 1)):
         calls.clear()
         load(doc)
-        assert len(calls) == 1
+        assert len(calls) == trees
 
 
 def test_native_references_resolve_by_number():
@@ -227,21 +229,27 @@ def has_non_ascii_digit(doc: bytes) -> bool:
     return any(ch.isdecimal() and not ch.isascii() for ch in doc.decode(errors="ignore"))
 
 
-def test_reader_matches_the_reference_reader():
+def reader_corpus() -> list[bytes]:
+    """A 9,896-element chain, 20 documents with permuted ids, the
+    non-ASCII digits and the 2,000 mutated documents."""
     big = save_native(diamond_chain(random.Random(0), 430))
     permuted = []
     for seed in range(20):
         rng = random.Random(seed)
         permuted.append(permute_native_ids(save_native(random_graph(rng)), rng))
+    digits = [wrap_native(body).encode() for body in NON_ASCII_DIGITS]
+    return [big, *permuted, *digits, *mutated_documents()]
+
+
+def test_reader_matches_the_reference_reader():
     pairs = (
         (load, reference_load),
         (load_native, reference_load_native),
         (import_firm_gxl, reference_import_firm_gxl),
         (detect_dialect, reference_detect_dialect),
     )
-    digits = [wrap_native(body).encode() for body in NON_ASCII_DIGITS]
     refused = 0
-    for doc in [big, *permuted, *digits, *mutated_documents()]:
+    for doc in reader_corpus():
         for reader, reference in pairs:
             got, want = outcome(reader, doc), outcome(reference, doc)
             if got == want:
@@ -257,6 +265,72 @@ def test_reader_matches_the_reference_reader():
                 refused += 1
     # each by load and by load_native, and the <int> by import_firm_gxl too
     assert refused == 2 * len(NON_ASCII_DIGITS) + 1
+
+
+def compact(doc: bytes) -> bytes:
+    """`doc` without the whitespace between its tags, as perfbench writes it."""
+    return re.sub(rb">\s+<", b"><", doc)
+
+
+def near_misses() -> list[bytes]:
+    """Native documents just outside the plain subset, one edit each."""
+    doc = save_native(build_min_plus_one(3, 5, "lt"))
+    edits = (
+        (b'<node id="n5">', b'<node id="n&#53;">'),  # an entity in an id
+        (b"<int>3</int>", b"<int>&#51;</int>"),  # an entity in an int
+        (b"<int>3</int>", b"<int>\r\n3</int>"),
+        (b'edgemode="directed">', b'edgemode="directed"><!-- c -->'),
+        (b'<node id="n5">', b"<node id='n5'>"),
+        (b'<edge from="n5" to="n15" />', b'<edge to="n15" from="n5" />'),
+        (b'xmlns:xlink="http://www.w3.org/1999/xlink"', b'xmlns:xlink="urn:other"'),
+        (b"<gxl ", f'<gxl xmlns="{GXL_NS}" '.encode()),
+        (b'<node id="n5">', '<node id="n\u0665">'.encode()),
+        (b"<?xml", b"\xef\xbb\xbf<?xml"),  # a byte order mark
+    )
+    misses = []
+    for old, new in edits:
+        assert doc.count(old) >= 1, old
+        misses.append(doc.replace(old, new, 1))
+    return misses
+
+
+def in_order(reader, doc: bytes) -> object:
+    """`outcome`, with each map as its items in insertion order."""
+    result = outcome(reader, doc)
+    if isinstance(result, tuple) and isinstance(result[0], dict):
+        return tuple(list(part.items()) for part in result)
+    return result
+
+
+def test_plain_reader_matches_the_element_tree_reader(monkeypatch):
+    entered = read = 0
+    misses = near_misses()
+    for doc in [*reader_corpus(), *misses]:
+        if gxl._PLAIN.fullmatch(doc.decode("latin-1")):
+            assert doc not in misses, doc
+            entered += 1
+            read += gxl._read_plain(doc) is not None
+        got = [in_order(reader, doc) for reader in (load, load_native)]
+        with monkeypatch.context() as tree_only:
+            tree_only.setattr(gxl, "_read_plain", lambda data: None)
+            want = [in_order(reader, doc) for reader in (load, load_native)]
+        assert got == want, doc
+    # The plain reader reads the big chain, the permuted documents and
+    # some mutated ones, and declines the other mutated ones it enters.
+    assert entered > 300 and read > 50, (entered, read)
+
+
+def test_plain_reader_reads_what_save_native_writes():
+    graphs = [random_graph(random.Random(seed)) for seed in range(60)]
+    rng = random.Random(5)
+    graphs += [diamond_chain(rng, n, frozenset({0}), frozenset({n - 1})) for n in (1, 3, 40)]
+    graphs.append(diamond_chain(random.Random(0), 430))
+    for index, g in enumerate(graphs):
+        doc = save_native(g)
+        for layout in (doc, compact(doc)):
+            assert gxl._read_plain(layout) is not None, index
+            tree = in_order(lambda d: gxl._read_native(gxl._Document(d)), layout)
+            assert in_order(gxl._read_plain, layout) == tree, index
 
 
 def test_roundtrip_random_graphs():

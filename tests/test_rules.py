@@ -119,12 +119,16 @@ def test_add_fold_preserves_every_user():
     assert h.op_nodes[folded].value == 5
 
 
-def test_add_fold_requires_a_user():
+def test_an_unread_add_of_constants_folds_away():
     g, (a, b) = straightline(2, 3)
     add = g.add_op(ADD, 0)
     g.connect(a, add, EdgeKind.DATAFLOW, 0)
     g.connect(b, add, EdgeKind.DATAFLOW, 1)
-    assert matches(g, rule("add-fold-int")) == []
+    assert matches(g, rule("add-fold-int")) == [Match("add-fold-int", (add, a, b))]
+    result = fold(g, CATALOG)
+    # the sum is unread too, so cleanup-unref-const deletes it with the operands
+    assert [m.rule_name for m in result.trace] == ["add-fold-int", *["cleanup-unref-const"] * 3]
+    assert result.graph.op_nodes == {}
 
 
 def test_add_fold_requires_const_operands():
