@@ -24,13 +24,16 @@ two but never merge two that differ.
 `Lts.final_states_isomorphic` and the tests call it.
 
 Neither driver matches every rule over the whole graph before each
-step, as a graph-transformation tool does.  `fold` keeps each rule's
-current matches and, after a step, asks a rule's `pattern` again only
-at the nodes where the step may have changed its answer, in the manner
-of Rete (Forgy 1982) and of incremental graph queries (Bergmann et al.
-2008).  `explore` gives each state its parent's matches, asked again
-in the same way where the step that made the state wrote.  Both rest on
-one read invariant: a pattern asked at node `n` reads only
+step, as a graph-transformation tool does.  Both keep one match table
+(`_Table`): for each node, the anchor tuples of every rule whose
+`pattern` matches there.  It is built by asking the patterns at every
+node of the start graph; after a step, `refresh` asks them again only
+at the nodes where the step may have changed their answer, in the
+manner of Rete (Forgy 1982) and of incremental graph queries (Bergmann
+et al. 2008).  `fold` keeps one heap per rule on top of its table;
+`explore` gives each state its parent's table, refreshed where the step
+that made the state wrote.  The table rests on one read invariant: a
+pattern asked at node `n` reads only
 - `n` itself;
 - `n`'s in-edges and out-edges, and their far endpoints, whose kinds
   never change;
@@ -74,7 +77,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import StaleMatchError, StateLimitExceeded, StepLimitExceeded
 from .graph import NodeId, NodeKind, ProgramGraph, contiguous
@@ -104,9 +107,10 @@ class Rule:
     start at, and its `pattern`: `pattern(g, n)` lists the anchor
     tuples of the matches at one node `n` of that kind, each starting
     with `n`, and reads no more than the module docstring allows.
-    `fold` then keeps the rule's matches up to date step by step, and
-    `explore` derives each state's from its parent's; without both,
-    either driver asks `matcher` before every step and in every state.
+    Both drivers then keep the rule's matches in their match table,
+    asking the pattern again only where a step wrote, and never call
+    `matcher`; without both, either driver asks `matcher` before every
+    step and in every state.
     """
 
     name: str
@@ -235,18 +239,6 @@ class FoldResult:
         return format_trace(self.trace)
 
 
-#: A rule's anchor tuples by anchor node.
-_Found = dict[NodeId, list[tuple[NodeId, ...]]]
-
-
-def _found(g: ProgramGraph, rule: Rule) -> _Found:
-    """All of `rule`'s anchor tuples in `g`, from one `matcher` call."""
-    found: _Found = {}
-    for m in rule.matcher(g):
-        found.setdefault(m.anchors[0], []).append(m.anchors)
-    return found
-
-
 def _dirty(g: ProgramGraph, written: set[NodeId]) -> set[NodeId]:
     """The nodes of `g` where a pattern's answer may differ from before the
     step that wrote `written` (see the module docstring).
@@ -264,78 +256,75 @@ def _dirty(g: ProgramGraph, written: set[NodeId]) -> set[NodeId]:
     return dirty
 
 
-class _Agenda:
-    """The current matches of every rule in one graph, for `fold` to choose from.
+#: The anchor tuples at one node, by the priority index of each rule that matches there.
+_Here = dict[int, list[tuple[NodeId, ...]]]
 
-    A rule with an anchor and a pattern keeps its anchor tuples by
-    anchor node, from one `matcher` call at the start, and a heap of
-    them from which a tuple that no longer matches is dropped only when
-    it reaches the top.  After each step, `update` re-asks the patterns
-    where the step may have changed their answer (see the module
-    docstring).  Any other rule is asked through its matcher every time
-    `best` reaches it.
+
+@dataclass
+class _Table:
+    """Which rules match at which node of one graph: the match table of both drivers.
+
+    `at` maps each node to the anchor tuples of every rule whose pattern
+    matches there, keyed by the rule's index in priority order;
+    `patterns` holds those indices and patterns by anchor kind.  A rule
+    without an anchor and a pattern is not in the table, and the
+    drivers ask its matcher instead.
     """
 
-    def __init__(self, g: ProgramGraph, rules: tuple[Rule, ...]) -> None:
-        self.g = g
-        g.take_written()  # start the record
-        # By priority: each rule, its anchor tuples by anchor node and
-        # their heap; None for a rule without a pattern.
-        self.entries: list[tuple[Rule, _Found | None, list[tuple[NodeId, ...]]]] = []
-        # Each pattern with its tuples and heap, by anchor kind.
-        self.anchored: dict[NodeKind, list[tuple[Pattern, _Found, list[tuple[NodeId, ...]]]]] = {}
-        for rule in sorted(rules, key=lambda r: r.priority):
-            if rule.pattern is None or rule.anchor is None:
-                self.entries.append((rule, None, []))
-                continue
-            found = _found(g, rule)
-            heap = [t for tuples in found.values() for t in tuples]
-            heapq.heapify(heap)
-            self.entries.append((rule, found, heap))
-            self.anchored.setdefault(rule.anchor, []).append((rule.pattern, found, heap))
+    patterns: dict[NodeKind, list[tuple[int, Pattern]]]
+    at: dict[NodeId, _Here]
 
-    def update(self) -> None:
-        """Re-ask the patterns around the nodes written since the last call."""
-        g = self.g
-        written = g.take_written()
-        assert written is not None, "recorded since __init__"
-        for n in _dirty(g, written):
-            kind = g.kind_of(n)
-            if kind is None:
-                for _, found, _ in self.entries:
-                    if found is not None:
-                        found.pop(n, None)
-                continue
-            for pattern, found, heap in self.anchored.get(kind, ()):
-                old = found.pop(n, ())
-                new = pattern(g, n)
-                if new:
-                    found[n] = new
-                    for t in new:
-                        if t not in old:
-                            heapq.heappush(heap, t)
+    @classmethod
+    def build(cls, g: ProgramGraph, ordered: list[Rule]) -> _Table:
+        """The table of `g`, from the patterns asked at every node."""
+        patterns: dict[NodeKind, list[tuple[int, Pattern]]] = {}
+        for index, rule in enumerate(ordered):
+            if rule.anchor is not None and rule.pattern is not None:
+                patterns.setdefault(rule.anchor, []).append((index, rule.pattern))
+        table = cls(patterns, {})
+        table.refresh(g, [*g.op_nodes, *g.block_nodes, *g.edge_nodes])
+        return table
 
-    def current(self) -> dict[str, list[tuple[NodeId, ...]]]:
-        """The sorted anchor tuples kept for each rule with a pattern."""
-        return {
-            rule.name: sorted(t for tuples in found.values() for t in tuples)
-            for rule, found, _ in self.entries
-            if found is not None
+    def refresh(
+        self, g: ProgramGraph, nodes: Iterable[NodeId]
+    ) -> list[tuple[int, tuple[NodeId, ...]]]:
+        """Re-ask the patterns of each node's kind at `nodes`; a deleted
+        node is just dropped.  Returns the (index, anchor tuple) pairs
+        that were not in the table before."""
+        new: list[tuple[int, tuple[NodeId, ...]]] = []
+        for n in nodes:
+            old = self.at.pop(n, {})
+            here: _Here = {}
+            for index, pattern in self.patterns.get(g.kind_of(n), ()):
+                if tuples := pattern(g, n):
+                    here[index] = tuples
+                    kept = old.get(index, ())
+                    new += [(index, t) for t in tuples if t not in kept]
+            if here:
+                self.at[n] = here
+        return new
+
+    def inherit(self, g: ProgramGraph, written: set[NodeId]) -> _Table:
+        """The table of `g`, which a step that wrote `written` made from this table's graph.
+
+        The node map is copied shallowly: `refresh` replaces a node's
+        entry and never changes one.
+        """
+        child = _Table(self.patterns, dict(self.at))
+        child.refresh(g, _dirty(g, written))
+        return child
+
+    def listed(self) -> dict[int, list[tuple[NodeId, ...]]]:
+        """Each tabled rule's anchor tuples, sorted, by priority index."""
+        listed: dict[int, list[tuple[NodeId, ...]]] = {
+            index: [] for kind in self.patterns.values() for index, _ in kind
         }
-
-    def best(self) -> tuple[Rule, Match] | None:
-        """The lowest-priority-value rule that matches, with its smallest match."""
-        for rule, found, heap in self.entries:
-            if found is None:
-                listed = matches(self.g, rule)
-                if listed:
-                    return rule, listed[0]
-                continue
-            while heap and heap[0] not in found.get(heap[0][0], ()):
-                heapq.heappop(heap)
-            if heap:
-                return rule, Match(rule.name, heap[0])
-        return None
+        for here in self.at.values():
+            for index, tuples in here.items():
+                listed[index] += tuples
+        for tuples in listed.values():
+            tuples.sort()
+        return listed
 
 
 def fold(
@@ -353,16 +342,32 @@ def fold(
     if max_steps is None:
         max_steps = g.element_count()
     current = _start(g)
-    agenda = _Agenda(current, rules)
+    current.take_written()  # start the record
+    ordered = sorted(rules, key=lambda r: r.priority)
+    table = _Table.build(current, ordered)
+    heaps = table.listed()  # a sorted list is a heap
     trace: list[Match] = []
-    while (chosen := agenda.best()) is not None:
+    while True:
+        for index, rule in enumerate(ordered):
+            heap = heaps.get(index)
+            if heap is None:
+                listed = matches(current, rule)
+                match = listed[0] if listed else None
+            else:
+                # A tuple no longer in the table is dropped when it reaches the top.
+                while heap and heap[0] not in table.at.get(heap[0][0], {}).get(index, ()):
+                    heapq.heappop(heap)
+                match = Match(rule.name, heap[0]) if heap else None
+            if match is not None:
+                break
+        else:
+            return FoldResult(current, tuple(trace), len(trace))
         if len(trace) >= max_steps:
             raise StepLimitExceeded(f"no fixpoint within {max_steps} steps")
-        rule, match = chosen
         _step(current, rule, match)
-        agenda.update()
+        for index, t in table.refresh(current, _dirty(current, current.take_written())):
+            heapq.heappush(heaps[index], t)
         trace.append(match)
-    return FoldResult(current, tuple(trace), len(trace))
 
 
 def replay(g: ProgramGraph, rules: tuple[Rule, ...], trace: tuple[Match, ...]) -> ProgramGraph:
@@ -434,50 +439,6 @@ def _step_key(key: int, g: ProgramGraph, h: ProgramGraph, written: set[NodeId]) 
     return key
 
 
-#: A state's match sets: for each rule, by priority, its anchor tuples
-#: by anchor node, or None for a rule without a pattern.
-_MatchSets = list[_Found | None]
-
-#: A stored successor's parent's match sets and the nodes its step wrote.
-_Inherited = tuple[_MatchSets, set[NodeId]]
-
-
-def _match_sets(g: ProgramGraph, ordered: list[Rule], inherited: _Inherited | None) -> _MatchSets:
-    """The match sets of a state `explore` is about to expand.
-
-    `inherited` holds the parent's match sets and the nodes written by
-    the step that made `g`; the patterns are re-asked only where that
-    step may have changed their answer (`_dirty`), as `fold` does.
-    Without it (the initial state), every rule with a pattern is asked
-    through its matcher.
-    """
-    if inherited is None:
-        return [
-            None if rule.pattern is None or rule.anchor is None else _found(g, rule)
-            for rule in ordered
-        ]
-    parent, written = inherited
-    sets = [None if found is None else dict(found) for found in parent]
-    by_anchor: dict[NodeKind, list[tuple[Pattern, _Found]]] = {}
-    for rule, found in zip(ordered, sets):
-        if found is not None:
-            by_anchor.setdefault(rule.anchor, []).append((rule.pattern, found))
-    for n in _dirty(g, written):
-        kind = g.kind_of(n)
-        if kind is None:
-            for found in sets:
-                if found is not None:
-                    found.pop(n, None)
-            continue
-        for pattern, found in by_anchor.get(kind, ()):
-            new = pattern(g, n)
-            if new:
-                found[n] = new
-            else:
-                found.pop(n, None)
-    return sets
-
-
 def _same_content(a: ProgramGraph, b: ProgramGraph) -> bool:
     """Whether `a` and `b` have equal node maps, node id for node id."""
     return (
@@ -505,10 +466,11 @@ def explore(
     states turn up, the initial state included.
 
     Only the initial state is matched and keyed in full.  Each stored
-    successor waits in the queue with the nodes its step wrote
-    (`take_written`); its content key is its parent's updated at those
-    nodes (`_step_key`), and on expansion its match sets are its
-    parent's with the patterns re-asked around them (`_match_sets`).
+    successor waits in the queue with its parent's match table and the
+    nodes its step wrote (`take_written`); its content key is its
+    parent's updated at those nodes (`_step_key`), and on expansion its
+    table is its parent's with the patterns re-asked around them
+    (`_Table.inherit`).
     A wrong key could only cause a miss, since `_same_content` confirms
     every hit.  Expanding a state restarts its write record, so that
     each successor's record holds just its own step's writes; a stored
@@ -526,20 +488,24 @@ def explore(
     by_content: dict[int, str] = {initial_key: initial}
     transitions: set[tuple[str, str, str]] = set()
     # Each waiting state's digest and content key, with its parent's
-    # match sets and its step's written nodes (None for `g`).
-    queue: deque[tuple[str, int, _Inherited | None]] = deque([(initial, initial_key, None)])
+    # match table and its step's written nodes (`g` waits with its own
+    # table and none).
+    queue: deque[tuple[str, int, _Table, set[NodeId]]] = deque(
+        [(initial, initial_key, _Table.build(g, ordered), set())]
+    )
     while queue:
-        digest, state_key, inherited = queue.popleft()
+        digest, state_key, parent, written = queue.popleft()
         state = states[digest]
-        sets = _match_sets(state, ordered, inherited)
+        table = parent.inherit(state, written)
+        listed = table.listed()
         state.take_written()  # each successor's copy starts an empty record
-        for rule, found in zip(ordered, sets):
-            if found is None:
-                listed = matches(state, rule)
+        for index, rule in enumerate(ordered):
+            tuples = listed.get(index)
+            if tuples is None:
+                found = matches(state, rule)
             else:
-                tuples = sorted(t for ts in found.values() for t in ts)
-                listed = [Match(rule.name, t) for t in tuples]
-            for match in listed:
+                found = [Match(rule.name, t) for t in tuples]
+            for match in found:
                 successor = apply(state, rule, match)
                 written = successor.take_written()
                 key = _step_key(state_key, state, successor, written)
@@ -562,7 +528,7 @@ def explore(
                         successor.shelve()
                         states[succ_digest] = successor
                         by_content.setdefault(key, succ_digest)
-                        queue.append((succ_digest, key, (sets, written)))
+                        queue.append((succ_digest, key, table, written))
                 transitions.add((digest, rule.name, succ_digest))
         state.shelve()
     outgoing = {src for src, _, _ in transitions}

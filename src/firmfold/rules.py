@@ -10,17 +10,19 @@ binary folds also ask whether a start block exists).  A pattern demands
 everything its rewrite reads, including what must be absent.
 
 `_rule` derives both halves of a `Rule` from that one pattern, and
-hands the anchor and the pattern on, so that `fold` can re-ask the
-pattern only where a step wrote.  The matcher filters the graph's nodes
-by the anchor's kind and asks the pattern at each of them.  The applier
-re-checks the one match it is given locally: the first anchor must
-still be a node of the anchor's kind, and the pattern at that node must
-still list the match.  Otherwise it raises StaleMatchError.  So the
-check reads the anchor's neighbourhood instead of matching over the
-whole graph.  The applier then rewrites the graph it is given in place,
-through the graph's mutators only, and returns it.  The exported
-`rule_*` functions drive a single rewrite without the engine: each
-applies the same rewrite to a copy and leaves its input untouched.
+hands the anchor and the pattern on, so that `fold` and `explore` can
+re-ask the pattern only where a step wrote.  The matcher filters the
+graph's nodes by the anchor's kind and asks the pattern at each of
+them; the drivers call it only for a rule without a pattern.
+The applier re-checks the one match it is given locally: the first
+anchor must still be a node of the anchor's kind, and the pattern at
+that node must still list the match.  Otherwise it raises
+StaleMatchError.  So the check reads the anchor's neighbourhood instead
+of matching over the whole graph.  The applier then rewrites the graph
+it is given in place, through the graph's mutators only, and returns
+it.  The exported `rule_*` functions drive a single rewrite without the
+engine: each applies the same rewrite to a copy and leaves its input
+untouched.
 
 Folding a binary operation keeps every user edge alive by redirecting
 it to the freshly created constant.  It fires whether or not anything

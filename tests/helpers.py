@@ -14,7 +14,8 @@ Every plan is well formed and executable, and folds to a fixpoint.
 
 `diamond_chain` builds a longer chain of diamonds directly, optionally
 with dead merge entries and with entries from operations outside every
-block, and `relabel` renames a graph's ids.  `reference_fold` is the
+block, and `relabel` renames a graph's ids.  `witnesses` gives each
+rule of the catalog a small graph in which it matches exactly once.  `reference_fold` is the
 slow oracle for `fold`: it copies the graph on every step and re-checks
 every consumer's positions.
 `reference_explore` is the oracle for `explore`: it canonicalizes every
@@ -254,6 +255,71 @@ def diamond_chain(
     g.connect(ret, end, EdgeKind.CONTROLFLOW, 0)
     g.delete_node(limbo)
     return g
+
+
+def _blockless(g: ProgramGraph, kind: OpKind) -> NodeId:
+    """A new operation of `kind` outside every block."""
+    limbo = g.add_block(BlockKind.BLOCK)
+    op = g.add_op(kind, limbo)
+    g.delete_node(limbo)
+    return op
+
+
+def _on_two_consts(kind: OpKind) -> ProgramGraph:
+    """A start block holding an operation of `kind` over two constants."""
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    op = g.add_op(kind, start)
+    for position, value in enumerate((3, 5)):
+        g.connect(g.add_op(Const(value), start), op, EdgeKind.DATAFLOW, position)
+    return g
+
+
+def _cond_on(value: int) -> ProgramGraph:
+    """A start block branching on `Const(value)` to two blocks."""
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    cond = g.add_op(COND, start)
+    g.connect(g.add_op(Const(value), start), cond, EdgeKind.DATAFLOW, 0)
+    for branch in (0, 1):
+        g.connect(cond, g.add_block(BlockKind.BLOCK), EdgeKind.CONTROLFLOW, 0, branch=branch)
+    return g
+
+
+def _phi(entry: bool) -> ProgramGraph:
+    """A Phi over one constant at input 0, in a block whose one entry, a
+    Jmp from the start block, exists only if `entry`."""
+    g = ProgramGraph()
+    start, block = g.add_block(BlockKind.START_BLOCK), g.add_block(BlockKind.BLOCK)
+    if entry:
+        g.connect(g.add_op(JMP, start), block, EdgeKind.CONTROLFLOW, 0)
+    phi = g.add_op(PHI, block)
+    g.connect(g.add_op(Const(7), start), phi, EdgeKind.DATAFLOW, 0)
+    return g
+
+
+def witnesses() -> dict[str, ProgramGraph]:
+    """For each rule of the catalog, by name, a graph in which it matches
+    exactly once, made of just what its pattern reads."""
+    dataflow, control, unread, entryless = (ProgramGraph() for _ in range(4))
+    source, target = _blockless(dataflow, Const(1)), _blockless(dataflow, RETURN)
+    dataflow.connect(source, target, EdgeKind.DATAFLOW, 0)
+    source, target = _blockless(control, JMP), control.add_block(BlockKind.BLOCK)
+    control.connect(source, target, EdgeKind.CONTROLFLOW, 0)
+    _blockless(unread, Const(1))
+    entryless.add_block(BlockKind.BLOCK)
+    return {
+        "cleanup-dangling-dataflow": dataflow,
+        "cleanup-dangling-control": control,
+        "cleanup-unref-const": unread,
+        "cmp-fold-int": _on_two_consts(Cmp("lt")),
+        "cond-fold-true": _cond_on(1),
+        "cond-fold-false": _cond_on(0),
+        "block-remove": entryless,
+        "phi-adjust": _phi(entry=False),
+        "phi-fold-single": _phi(entry=True),
+        "add-fold-int": _on_two_consts(ADD),
+    }
 
 
 def gapped(g: ProgramGraph) -> ProgramGraph:

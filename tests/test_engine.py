@@ -199,24 +199,43 @@ _DROP_BLOCKS = tuple(
 )
 
 
-def test_incremental_match_sets_equal_the_matchers_after_every_step():
+def _assert_table_lists_the_matches(table, g: ProgramGraph, ordered: list[Rule]) -> None:
+    listed = table.listed()
+    for index, rule in enumerate(ordered):
+        assert listed[index] == [m.anchors for m in matches(g, rule)], rule.name
+
+
+def test_incremental_match_sets_equal_the_matchers_after_every_step(monkeypatch):
+    # Once built and after every step, `fold`'s match table lists
+    # exactly the matchers' answers, and every step takes the first
+    # match the matchers give in priority order.
     cases = [(g, CATALOG) for g in _differential_cases()]
     cases += [(build_min_plus_one(3, 5, relation), CATALOG) for relation in RELATIONS]
     cases += [(g, _DROP_BLOCKS) for g in _differential_cases()[60::2]]
+    ordered: list[Rule] = []
+    checked: Counter[str] = Counter()
+    real_refresh, real_step = engine._Table.refresh, engine._step
+
+    def refresh_checked(table, g, nodes):
+        new = real_refresh(table, g, nodes)
+        _assert_table_lists_the_matches(table, g, ordered)
+        checked["tables"] += 1
+        return new
+
+    def step_checked(g, rule, match):
+        assert (rule, match) == next((r, found[0]) for r in ordered if (found := matches(g, r)))
+        checked["steps"] += 1
+        real_step(g, rule, match)
+
+    monkeypatch.setattr(engine._Table, "refresh", refresh_checked)
+    monkeypatch.setattr(engine, "_step", step_checked)
     for index, (g, catalog) in enumerate(cases):
-        ordered = sorted(catalog, key=lambda r: r.priority)
-        g = g.copy()
-        agenda = engine._Agenda(g, catalog)
-        while True:
-            expected = {r.name: [m.anchors for m in matches(g, r)] for r in catalog}
-            assert agenda.current() == expected, index
-            chosen = agenda.best()
-            first = next(((r, found[0]) for r in ordered if (found := matches(g, r))), None)
-            assert chosen == first, index
-            if chosen is None:
-                break
-            engine._step(g, *chosen)
-            agenda.update()
+        ordered[:] = sorted(catalog, key=lambda r: r.priority)
+        checked.clear()
+        result = fold(g, catalog)
+        assert all(matches(result.graph, r) == [] for r in catalog), index
+        # one check when the table is built, and one after every step
+        assert checked == Counter(tables=result.steps + 1, steps=result.steps), index
 
 
 def test_ten_thousand_element_chain_folds():
@@ -597,13 +616,13 @@ def test_explore_stores_no_state_with_an_adjacency_index(monkeypatch):
     # A digest hit recomputes a stored state's form, which reads its
     # index; the state must still wait for expansion without one.
     indexed: dict[int, bool] = {}
-    real = engine._match_sets
+    real = engine._Table.inherit
 
-    def spying(g, ordered, inherited):
+    def spying(table, g, written):
         indexed.setdefault(id(g), g._adj is not None)
-        return real(g, ordered, inherited)
+        return real(table, g, written)
 
-    monkeypatch.setattr(engine, "_match_sets", spying)
+    monkeypatch.setattr(engine._Table, "inherit", spying)
     for index, (g, rules) in enumerate(_explore_differential_cases()[:4]):
         indexed.clear()
         lts = explore(g, rules)
@@ -613,20 +632,26 @@ def test_explore_stores_no_state_with_an_adjacency_index(monkeypatch):
 
 
 def test_explore_inherits_the_matchers_answers_and_the_content_key(monkeypatch):
-    # On every expanded state, the match sets inherited from the parent
-    # equal the matchers' answers; on every successor, the step-updated
-    # content key equals the key computed from scratch.
+    # The initial state's match table, and the table every expanded
+    # state inherits from its parent, equal the matchers' answers; on
+    # every successor, the step-updated content key equals the key
+    # computed from scratch.
     checked: Counter[str] = Counter()
-    real_sets, real_key = engine._match_sets, engine._step_key
+    ordered: list[Rule] = []
+    real_build, real_inherit = engine._Table.build, engine._Table.inherit
+    real_key = engine._step_key
 
-    def sets_checked(g, ordered, inherited):
-        sets = real_sets(g, ordered, inherited)
-        for rule, found in zip(ordered, sets):
-            if found is not None:
-                kept = sorted(t for tuples in found.values() for t in tuples)
-                assert kept == [m.anchors for m in matches(g, rule)], rule.name
-        checked["inherited" if inherited is not None else "initial"] += 1
-        return sets
+    def built(cls, g, by_priority):
+        table = real_build(g, by_priority)
+        _assert_table_lists_the_matches(table, g, by_priority)
+        checked["initial"] += 1
+        return table
+
+    def inherited(table, g, written):
+        child = real_inherit(table, g, written)
+        _assert_table_lists_the_matches(child, g, ordered)
+        checked["inherited"] += 1
+        return child
 
     def key_checked(key, g, h, written):
         new = real_key(key, g, h, written)
@@ -634,11 +659,13 @@ def test_explore_inherits_the_matchers_answers_and_the_content_key(monkeypatch):
         checked["keys"] += 1
         return new
 
-    monkeypatch.setattr(engine, "_match_sets", sets_checked)
+    monkeypatch.setattr(engine._Table, "build", classmethod(built))
+    monkeypatch.setattr(engine._Table, "inherit", inherited)
     monkeypatch.setattr(engine, "_step_key", key_checked)
     cases = _explore_differential_cases()
     cases += [(gapped(g), rules) for g, rules in cases]
     for g, rules in cases:
+        ordered[:] = sorted(rules, key=lambda r: r.priority)
         explore(g, rules)
     assert checked["initial"] == len(cases)
     assert checked["inherited"] > 1000

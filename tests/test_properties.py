@@ -1,5 +1,5 @@
-"""Properties of `fold`, `evaluate`, canonical forms and a step's write
-record on generated programs, checked with hypothesis.
+"""Properties of `fold`, `explore`, `evaluate`, canonical forms and a
+step's write record on generated programs, checked with hypothesis.
 
 Each example draws a seed and a shape for a generator in `helpers`: a
 random program built in a random legal order, or a diamond chain with
@@ -129,6 +129,15 @@ def test_digests_agree_with_isomorphism_on_explored_states(g, seed):
             assert (canonical_hash(a) == canonical_hash(b)) == is_isomorphic(a, b)
 
 
+@settings(CHECKED, max_examples=15)
+@given(small_programs())
+def test_explore_converges_to_the_fold(g):
+    # every maximal rewrite order ends in the graph `fold` gives
+    lts = explore(g, CATALOG, max_states=5000)
+    (final,) = lts.final
+    assert is_isomorphic(lts.states[final], fold(g, CATALOG).graph)
+
+
 def _entries(g: ProgramGraph, n: int) -> tuple:
     return g.op_nodes.get(n), g.block_nodes.get(n), g.edge_nodes.get(n), g.containment.get(n)
 
@@ -136,7 +145,7 @@ def _entries(g: ProgramGraph, n: int) -> tuple:
 @CHECKED
 @given(programs(), st.booleans())
 def test_a_step_records_every_node_whose_entries_it_changes(g, gaps):
-    # `explore`'s inherited match sets and step-updated content keys
+    # `explore`'s inherited match tables and step-updated content keys
     # both rest on this record.
     g = gapped(g) if gaps else g
     g.take_written()  # start the record, which copies carry

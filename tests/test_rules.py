@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from firmfold import engine
 from firmfold import (
     ADD,
     COND,
@@ -42,7 +43,7 @@ from firmfold.rules import (
     rule_phi_fold_single,
 )
 
-from helpers import diamond_chain
+from helpers import diamond_chain, witnesses
 
 
 def rule(name: str):
@@ -53,6 +54,16 @@ def test_catalog_shape():
     assert len(CATALOG) == 10
     assert [r.priority for r in CATALOG] == list(range(1, 11))
     assert len(set(RULE_NAMES)) == 10
+
+
+def test_each_rule_matches_its_witness_exactly_once():
+    ordered = sorted(CATALOG, key=lambda r: r.priority)
+    graphs = witnesses()
+    assert sorted(graphs) == sorted(RULE_NAMES)
+    for index, r in enumerate(ordered):
+        g = graphs[r.name]
+        (match,) = matches(g, r)
+        assert engine._Table.build(g, ordered).listed()[index] == [match.anchors], r.name
 
 
 def straightline(*values: int) -> tuple[ProgramGraph, list[int]]:
