@@ -15,11 +15,12 @@ that is its parent's updated at the nodes its step wrote (see below);
 only one that is not identical to a stored state is canonicalized.  A
 digest hit is confirmed by comparing the successor's canonical form
 with the stored state's, recomputed then rather than stored: a
-certificate lists every node's initial colour in canonical order and
-every arc renumbered by that order, so two equal certificates define a
-bijection that keeps every colour and every arc, which is an
-isomorphism.  A fault in the canonical form can thus split one state in
-two but never merge two that differ.
+certificate has one row per node in canonical order, holding its
+initial colour and the numbers of an Edge node's source and target or
+of an operation's block, so two equal certificates define a bijection
+that keeps every colour and every arc, which is an isomorphism.  A
+fault in the canonical form can thus split one state in two but never
+merge two that differ.
 `is_isomorphic`, which searches independently, stays the oracle:
 `Lts.final_states_isomorphic` and the tests call it.
 

@@ -4,14 +4,17 @@ Two independent routes to the same question:
 
 * `canonical_form` computes a label-preserving certificate,
   `form_digest` digests one, and `canonical_hash` digests a graph's.
-  The certificate lists every node's initial color in canonical order
-  and every arc renumbered by that order, so two equal certificates
-  define a bijection that keeps every color and every arc: they prove
-  isomorphism.  The state-space explorer keys its states by the
-  digest and confirms a digest hit by comparing the two certificates.
-  A certificate holds only tuples and ints, and the digest hashes its
-  `marshal` version 2 bytes, which depend on its value alone (see
-  `form_digest`).
+  The certificate has one row per node, in canonical order: the node's
+  initial color, then an Edge node's source's and target's numbers, or
+  an operation's block's number (-1 without one), or -1 for a block.
+  The rows are concatenated into one tuple of ints; each row's length
+  follows from its first int, so the tuple splits into rows one way
+  only.  The rows fix every arc, so two equal certificates define a
+  bijection that keeps every color and every arc: they prove
+  isomorphism.  The state-space explorer keys its states by the digest
+  and confirms a digest hit by comparing the two certificates.  The
+  digest hashes a certificate's `marshal` version 2 bytes, which depend
+  on its value alone (see `form_digest`).
 * `is_isomorphic` decides isomorphism exactly, by backtracking search
   over refinement-compatible candidate maps.  It shares neither the
   traversal nor the search of the canonical form, so it is the
@@ -25,24 +28,31 @@ adjacencies.
 
 The canonical form numbers nodes in three stages:
 
-1. **Ordered backward traversal.**  In a graph with exactly one
-   EndBlock, a breadth-first search runs backwards from it.  At each
-   operation or block it visits the in-edges in the order of their
-   initial colors, (kind, position, branch), each edge followed by its
-   source, and an operation's block last.  Every isomorphism maps the
-   EndBlock to the EndBlock and preserves that order, so each visited
-   node's visit index is an invariant label: the node becomes a
-   singleton color.  With no EndBlock, two or more, or two in-edges of
-   one visited node with equal colors (duplicate positions in a loaded
-   graph), the order is not determined by the labels, and no node is
-   seeded.  Nodes the traversal does not reach, such as unreferenced
-   constants or blocks that never reach the end, keep their initial
-   colors, ranked above the visit indices.  Where the traversal
-   numbers every node, its order is the canonical order, and stages 2
-   and 3 do not run.
+1. **Ordered backward traversal, block members, settled nodes.**  In
+   a graph with exactly one EndBlock, a breadth-first search runs
+   backwards from it.  At each operation or block it visits the
+   in-edges in the order of their initial colors, (kind, position,
+   branch), each edge followed by its source; then an operation's
+   block, or a block's waiting members (those not yet numbered) whose
+   color no other waiting member has, in color order.  A member that
+   shares its color waits: it may yet be reached as an edge source.
+   Every isomorphism maps the EndBlock to the EndBlock and preserves
+   that order, so each visited node's visit index is an invariant
+   label.  With no EndBlock, two or more, or two in-edges of one
+   visited node with equal colors (duplicate positions in a loaded
+   graph), the order is not determined by the labels, and nothing is
+   visited.  After the traversal, each node whose neighbors are all
+   numbered is settled: such nodes follow in the order of their
+   initial colors and their arcs renumbered.  Two with equal keys are
+   twins, alike and with no other arcs, so their tie is an
+   automorphism.  Where stage 1 numbers every node, its order is the
+   canonical order, and stages 2 and 3 do not run.  Nodes it leaves
+   unnumbered, such as unread operations that share a color and have
+   inputs, or nodes adjacent only to one another, keep their initial
+   colors, ranked above the numbered ones.
 2. **Color refinement** splits classes by neighborhood signature until
-   the partition is stable.  It re-signs only the nodes the traversal
-   left unnumbered: the numbered ones are singletons below every other
+   the partition is stable.  It re-signs only the nodes stage 1 left
+   unnumbered: the numbered ones are singletons below every other
    color, so full refinement would keep their colors, and refining
    the rest alone gives the same coloring.
 3. **Individualization.**  While a class has several members, each
@@ -60,7 +70,7 @@ from __future__ import annotations
 
 import hashlib
 import marshal
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Collection, Iterator
 
 from .graph import OP_NAMES, RELATIONS, BlockKind, EdgeKind, NodeId, ProgramGraph
@@ -182,19 +192,21 @@ def _compress(colors: dict[NodeId, _Color]) -> dict[NodeId, int]:
 
 
 def _backward_order(
-    g: ProgramGraph, colors: dict[NodeId, _Color], ins: dict[NodeId, dict[NodeId, None]]
+    g: ProgramGraph, colors: dict[NodeId, _Color], index: _GraphIndex
 ) -> list[NodeId]:
-    """The nodes that reach the one EndBlock, in backward traversal order.
+    """The nodes the backward traversal numbers, in traversal order: those
+    that reach the one EndBlock, and the block members it numbers on its
+    way.  An expanded block numbers its waiting members whose color no
+    other waiting member shares; the rest may yet be reached as sources.
 
-    `ins` lists each node's in-edges, as `g`'s adjacency index does.
     Empty when the order is not determined by the labels: there is no
-    EndBlock or more than one, or a visited node has two in-edges of
+    EndBlock or more than one, or an expanded node has two in-edges of
     equal color.
     """
     ends = [b for b, kind in g.block_nodes.items() if kind is BlockKind.END_BLOCK]
     if len(ends) != 1:
         return []
-    edges, containment = g.edge_nodes, g.containment
+    edges, containment, ins, members = g.edge_nodes, g.containment, index.ins, index.members
     color = colors.__getitem__
     order = ends
     seen = set(order)
@@ -213,37 +225,97 @@ def _backward_order(
                 seen.add(src)
                 order.append(src)
         block = containment.get(n)
-        if block is not None and block not in seen:
-            seen.add(block)
-            order.append(block)
+        if block is not None:
+            if block not in seen:
+                seen.add(block)
+                order.append(block)
+        elif n in members:
+            waiting = [m for m in members[n] if m not in seen]
+            if len(waiting) > 1:
+                counts = Counter(map(color, waiting))
+                waiting = sorted((m for m in waiting if counts[color(m)] == 1), key=color)
+            seen.update(waiting)
+            order += waiting
     return order
 
 
+def _numbering(
+    g: ProgramGraph, colors: dict[NodeId, _Color], index: _GraphIndex
+) -> list[NodeId]:
+    """Stage 1: the backward traversal's order, then the settled nodes.
+
+    A node outside the traversal's order is settled when all its
+    neighbors lie inside it: an Edge node's source and target, an
+    operation's block, in-edges and out-edges, a block's entries and
+    members.  The traversal numbers an edge only with its source and
+    target, and a member only with its block, so a settled node has no
+    edges and no members: it is an operation in a numbered block or in
+    none, or an isolated block.  Its key, its initial color and its
+    block's number or -1, holds all its arcs, and settled nodes follow
+    in key order.  Two with equal keys are twins, so swapping them is an
+    automorphism, and their tie may fall either way.
+    """
+    order = _backward_order(g, colors, index)
+    if len(order) == len(colors):
+        return order
+    number = {n: i for i, n in enumerate(order)}
+    edges, containment = g.edge_nodes, g.containment
+    ins, outs, members = index.ins, index.outs, index.members
+    keys: dict[NodeId, _Color] = {}
+    for n, c in colors.items():
+        if n in number or n in edges or n in ins or n in outs or n in members:
+            continue
+        block = containment.get(n)
+        if block is None:
+            keys[n] = (*c, -1)
+        elif block in number:
+            keys[n] = (*c, number[block])
+    return order + sorted(keys, key=keys.__getitem__)
+
+
 def _certificate(order: list[NodeId], initial: dict[NodeId, _Color], g: ProgramGraph) -> tuple:
-    """The initial colors in `order` and every arc of `g` renumbered by it."""
-    index = {n: i for i, n in enumerate(order)}
-    arcs = [(index[blk], _CONTAINS, index[op]) for op, blk in g.containment.items()]
-    for eid, e in g.edge_nodes.items():
-        i = index[eid]
-        arcs.append((index[e.source], _OUT, i))
-        arcs.append((i, _IN, index[e.target]))
-    arcs.sort()
-    return (tuple(initial[n] for n in order), tuple(arcs))
+    """One row per node of `order`, concatenated into one tuple of ints:
+    the node's initial color, then an Edge node's source's and target's
+    numbers in `order`, or an operation's block's number, or -1 for a
+    block or a blockless operation.
+
+    A row's length follows from its first int, which tells operations,
+    blocks and Edge nodes apart, so the tuple splits into rows one way
+    only.  The rows fix every arc, so two
+    equal certificates define a bijection that keeps every color and
+    every arc.
+    """
+    number = {n: i for i, n in enumerate(order)}
+    edges, containment = g.edge_nodes, g.containment
+    rows: list[int] = []
+    for n in order:
+        rows += initial[n]
+        e = edges.get(n)
+        if e is None:
+            block = containment.get(n)
+            rows.append(-1 if block is None else number[block])
+        else:
+            rows += (number[e.source], number[e.target])
+    return tuple(rows)
 
 
 def canonical_form(g: ProgramGraph) -> tuple:
-    """A certificate identical across all id-renamings of `g`.
+    """A certificate identical across all id-renamings of `g`: one row
+    per node in canonical order (see `_certificate`).
 
-    Leaves `g`'s adjacency index as it found it, built or absent.
+    The order is stage 1's numbering where that numbers every node, and
+    otherwise that numbering followed by the rest in the order of the
+    smallest certificate that stages 2 and 3 find.  Leaves `g`'s
+    adjacency index as it found it, built or absent.
     """
     initial = _initial_colors(g)
     if not initial:
-        return ((), ())
+        return ()
     index = g.adjacency_index()
-    order = _backward_order(g, initial, index.ins)
+    order = _numbering(g, initial, index)
     if len(order) == len(initial):
         return _certificate(order, initial, g)
-    # Stages 2 and 3 move only the nodes the traversal left unnumbered,
+    # Stages 2 and 3 move only the nodes stage 1 left unnumbered,
     # colored above the numbered ones in the order of their initial colors.
     seeded = {n: i for i, n in enumerate(order)}
     movable = [n for n in initial if n not in seeded]

@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from firmfold import (
     explore,
     fold,
     is_isomorphic,
+    isomorphism,
     load_native,
     replay,
     save_native,
@@ -43,22 +45,23 @@ from firmfold.isomorphism import (
     _adjacency,
     _adjacency_of,
     _arcs,
-    _backward_order,
     _compress,
     _extends,
     _initial_colors,
+    _numbering,
     _refine,
     form_digest,
 )
 from helpers import (
     GraphPlan,
+    _blockless,
     diamond_chain,
     materialize,
     permute_native_ids,
     random_program,
     relabel,
 )
-from test_engine import _explore_differential_cases
+from test_engine import _explore_differential_cases, _spy
 
 
 def test_empty_graphs():
@@ -379,6 +382,140 @@ def test_digest_equality_agrees_with_isomorphism():
             assert (canonical_hash(mutant) == digest) == is_isomorphic(g, mutant), index
 
 
+def _start(g: ProgramGraph) -> int:
+    return min(g.blocks_of_kind(BlockKind.START_BLOCK))
+
+
+def _unread_constants(in_start: int, in_merge: int, blockless: int) -> ProgramGraph:
+    """The example with unread `Const(7)`s in its start block, in its
+    merge block and outside every block."""
+    g = build_min_plus_one(3, 5, "lt")
+    (phi,) = [n for n, kind in g.op_nodes.items() if kind.name == "Phi"]
+    for block, count in ((_start(g), in_start), (g.containment[phi], in_merge)):
+        for _ in range(count):
+            g.add_op(Const(7), block)
+    for _ in range(blockless):
+        _blockless(g, Const(7))
+    return g
+
+
+def _stray_jmps(in_start: int, blockless: int) -> ProgramGraph:
+    """The example with Jmps that enter no block, in its start block and
+    outside every block."""
+    g = build_min_plus_one(3, 5, "lt")
+    for _ in range(in_start):
+        g.add_op(JMP, _start(g))
+    for _ in range(blockless):
+        _blockless(g, JMP)
+    return g
+
+
+def _equal_constants_into_unread_add(both: bool) -> ProgramGraph:
+    """The example with two `Const(7)`s in its start block and an unread
+    Add there: it reads the first at position 0, and at position 1 the
+    second if `both`, else a `Const(2)`."""
+    g = build_min_plus_one(3, 5, "lt")
+    start = _start(g)
+    first, second = g.add_op(Const(7), start), g.add_op(Const(7), start)
+    add = g.add_op(ADD, start)
+    g.connect(first, add, EdgeKind.DATAFLOW, 0)
+    g.connect(second if both else g.add_op(Const(2), start), add, EdgeKind.DATAFLOW, 1)
+    return g
+
+
+def _stage_one_family() -> list[ProgramGraph]:
+    """Graphs that stage 1 numbers through only by its members walk and
+    its settled nodes."""
+    return [
+        _unread_constants(3, 0, 0),  # twins in one block
+        _unread_constants(2, 2, 0),
+        _unread_constants(2, 0, 2),
+        _unread_constants(0, 2, 1),
+        _stray_jmps(0, 3),  # isolated
+        _stray_jmps(2, 2),
+        _equal_constants_into_unread_add(False),  # not twins: one is read
+        _equal_constants_into_unread_add(True),  # read at other positions
+    ]
+
+
+def _shuffled(g: ProgramGraph, rng: random.Random) -> ProgramGraph:
+    """`relabel(g, rng)` with its operations, edges and containment also
+    inserted in a random order, which reorders every tie broken by
+    insertion order."""
+
+    def shuffled(nodes: dict) -> dict:
+        items = list(nodes.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    h = relabel(g, rng)
+    return ProgramGraph._from_parts(
+        shuffled(h.op_nodes), h.block_nodes, shuffled(h.edge_nodes), shuffled(h.containment)
+    )
+
+
+def test_members_and_settled_nodes_are_numbered_invariantly():
+    rng = random.Random(29)
+    family = _stage_one_family()
+    for index, g in enumerate(family):
+        initial = _initial_colors(g)
+        assert len(_numbering(g, initial, g.adjacency_index())) == len(initial), index
+        digest = canonical_hash(g)
+        for renamed in [relabel(g)] + [_shuffled(g, rng) for _ in range(6)]:
+            assert canonical_hash(renamed) == digest, index
+        for _ in range(6):
+            mutant = _mutant(g, rng)
+            assert (canonical_hash(mutant) == digest) == is_isomorphic(g, mutant), index
+    for i, gi in enumerate(family):
+        for gj in family[i + 1 :]:
+            assert (canonical_hash(gi) == canonical_hash(gj)) == is_isomorphic(gi, gj)
+
+
+def _with_stray_sum(g: ProgramGraph) -> ProgramGraph:
+    """A copy of `g` with an unread Add of two constants, all three
+    outside every block: nodes whose only neighbors are each other's."""
+    g = g.copy()
+    add = _blockless(g, ADD)
+    for position, value in enumerate((1, 2)):
+        g.connect(_blockless(g, Const(value)), add, EdgeKind.DATAFLOW, position)
+    return g
+
+
+def _with_crossed_adds(g: ProgramGraph) -> ProgramGraph:
+    """A copy of `g` with two unread Adds in its first block, one reading
+    `Const(4)` and `Const(5)` there, the other the same values swapped:
+    members that share colors pairwise and that only refinement tells
+    apart."""
+    g = g.copy()
+    block = min(g.block_nodes)
+    for values in ((4, 5), (5, 4)):
+        add = g.add_op(ADD, block)
+        for position, value in enumerate(values):
+            g.connect(g.add_op(Const(value), block), add, EdgeKind.DATAFLOW, position)
+    return g
+
+
+def test_refinement_runs_only_where_stage_one_leaves_nodes(monkeypatch):
+    calls: Counter[str] = Counter()
+    _spy(monkeypatch, calls, "_refine", isomorphism)
+    cases = [
+        (build_min_plus_one(3, 5, "lt"), CATALOG),
+        (diamond_chain(random.Random(0), 2), CATALOG),
+        *_explore_differential_cases(),
+    ]
+    for g, rules in cases:
+        explore(g, rules)
+    assert calls["_refine"] == 0
+    # duplicate positions, two EndBlocks, no EndBlock; then leftovers
+    # adjacent to leftovers
+    example = build_min_plus_one(3, 5, "lt")
+    leftovers = [_with_stray_sum(example), _with_crossed_adds(example)]
+    for index, g in enumerate(_differential_corpus()[-4:] + leftovers):
+        calls.clear()
+        canonical_form(g)
+        assert calls["_refine"] > 0, index
+
+
 def test_shared_add_chain_hashes_in_near_linear_time():
     g = _shared_add_chain(1200)
     assert g.element_count() == 3607
@@ -431,7 +568,7 @@ import random
 from firmfold import CATALOG, build_min_plus_one, canonical_hash, fold, replay
 from helpers import diamond_chain
 g = diamond_chain(random.Random(0), 2)
-# nine steps in, two nodes lie outside the backward traversal
+# nine steps in, two nodes are numbered only as block members
 state = replay(g, CATALOG, fold(g, CATALOG).trace[:9])
 print(canonical_hash(build_min_plus_one(3, 5, "lt")), canonical_hash(state))
 """
@@ -453,9 +590,9 @@ def test_canonical_hash_is_the_same_under_every_hash_seed():
 
 def _seeded(g: ProgramGraph) -> tuple[dict[int, int], list[int]]:
     """The coloring `canonical_form` refines first, and the nodes its
-    backward traversal left unnumbered."""
+    stage 1 left unnumbered."""
     initial = _initial_colors(g)
-    order = _backward_order(g, initial, g.adjacency_index().ins)
+    order = _numbering(g, initial, g.adjacency_index())
     seeded = {n: i for i, n in enumerate(order)}
     movable = [n for n in initial if n not in seeded]
     ranks = _compress({n: initial[n] for n in movable})
@@ -469,11 +606,17 @@ def test_refining_the_unnumbered_nodes_alone_gives_full_refinement():
         for g, rules in _explore_differential_cases()
         for state in explore(g, rules).states.values()
     ]
+    # stage 1 numbers every explored state through; these copies keep
+    # nodes it cannot number
+    leftovers = [
+        (_with_crossed_adds if index % 2 else _with_stray_sum)(state)
+        for index, state in enumerate(explored)
+    ]
     # duplicate positions, two EndBlocks, no EndBlock: nothing is numbered
     fallbacks = _differential_corpus()[-4:]
     assert all(len(movable) == len(seeded) for seeded, movable in map(_seeded, fallbacks))
     partly_numbered = 0
-    for index, g in enumerate(explored + fallbacks):
+    for index, g in enumerate(explored + leftovers + fallbacks):
         seeded, movable = _seeded(g)
         partly_numbered += 0 < len(movable) < len(seeded)
         everything = _adjacency(_arcs(g))
@@ -492,10 +635,12 @@ def test_refining_the_unnumbered_nodes_alone_gives_full_refinement():
 
 
 def test_canonical_form_leaves_the_adjacency_index_as_it_found_it():
-    # numbered through, with unnumbered constants, and with none numbered
+    # numbered through by the traversal, by its members walk as well,
+    # with nodes left to refinement, and with none numbered
     chain = diamond_chain(random.Random(0), 2)
     dead = replay(chain, CATALOG, fold(chain, CATALOG).trace[:9])
-    for g in (build_min_plus_one(3, 5, "lt"), dead, _differential_corpus()[-1]):
+    example = build_min_plus_one(3, 5, "lt")
+    for g in (example, dead, _with_stray_sum(example), _differential_corpus()[-1]):
         g.shelve()
         canonical_form(g)
         assert g._adj is None
