@@ -9,10 +9,12 @@ smallest match.  The explorer instead takes every match of every rule
 from every reachable state, deduplicating states up to isomorphism, and
 so observes whether all maximal rewrites end in the same place; it keeps
 every state, so each successor comes from `apply`, which rewrites a
-copy.  Confluent rewrites often rebuild a stored state node id for node
-id, so a successor is first looked up by its exact content, under a key
-that is its parent's updated at the nodes its step wrote (see below);
-only one that is not identical to a stored state is canonicalized.  A
+copy; the copy shares its parent's adjacency index copy-on-write, so
+it pays for what its step writes, not for a new index.  Confluent
+rewrites often rebuild a stored state node id for node id, so a
+successor is first looked up by its exact content, under a key that is
+its parent's updated at the nodes its step wrote (see below); only one
+that is not identical to a stored state is canonicalized.  A
 digest hit is confirmed by comparing the successor's canonical form
 with the stored state's, recomputed then rather than stored: a
 certificate has one row per node in canonical order, holding its
@@ -54,7 +56,8 @@ asked through its matcher before every step and in every state.
 
 The same record keys `explore`'s content lookup.  The key is the XOR
 over nodes of a hash of each node's entries in the four node maps, as
-in Zobrist hashing (Zobrist 1970).  It is computed in full only for the
+in Zobrist hashing (Zobrist 1970), taken over plain values rather than
+the label objects (`_node_key`).  It is computed in full only for the
 input; every node whose entries a step changed is in the step's record,
 so a successor's key is its parent's with just those nodes' hashes
 swapped.
@@ -409,11 +412,24 @@ class Lts:
 
 
 def _node_key(g: ProgramGraph, n: NodeId) -> int:
-    """A hash of node `n`'s entries in `g`'s four node maps; 0 when `n` is absent."""
-    op, block, edge = g.op_nodes.get(n), g.block_nodes.get(n), g.edge_nodes.get(n)
-    if op is None and block is None and edge is None:
-        return 0
-    return hash((n, op, block, edge, g.containment.get(n)))
+    """A hash of node `n`'s entries in `g`'s four node maps; 0 when `n` is absent.
+
+    It hashes plain values only, never an `OpKind` or `EdgeNode` object,
+    whose dataclass hashes run in Python: an operation's name, value,
+    relation and block, an Edge node's fields, a block's kind.  The
+    kinds hash by identity, and equal kinds are one object, so equal
+    entries still give equal keys.
+    """
+    op = g.op_nodes.get(n)
+    if op is not None:
+        return hash((n, op.name, op.value, op.relation, g.containment.get(n)))
+    e = g.edge_nodes.get(n)
+    if e is not None:
+        return hash((n, e.kind, e.position, e.source, e.target, e.branch))
+    block = g.block_nodes.get(n)
+    if block is not None:
+        return hash((n, block))
+    return 0
 
 
 def _content_key(g: ProgramGraph) -> int:

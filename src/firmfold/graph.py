@@ -26,8 +26,11 @@ query costs in proportion to the node's degree.  The index has one
 invariant: it lists exactly what the node maps say.  Only the graph's
 mutators write the maps, and each keeps the index in step; Edge nodes
 are immutable, so a rewrite cannot move an edge behind the index's
-back.  Copies share the Edge node objects and start without an index,
-which the first query builds.
+back.  Copies share the Edge node objects, and a copy of an indexed
+graph shares its index copy-on-write: each side copies an inner set of
+the index before its first write to it, so a copy costs what it writes
+rather than a rebuild.  A graph without an index is copied without one,
+and its first query builds it.
 """
 
 from __future__ import annotations
@@ -71,15 +74,25 @@ def wrap32(value: int) -> int:
     return ((value - INT32_MIN) & 0xFFFFFFFF) + INT32_MIN
 
 
+# Both kinds hash by identity, in C, rather than by `Enum.__hash__`, a
+# Python-level hash of the member's name; their equality is identity
+# already.  No output may depend on these hashes, which vary from run
+# to run.
+
+
 class BlockKind(Enum):
     START_BLOCK = "StartBlock"
     END_BLOCK = "EndBlock"
     BLOCK = "Block"
 
+    __hash__ = object.__hash__
+
 
 class EdgeKind(Enum):
     DATAFLOW = "Dataflow"
     CONTROLFLOW = "Controlflow"
+
+    __hash__ = object.__hash__
 
 
 #: The kind of a node: an operation name, a block kind or an edge kind.
@@ -161,6 +174,10 @@ _BY_TARGET = operator.attrgetter("target", "id")
 _BY_ID = operator.attrgetter("id")
 
 
+#: `_Adjacency._owned` of an index that shares all its inner sets.
+_NONE_OWNED: frozenset[int] = frozenset()
+
+
 class _Adjacency:
     """The index behind the queries: in-edges by target, out-edges by
     source, and member operations by block, each an insertion-ordered
@@ -168,33 +185,76 @@ class _Adjacency:
 
     The in-edges of a node all have one kind, since Dataflow edges
     target operations and Controlflow edges target blocks.
+
+    `share` gives a copy its own three maps over the same inner sets, so
+    a copy costs one pass over the keys rather than over the edges.
+    From then on both indexes treat every inner set as shared: the
+    writers (`link`, `unlink`, `add_member`, `discard_member`) copy one
+    before their first write to it.  `_owned` holds the ids of the inner
+    sets an index has made since it was last shared, or is None while
+    the index owns them all, as a fresh or built one does.  Ids tell the
+    two apart: a shared set the index holds has been alive since the
+    sharing, so no set made after it can have its id, and the index
+    takes in no set that it did not make itself.
     """
 
-    __slots__ = ("ins", "outs", "members")
+    __slots__ = ("ins", "outs", "members", "_owned")
 
-    def __init__(self, g: ProgramGraph) -> None:
+    def __init__(self, g: ProgramGraph | None = None) -> None:
         self.ins: dict[NodeId, dict[NodeId, None]] = {}
         self.outs: dict[NodeId, dict[NodeId, None]] = {}
         self.members: dict[NodeId, dict[NodeId, None]] = {}
+        self._owned: set[int] | frozenset[int] | None = None
+        if g is None:
+            return
+        ins, outs, members = self.ins, self.outs, self.members
         for e in g.edge_nodes.values():
-            self.link(e)
+            ins.setdefault(e.target, {})[e.id] = None
+            outs.setdefault(e.source, {})[e.id] = None
         for op, block in g.containment.items():
-            self.members.setdefault(block, {})[op] = None
+            members.setdefault(block, {})[op] = None
+
+    def share(self) -> _Adjacency:
+        """A copy-on-write copy of this index; both now share every inner set."""
+        copy = _Adjacency()
+        copy.ins, copy.outs, copy.members = dict(self.ins), dict(self.outs), dict(self.members)
+        # The ownership sets are made on the first write, if one comes.
+        self._owned = copy._owned = _NONE_OWNED
+        return copy
+
+    def _own(self, table: dict[NodeId, dict[NodeId, None]], key: NodeId) -> dict[NodeId, None]:
+        """`table`'s inner set at `key` for writing: made if absent, copied if shared."""
+        owned = self._owned
+        if owned is None:
+            return table.setdefault(key, {})
+        ids = table.get(key)
+        if ids is not None and id(ids) in owned:
+            return ids
+        ids = table[key] = {} if ids is None else dict(ids)
+        if owned is _NONE_OWNED:
+            owned = self._owned = set()
+        owned.add(id(ids))
+        return ids
+
+    def _discard(self, table: dict[NodeId, dict[NodeId, None]], key: NodeId, item: NodeId) -> None:
+        ids = self._own(table, key)
+        del ids[item]
+        if not ids:
+            del table[key]
 
     def link(self, e: EdgeNode) -> None:
-        self.ins.setdefault(e.target, {})[e.id] = None
-        self.outs.setdefault(e.source, {})[e.id] = None
+        self._own(self.ins, e.target)[e.id] = None
+        self._own(self.outs, e.source)[e.id] = None
 
     def unlink(self, e: EdgeNode) -> None:
-        _discard(self.ins, e.target, e.id)
-        _discard(self.outs, e.source, e.id)
+        self._discard(self.ins, e.target, e.id)
+        self._discard(self.outs, e.source, e.id)
 
+    def add_member(self, block: NodeId, op: NodeId) -> None:
+        self._own(self.members, block)[op] = None
 
-def _discard(table: dict[NodeId, dict[NodeId, None]], key: NodeId, item: NodeId) -> None:
-    ids = table[key]
-    del ids[item]
-    if not ids:
-        del table[key]
+    def discard_member(self, block: NodeId, op: NodeId) -> None:
+        self._discard(self.members, block, op)
 
 
 class ProgramGraph:
@@ -211,8 +271,9 @@ class ProgramGraph:
     The adjacency index is built on the first query, and from then on
     the mutators (`add_op`, `connect`, `redirect`, `set_position`,
     `delete_node`) keep it in step with the four node maps, which
-    callers must treat as read-only.  `copy` and `_from_parts` start
-    without an index, so a graph that is only stored costs no index
+    callers must treat as read-only.  `copy` shares the index, if there
+    is one, copy-on-write; `_from_parts` starts without one, and
+    `shelve` drops it, so a graph that is only stored costs no index
     memory.
 
     The graph also notes which consumers' input positions may have
@@ -342,7 +403,7 @@ class ProgramGraph:
         self.op_nodes[nid] = kind
         self.containment[nid] = block
         if self._adj is not None:
-            self._adj.members.setdefault(block, {})[nid] = None
+            self._adj.add_member(block, nid)
         self._write(nid)
         return nid
 
@@ -463,7 +524,7 @@ class ProgramGraph:
             del self.op_nodes[node]
             block = self.containment.pop(node, None)
             if block is not None:
-                _discard(adj.members, block, node)
+                adj.discard_member(block, node)
         else:
             del self.block_nodes[node]
             members = adj.members.pop(node, ())
@@ -558,7 +619,12 @@ class ProgramGraph:
     # -- copying and low-level assembly -------------------------------
 
     def copy(self) -> ProgramGraph:
-        """An independent graph with the same nodes; edges are shared, being immutable."""
+        """An independent graph with the same nodes; edges are shared, being immutable.
+
+        The copy shares this graph's adjacency index, if it has one,
+        copy-on-write (`_Adjacency.share`), so neither graph sees the
+        other's writes.
+        """
         h = ProgramGraph()
         h.op_nodes = dict(self.op_nodes)
         h.block_nodes = dict(self.block_nodes)
@@ -567,6 +633,8 @@ class ProgramGraph:
         h._next_id = self._next_id
         h._touched = None if self._touched is None else set(self._touched)
         h._written = None if self._written is None else set(self._written)
+        if self._adj is not None:
+            h._adj = self._adj.share()
         return h
 
     @classmethod

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import hashlib
 import marshal
-from collections import Counter, defaultdict
+from collections import defaultdict
 from typing import Collection, Iterator
 
 from .graph import OP_NAMES, RELATIONS, BlockKind, EdgeKind, NodeId, ProgramGraph
@@ -232,7 +232,10 @@ def _backward_order(
         elif n in members:
             waiting = [m for m in members[n] if m not in seen]
             if len(waiting) > 1:
-                counts = Counter(map(color, waiting))
+                counts: dict[_Color, int] = {}
+                for m in waiting:
+                    c = color(m)
+                    counts[c] = counts.get(c, 0) + 1
                 waiting = sorted((m for m in waiting if counts[color(m)] == 1), key=color)
             seen.update(waiting)
             order += waiting

@@ -597,6 +597,21 @@ def test_explore_without_content_hits_gives_the_same_lts(monkeypatch):
         assert (lts.initial, lts.final) == (want.initial, want.final), index
 
 
+def test_content_keys_ignore_object_identity():
+    # Separately built graphs hold separately created but equal labels
+    # (`Const(3)`, `Const(5)`, ...), and setting every Edge node to its
+    # old position replaces it with a new, equal object.
+    g, h = build_min_plus_one(3, 5, "lt"), build_min_plus_one(3, 5, "lt")
+    for eid in sorted(h.edge_nodes):
+        h.set_position(eid, h.edge_nodes[eid].position)
+    consts = [n for n, kind in g.op_nodes.items() if kind.name == "Const"]
+    assert consts and all(g.op_nodes[n] is not h.op_nodes[n] for n in consts)
+    assert all(g.edge_nodes[eid] is not h.edge_nodes[eid] for eid in g.edge_nodes)
+    assert engine._content_key(g) == engine._content_key(h)
+    for n in (*g.op_nodes, *g.block_nodes, *g.edge_nodes):
+        assert engine._node_key(g, n) == engine._node_key(h, n), n
+
+
 def test_explore_still_confirms_digest_hits(monkeypatch):
     monkeypatch.setattr(engine, "form_digest", lambda form: "same digest for every successor")
     with pytest.raises(RuntimeError, match="digest collision"):

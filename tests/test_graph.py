@@ -6,6 +6,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firmfold import (
     ADD,
@@ -22,6 +24,7 @@ from firmfold import (
     DuplicatePositionError,
     EdgeKind,
     EdgeNode,
+    FirmFoldError,
     IncompatibleEndpointsError,
     OpKind,
     ProgramGraph,
@@ -31,7 +34,7 @@ from firmfold import (
     fold,
     wrap32,
 )
-from firmfold.graph import contiguous
+from firmfold.graph import _Adjacency, contiguous
 from helpers import diamond_chain, random_graph
 
 
@@ -301,6 +304,63 @@ def test_copy_is_independent():
     assert a in g.op_nodes
     # copies continue the id sequence of the original
     assert h.add_block(BlockKind.BLOCK) == g.add_block(BlockKind.BLOCK)
+
+
+def _assert_index_is_its_own(g: ProgramGraph) -> None:
+    """`g` has an index, and it lists, as sets, what a fresh index of its maps lists."""
+    index, fresh = g._adj, _Adjacency(g)
+    assert index is not None
+    for table, rebuilt in (
+        (index.ins, fresh.ins),
+        (index.outs, fresh.outs),
+        (index.members, fresh.members),
+    ):
+        assert {k: set(ids) for k, ids in table.items()} == {
+            k: set(ids) for k, ids in rebuilt.items()
+        }
+
+
+def _mutate(g: ProgramGraph, draw: st.DrawFn) -> None:
+    """One mutator call on `g` with drawn arguments; a refused call changes nothing."""
+    ops, blocks, edges = sorted(g.op_nodes), sorted(g.block_nodes), sorted(g.edge_nodes)
+    nodes = ops + blocks + edges
+    action = draw(st.sampled_from(["add_op", "connect", "redirect", "set_position", "delete"]))
+    try:
+        if action == "add_op" and blocks:
+            kind = draw(st.sampled_from([Const(draw(st.integers(0, 3))), JMP, ADD]))
+            g.add_op(kind, draw(st.sampled_from(blocks)))
+        elif action == "connect" and ops:
+            source, target = draw(st.sampled_from(ops)), draw(st.sampled_from(ops + blocks))
+            kind = EdgeKind.DATAFLOW if target in g.op_nodes else EdgeKind.CONTROLFLOW
+            position = draw(st.integers(0, len(g.input_positions(target))))
+            g.connect(source, target, kind, position, branch=draw(st.sampled_from([None, 0, 1])))
+        elif action == "redirect" and edges and ops:
+            g.redirect(draw(st.sampled_from(edges)), draw(st.sampled_from(ops)))
+        elif action == "set_position" and edges:
+            g.set_position(draw(st.sampled_from(edges)), draw(st.integers(0, 3)))
+        elif action == "delete" and nodes:
+            g.delete_node(draw(st.sampled_from(nodes)))
+    except FirmFoldError:
+        pass
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_a_copy_shares_the_index_copy_on_write(seed, data):
+    # A copy shares its parent's index; whichever graph writes an inner
+    # set first must copy it, so neither sees the other's writes.  A
+    # copy drawn mid-way shares again what both sides already own.
+    parent = random_graph(random.Random(seed))
+    parent.members(min(parent.block_nodes))  # a query builds the index
+    graphs = [parent, parent.copy()]
+    for _ in range(data.draw(st.integers(1, 30))):
+        side = data.draw(st.integers(0, 1))
+        if data.draw(st.integers(0, 9)) == 0:
+            graphs[1 - side] = graphs[side].copy()
+        else:
+            _mutate(graphs[side], data.draw)
+        for g in graphs:
+            _assert_index_is_its_own(g)
 
 
 def _parts() -> tuple[dict, dict, dict, dict]:

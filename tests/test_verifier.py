@@ -11,6 +11,7 @@ from firmfold import (
     Violation,
     build_min_plus_one,
     load_native,
+    save_native,
     verify,
 )
 from firmfold.verifier import (
@@ -54,12 +55,26 @@ def test_duplicate_start_block():
     )
 
 
-def test_triple_start_block_reports_each_pair():
+def test_triple_start_block_reports_each_extra_block_once():
     g = build_min_plus_one(3, 5, "lt")
     e1 = g.add_block(BlockKind.START_BLOCK)
     e2 = g.add_block(BlockKind.START_BLOCK)
     violations = verify(g)
-    assert [v.witnesses for v in violations] == [(0, e1), (0, e2), (e1, e2)]
+    assert [v.witnesses for v in violations] == [(0, e1), (0, e2)]
+
+
+def test_many_start_blocks_give_one_finding_per_extra_block():
+    # One finding per pair would be 179,700 here, and a megabyte-sized
+    # document would exhaust memory.
+    g = build_min_plus_one(3, 5, "lt")
+    extras = [g.add_block(BlockKind.START_BLOCK) for _ in range(599)]
+    violations = verify(load_native(save_native(g)))
+    assert len(violations) == 599
+    assert all(v.check == SINGLE_START for v in violations)
+    assert [v.witnesses for v in violations] == [(0, extra) for extra in extras]
+    assert violations[-1].render() == (
+        f"single-start: two start blocks [witnesses: n0, n{extras[-1]}]"
+    )
 
 
 def test_duplicate_end_block():
