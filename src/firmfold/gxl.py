@@ -34,13 +34,13 @@ writes and the same elements laid out without indentation:
   whitespace between tags.
 ElementTree parses every other document: the attributed dialect,
 namespaced or commented documents, the empty graph `save_native`
-writes, and any read that forces the attributed dialect.  It also
-parses a plain document that the plain reader finds invalid, so every
-error comes from one reader.  Both readers hand each distinct node
-signature (its type href and its attrs' names, value tags and texts)
-to one validator, `_label_of`, and resolve native relation edges in
-one loop, `_relations`; so a document reads to the same graph whichever
-reader reads it.
+writes, and any read that forces the attributed dialect.  No document
+is parsed twice.  Both front ends feed their node declarations to one
+loop, `_declarations`, which numbers and de-duplicates them and hands
+each distinct signature (its type href and its attrs' names, value
+tags and texts) to one validator, `_label_of`; and they resolve native
+relation edges in one loop, `_relations`.  So a document reads to the
+same graph, or fails with the same error, whichever reader reads it.
 
 The writer emits the fixed native layout directly; every value in it
 is an integer or a name from a closed set, so nothing needs escaping.
@@ -52,11 +52,11 @@ import io
 import re
 import xml.etree.ElementTree as ET
 from enum import Enum
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from .errors import (
     FirmFoldError,
-    GxlError,
     GxlParseError,
     GxlReferenceError,
     SchemaError,
@@ -97,10 +97,10 @@ _ATTR = (
     rf'<attr name="{_VALUE}+"{_S}>{_S}'
     rf"(?:<int>{_TEXT}</int>|<string>{_TEXT}</string>){_S}</attr>"
 )
-#: A node: its id, its type href and its attrs as written.
+#: A node: its id, the id's digits, and its type and attrs as written.
 _PLAIN_NODE = re.compile(
-    rf'<node id="(n[0-9]+)"{_S}>{_S}<type xlink:href="(#[A-Za-z]+)"{_S}/>'
-    rf"((?:{_S}{_ATTR})*){_S}</node>"
+    rf'<node id="(n([0-9]+))"{_S}>{_S}(<type xlink:href="#[A-Za-z]+"{_S}/>'
+    rf"(?:{_S}{_ATTR})*){_S}</node>"
 )
 #: A relation edge: its two endpoints.
 _PLAIN_EDGE = re.compile(rf'<edge from="(n[0-9]+)" to="(n[0-9]+)"{_S}/>')
@@ -113,7 +113,9 @@ _PLAIN = re.compile(
     rf"(?:{_S}(?:{_PLAIN_NODE.pattern}|{_PLAIN_EDGE.pattern}))*+"
     rf"{_S}</graph>{_S}</gxl>{_S}"
 )
-#: One attr of a plain node's attrs: its name, value tag and text.
+#: A plain node's type href.
+_PLAIN_HREF = re.compile(r'<type xlink:href="([^"]*)"')
+#: One attr of a plain node: its name, value tag and text.
 _PLAIN_ATTR = re.compile(rf'name="([^"]*)"{_S}>{_S}<(int|string)>([^<]*)<')
 
 #: A node's type href (None if its type has none) and each attr's name,
@@ -135,14 +137,6 @@ def _local(tag: object) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-class _LocalNames(dict):
-    """Local names by tag, each split once; one table per load."""
-
-    def __missing__(self, tag: object) -> str:
-        name = self[tag] = _local(tag)
-        return name
-
-
 class _Document:
     """A parsed document's `<graph>` children, sorted in one walk into
     node and edge elements; any edge with a `<type>` makes it attributed."""
@@ -154,39 +148,43 @@ class _Document:
             # Besides bad XML: a str that UTF-8 cannot encode, or a declared
             # encoding that is unknown (LookupError) or multi-byte (ValueError).
             raise GxlParseError(f"malformed XML: {exc}") from None
-        self.names = names = _LocalNames()
-        self.graph = next((el for el in root.iter() if names[el.tag] == "graph"), None)
+        self.graph = next((el for el in root.iter() if _local(el.tag) == "graph"), None)
         if self.graph is None:
             raise SchemaError("document contains no graph element")
         self.nodes: list[ET.Element] = []
         self.edges: list[ET.Element] = []
         typed = False
         for el in self.graph:
-            name = names[el.tag]
+            name = _local(el.tag)
             if name == "node":
                 self.nodes.append(el)
             elif name == "edge":
                 self.edges.append(el)
                 if len(el) and not typed:
-                    typed = any(names[c.tag] == "type" for c in el)
+                    typed = any(_local(c.tag) == "type" for c in el)
         self.dialect = DialectTag.FIRM_ATTRIBUTED if typed else DialectTag.NATIVE
 
     def signature(self, el: ET.Element) -> _Signature | None:
         """The signature of a node or typed edge, read in one pass over its
         children; None if it has no type."""
-        names = self.names
         typed, href, attrs = False, None, []
         for child in el:
-            name = names[child.tag]
+            name = _local(child.tag)
             if name == "attr":
                 one = len(child) == 1
-                tag, text = (names[child[0].tag], child[0].text or "") if one else (None, "")
+                tag, text = (_local(child[0].tag), child[0].text or "") if one else (None, "")
                 attrs.append((child.get("name"), tag, text))
             elif name == "type":
                 if typed:
                     raise SchemaError("element declares more than one type")
                 typed, href = True, child.get(_XLINK_HREF) or child.get("href")
         return (href, tuple(attrs)) if typed else None
+
+    def declarations(self, native: bool) -> _Declared:
+        """Read the `<node>` elements, each one's signature after its id."""
+        nodes = (((raw_id := el.get("id")), raw_id, el) for el in self.nodes)
+        key_of = partial(_key, native=native)
+        return _declarations(nodes, native, key_of, self.signature, read=self.signature)
 
 
 def _typed(sig: _Signature, context: str) -> tuple[str, dict[str, int | str]]:
@@ -234,7 +232,7 @@ def _label_of(sig: _Signature, context: str, native: bool) -> tuple[int, object]
     raise UnsupportedNodeTypeError(f"unsupported node type #{type_name}")
 
 
-def _decimal(digits: str, what: str) -> int:
+def _decimal(digits: str, what: str = "node id") -> int:
     """`int(digits)`; past the digit limit, GxlParseError naming `what`."""
     try:
         return int(digits)
@@ -270,14 +268,14 @@ def _flow_attrs(
     return attrs["position"], attrs.get("branch")  # type: ignore[return-value]
 
 
-def _key(raw: str, native: bool) -> NodeId | str | None:
+def _key(raw: str | None, native: bool) -> NodeId | str | None:
     """What an id names, or None: in native documents its number (so `n1`
     names a node declared `n01`), in attributed ones the id itself."""
-    if not native:
+    if not (native and raw):
         return raw or None
     digits = raw[1:]
-    if raw[:1] == "n" and digits.isascii() and digits.isdecimal():
-        return _decimal(digits, "node id")
+    if raw[0] == "n" and digits.isascii() and digits.isdecimal():
+        return _decimal(digits)
     return None
 
 
@@ -286,18 +284,25 @@ def _key(raw: str, native: bool) -> NodeId | str | None:
 _Declared = tuple[dict, dict, dict, dict]
 
 
-def _declarations(doc: _Document, native: bool) -> _Declared:
-    """Read the `<node>` elements of either dialect.
+def _declarations(
+    nodes: Iterable, native: bool, key_of: Callable, signature: Callable, read: Callable | None = None
+) -> _Declared:
+    """Number, de-duplicate and label the `<node>` declarations of either
+    reader.
 
-    Native nodes keep the number their id names; attributed nodes are
-    numbered in document order and may not be Edge nodes.
+    `nodes` gives each declaration's id as written, the text `key_of`
+    reads its `_key` from, and its body.  Labels are cached by body, or
+    by `read(body)` if given (None: the node declares no type), which
+    runs only once the id is checked.  On a miss, `signature(body)` goes
+    to `_label_of`.  Native nodes keep the number their id names;
+    attributed nodes are numbered in document order and may not be Edge
+    nodes.
     """
     maps: tuple[dict, dict, dict] = ({}, {}, {})
     ids: dict[NodeId | str, NodeId] = {}
-    labels: dict[_Signature, tuple[int, object]] = {}
-    for el in doc.nodes:
-        raw_id = el.get("id")
-        if raw_id is None or (key := _key(raw_id, native)) is None:
+    labels: dict[object, tuple[int, object]] = {}
+    for raw_id, id_text, body in nodes:
+        if (key := key_of(id_text)) is None:
             if native and raw_id is not None:
                 raise SchemaError(f"node id {raw_id!r} is not of the form n<int>")
             raise SchemaError("node without an id")
@@ -305,39 +310,28 @@ def _declarations(doc: _Document, native: bool) -> _Declared:
             raise SchemaError(f"duplicate node id {raw_id!r}")
         # An attributed id is its own key, so `ids` has one entry per node.
         nid = ids[key] = ids[raw_id] = key if native else len(ids)  # type: ignore[assignment]
-        sig = doc.signature(el)
-        if sig is None:
-            raise SchemaError(f"node {raw_id!r} declares no type")
-        if (label := labels.get(sig)) is None:
-            label = labels[sig] = _label_of(sig, f"node {raw_id!r}", native)
+        cached = body if read is None else read(body)
+        if (label := labels.get(cached)) is None:
+            if cached is None:
+                raise SchemaError(f"node {raw_id!r} declares no type")
+            label = labels[cached] = _label_of(signature(body), f"node {raw_id!r}", native)
         which, value = label
         maps[which][nid] = value
     return (*maps, ids)
 
 
 def _read_plain(data: bytes | str) -> ProgramGraph | None:
-    """The graph of a plain document; None for any other document, and for
-    a plain one that is not a valid graph."""
+    """The graph of a plain document; None for any other document."""
     text = data if isinstance(data, str) else data.decode("latin-1")
     if not _PLAIN.fullmatch(text):
         return None
-    maps: tuple[dict, dict, dict] = ({}, {}, {})
-    ids: dict[NodeId | str, NodeId] = {}
-    labels: dict[tuple[str, str], tuple[int, object]] = {}
-    try:
-        for raw_id, href, attrs in _PLAIN_NODE.findall(text):
-            nid = _decimal(raw_id[1:], "node id")
-            if nid in ids:
-                return None
-            ids[nid] = ids[raw_id] = nid
-            if (label := labels.get((href, attrs))) is None:
-                sig = (href, tuple(_PLAIN_ATTR.findall(attrs)))
-                label = labels[href, attrs] = _label_of(sig, f"node {raw_id!r}", True)
-            which, value = label
-            maps[which][nid] = value
-        return _relations(_PLAIN_EDGE.findall(text), (*maps, ids))
-    except GxlError:
-        return None
+    declared = _declarations(_PLAIN_NODE.findall(text), True, _decimal, _plain_signature)
+    return _relations(_PLAIN_EDGE.findall(text), declared)
+
+
+def _plain_signature(body: str) -> _Signature:
+    """The signature of a plain node's type and attrs as written."""
+    return _PLAIN_HREF.match(body)[1], tuple(_PLAIN_ATTR.findall(body))  # type: ignore[index]
 
 
 def _endpoint(raw: str | None, attr: str, ids: dict, native: bool) -> NodeId:
@@ -407,11 +401,11 @@ def _bare(edges: list[ET.Element]) -> Iterable[tuple[str | None, str | None]]:
 def _read_native(doc: _Document) -> ProgramGraph:
     if doc.graph.get("edgeids", "false") != "false":
         raise SchemaError("native documents do not assign edge identities")
-    return _relations(_bare(doc.edges), _declarations(doc, native=True))
+    return _relations(_bare(doc.edges), doc.declarations(native=True))
 
 
 def _read_attributed(doc: _Document) -> ProgramGraph:
-    op_nodes, block_nodes, _, ids = _declarations(doc, native=False)
+    op_nodes, block_nodes, _, ids = doc.declarations(native=False)
     edge_nodes: dict[NodeId, EdgeNode] = {}
     containment: dict[NodeId, NodeId] = {}
     for el in doc.edges:
@@ -446,8 +440,7 @@ def detect_dialect(data: bytes | str) -> DialectTag:
 
 def load_native(data: bytes | str) -> ProgramGraph:
     """Read a native-dialect document, preserving its node numbering."""
-    g = _read_plain(data)
-    return g if g is not None else _read_native(_Document(data))
+    return load(data, DialectTag.NATIVE)
 
 
 def import_firm_gxl(data: bytes | str) -> ProgramGraph:
@@ -456,7 +449,7 @@ def import_firm_gxl(data: bytes | str) -> ProgramGraph:
     Node ids in this dialect are arbitrary strings; the imported graph
     numbers declared nodes in document order and Edge nodes after them.
     """
-    return _read_attributed(_Document(data))
+    return load(data, DialectTag.FIRM_ATTRIBUTED)
 
 
 def load(data: bytes | str, dialect: DialectTag | None = None) -> ProgramGraph:

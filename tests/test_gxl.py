@@ -143,6 +143,64 @@ def test_load_parses_each_document_once(monkeypatch):
         assert len(calls) == trees
 
 
+def with_comment(doc: str) -> str:
+    """`doc` with a comment after `<graph ...>`, which takes it out of the
+    plain subset."""
+    return doc.replace('edgemode="directed">', 'edgemode="directed"><!-- c -->', 1)
+
+
+# Invalid documents in the plain subset, each with the error it raises.
+INVALID_PLAIN = (
+    (
+        start_and_return() + '<node id="n01"><type xlink:href="#Return"/></node>',
+        "duplicate node id 'n01'",
+    ),
+    ('<node id="n1"><type xlink:href="#Cmp"/></node>', "node 'n1': missing attr 'relation'"),
+    (
+        '<node id="n1"><type xlink:href="#Const"/><attr name="value"><int>1</int></attr></node>'
+        '<node id="n2"><type xlink:href="#Const"/><attr name="value"><int>2</int></attr></node>'
+        '<node id="n3"><type xlink:href="#DataflowEdge"/>'
+        '<attr name="position"><int>0</int></attr></node>'
+        '<edge from="n1" to="n3"/><edge from="n2" to="n3"/>',
+        "Edge node n3 has two sources",
+    ),
+)
+
+
+def test_invalid_plain_documents_are_parsed_once(monkeypatch):
+    built = []
+
+    class Spy(gxl._Document):
+        def __init__(self, data):
+            built.append(data)
+            super().__init__(data)
+
+    monkeypatch.setattr(gxl, "_Document", Spy)
+    for body, message in INVALID_PLAIN:
+        doc = wrap_native(body)
+        assert gxl._PLAIN.fullmatch(doc), body
+        twin = with_comment(doc)
+        for reader in (load, load_native):
+            built.clear()
+            assert outcome(reader, doc) == (SchemaError, message)
+            assert built == []
+            assert outcome(reader, twin) == (SchemaError, message)
+            assert built == [twin]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ('<node id="x">', "node id 'x' is not of the form n<int>"),
+        ('<node id="n1"><type xlink:href="#Block"/></node><node id="n1">', "duplicate node id 'n1'"),
+    ],
+)
+def test_an_id_error_comes_before_a_type_error(body, message):
+    twice = '<type xlink:href="#Block"/><type xlink:href="#Block"/></node>'
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        load(wrap_native(body + twice))
+
+
 def test_native_references_resolve_by_number():
     body = (
         '<node id="n00"><type xlink:href="#StartBlock"/></node>'
@@ -309,14 +367,15 @@ def test_plain_reader_matches_the_element_tree_reader(monkeypatch):
         if gxl._PLAIN.fullmatch(doc.decode("latin-1")):
             assert doc not in misses, doc
             entered += 1
-            read += gxl._read_plain(doc) is not None
+            read += isinstance(outcome(gxl._read_plain, doc)[0], dict)
         got = [in_order(reader, doc) for reader in (load, load_native)]
         with monkeypatch.context() as tree_only:
             tree_only.setattr(gxl, "_read_plain", lambda data: None)
             want = [in_order(reader, doc) for reader in (load, load_native)]
         assert got == want, doc
     # The plain reader reads the big chain, the permuted documents and
-    # some mutated ones, and declines the other mutated ones it enters.
+    # some mutated ones to graphs; on the other mutated ones it enters,
+    # it raises the error that the tree reader raises.
     assert entered > 300 and read > 50, (entered, read)
 
 
