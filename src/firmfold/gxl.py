@@ -131,9 +131,7 @@ class DialectTag(Enum):
     FIRM_ATTRIBUTED = "firm"
 
 
-def _local(tag: object) -> str:
-    if not isinstance(tag, str):
-        return ""
+def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 

@@ -11,18 +11,18 @@ everything its rewrite reads, including what must be absent.
 
 `_rule` derives both halves of a `Rule` from that one pattern, and
 hands the anchor and the pattern on, so that `fold` and `explore` can
-re-ask the pattern only where a step wrote.  The matcher filters the
-graph's nodes by the anchor's kind and asks the pattern at each of
-them; the drivers call it only for a rule without a pattern.
-The applier re-checks the one match it is given locally: the first
-anchor must still be a node of the anchor's kind, and the pattern at
-that node must still list the match.  Otherwise it raises
-StaleMatchError.  So the check reads the anchor's neighbourhood instead
-of matching over the whole graph.  The applier then rewrites the graph
-it is given in place, through the graph's mutators only, and returns
-it.  The exported `rule_*` functions drive a single rewrite without the
-engine: each applies the same rewrite to a copy and leaves its input
-untouched.
+re-ask the pattern only where a step wrote.  Both halves classify nodes
+through `ProgramGraph.kind_of`, as the engine's match table does.  The
+matcher asks the pattern at every node of the anchor's kind; the
+drivers call it only for a rule without a pattern.  The applier
+re-checks the one match it is given locally: the first anchor must
+still be a node of the anchor's kind, and the pattern at that node must
+still list the match.  Otherwise it raises StaleMatchError.  So the
+check reads the anchor's neighbourhood instead of matching over the
+whole graph.  The applier then rewrites the graph it is given in place,
+through the graph's mutators only, and returns it.  `rule_add_fold_int`
+is the one copying form: it drives add-fold-int's applier on a copy
+without the engine and leaves its input untouched.
 
 Folding a binary operation keeps every user edge alive by redirecting
 it to the freshly created constant.  It fires whether or not anything
@@ -73,28 +73,8 @@ from .graph import (
     wrap32,
 )
 
-ADD_FOLD_INT = "add-fold-int"
-CMP_FOLD_INT = "cmp-fold-int"
-COND_FOLD_TRUE = "cond-fold-true"
-COND_FOLD_FALSE = "cond-fold-false"
-BLOCK_REMOVE = "block-remove"
-PHI_ADJUST = "phi-adjust"
-PHI_FOLD_SINGLE = "phi-fold-single"
-CLEANUP_DANGLING_DATAFLOW = "cleanup-dangling-dataflow"
-CLEANUP_DANGLING_CONTROL = "cleanup-dangling-control"
-CLEANUP_UNREF_CONST = "cleanup-unref-const"
-
 #: The anchor tuples of the matches at one anchor node.
 _Matches = list[tuple[NodeId, ...]]
-
-
-def _candidates(g: ProgramGraph, anchor: NodeKind) -> list[NodeId]:
-    """The nodes of `anchor`'s kind, in insertion order."""
-    if isinstance(anchor, BlockKind):
-        return [b for b, kind in g.block_nodes.items() if kind is anchor]
-    if isinstance(anchor, EdgeKind):
-        return [e for e, edge in g.edge_nodes.items() if edge.kind is anchor]
-    return [op for op, kind in g.op_nodes.items() if kind.name == anchor]
 
 
 def _rule(
@@ -109,7 +89,8 @@ def _rule(
     def matcher(g: ProgramGraph) -> list[Match]:
         return [
             Match(name, anchors)
-            for n in _candidates(g, anchor)
+            for n in (*g.op_nodes, *g.block_nodes, *g.edge_nodes)
+            if g.kind_of(n) == anchor
             for anchors in pattern(g, n)
         ]
 
@@ -240,9 +221,7 @@ def _short_phi(g: ProgramGraph, phi: NodeId, operand: NodeId) -> None:
 
 def _sourced_outside_blocks(g: ProgramGraph, edge: NodeId) -> _Matches:
     source = g.edge_nodes[edge].source
-    if source in g.op_nodes and source not in g.containment:
-        return [(edge,)]
-    return []
+    return [] if source in g.containment else [(edge,)]
 
 
 def _unreferenced(g: ProgramGraph, const: NodeId) -> _Matches:
@@ -255,45 +234,28 @@ def _delete_anchor(g: ProgramGraph, node: NodeId) -> None:
 
 
 CATALOG: tuple[Rule, ...] = (
-    _rule(CLEANUP_DANGLING_DATAFLOW, 1, EdgeKind.DATAFLOW, _sourced_outside_blocks, _delete_anchor),
-    _rule(CLEANUP_DANGLING_CONTROL, 2, EdgeKind.CONTROLFLOW, _sourced_outside_blocks, _delete_anchor),
-    _rule(CLEANUP_UNREF_CONST, 3, "Const", _unreferenced, _delete_anchor),
-    _rule(CMP_FOLD_INT, 4, "Cmp", _binary_on_consts, _fold_cmp),
-    _rule(COND_FOLD_TRUE, 5, "Cond", partial(_cond_on_const, nonzero=True), _cond_to_jmp),
-    _rule(COND_FOLD_FALSE, 6, "Cond", partial(_cond_on_const, nonzero=False), _cond_to_jmp),
-    _rule(BLOCK_REMOVE, 7, BlockKind.BLOCK, _entryless, _remove_block),
-    _rule(PHI_ADJUST, 8, "Phi", _stale_phi_inputs, _drop_phi_input),
-    _rule(PHI_FOLD_SINGLE, 9, "Phi", _single_entry_phi, _short_phi),
-    _rule(ADD_FOLD_INT, 10, "Add", _binary_on_consts, _fold_add),
+    _rule("cleanup-dangling-dataflow", 1, EdgeKind.DATAFLOW, _sourced_outside_blocks, _delete_anchor),
+    _rule("cleanup-dangling-control", 2, EdgeKind.CONTROLFLOW, _sourced_outside_blocks, _delete_anchor),
+    _rule("cleanup-unref-const", 3, "Const", _unreferenced, _delete_anchor),
+    _rule("cmp-fold-int", 4, "Cmp", _binary_on_consts, _fold_cmp),
+    _rule("cond-fold-true", 5, "Cond", partial(_cond_on_const, nonzero=True), _cond_to_jmp),
+    _rule("cond-fold-false", 6, "Cond", partial(_cond_on_const, nonzero=False), _cond_to_jmp),
+    _rule("block-remove", 7, BlockKind.BLOCK, _entryless, _remove_block),
+    _rule("phi-adjust", 8, "Phi", _stale_phi_inputs, _drop_phi_input),
+    _rule("phi-fold-single", 9, "Phi", _single_entry_phi, _short_phi),
+    _rule("add-fold-int", 10, "Add", _binary_on_consts, _fold_add),
 )
 
 RULE_NAMES: tuple[str, ...] = tuple(r.name for r in CATALOG)
 
-_Applier = Callable[[ProgramGraph, Match], ProgramGraph]
 
+def rule_add_fold_int(g: ProgramGraph, match: Match) -> ProgramGraph:
+    """Rewrite one add-fold-int match on a copy of `g` and return the copy.
 
-def _on_copy(name: str) -> _Applier:
-    """The copying form of rule `name`'s applier: `g` itself is left as it was."""
-    applier = next(r.applier for r in CATALOG if r.name == name)
-
-    def rewrite(g: ProgramGraph, match: Match) -> ProgramGraph:
-        return applier(g.copy(), match)
-
-    rewrite.__name__ = rewrite.__qualname__ = "rule_" + name.replace("-", "_")
-    rewrite.__doc__ = f"{applier.__doc__}\n\nRewrites and returns a copy of `g`."
-    return rewrite
-
-
-rule_cleanup_dangling_dataflow = _on_copy(CLEANUP_DANGLING_DATAFLOW)
-rule_cleanup_dangling_control = _on_copy(CLEANUP_DANGLING_CONTROL)
-rule_cleanup_unref_const = _on_copy(CLEANUP_UNREF_CONST)
-rule_cmp_fold_int = _on_copy(CMP_FOLD_INT)
-rule_cond_fold_true = _on_copy(COND_FOLD_TRUE)
-rule_cond_fold_false = _on_copy(COND_FOLD_FALSE)
-rule_block_remove = _on_copy(BLOCK_REMOVE)
-rule_phi_adjust = _on_copy(PHI_ADJUST)
-rule_phi_fold_single = _on_copy(PHI_FOLD_SINGLE)
-rule_add_fold_int = _on_copy(ADD_FOLD_INT)
+    `g` itself is left as it was.
+    """
+    (add_fold,) = (r for r in CATALOG if r.name == "add-fold-int")
+    return add_fold.applier(g.copy(), match)
 
 
 def build_min_plus_one(a: int, b: int, relation: str = "lt") -> ProgramGraph:

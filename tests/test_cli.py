@@ -144,6 +144,24 @@ def test_negative_budgets_are_usage_errors(tmp_path, capsys):
     assert "no fixpoint within 0 steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,raw",
+    [
+        (["fold", "in.gxl", "out", "--max-steps", "abc"], "abc"),
+        (["explore", "in.gxl", "--report", "out", "--max-states", "1.5"], "1.5"),
+    ],
+)
+def test_non_integer_budgets_are_usage_errors(tmp_path, monkeypatch, capsys, argv, raw):
+    monkeypatch.chdir(tmp_path)
+    write_example(tmp_path / "in.gxl")
+    assert main(argv) == 2
+    usage, *rest = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: ")
+    message = f"error: argument {argv[-2]}: must be a non-negative integer, got {raw!r}"
+    assert rest[-1].endswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_explore_report_on_stdout(tmp_path, capsys):
     src = write_example(tmp_path / "in.gxl")
     assert main(["explore", str(src)]) == 0

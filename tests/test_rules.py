@@ -24,6 +24,7 @@ from firmfold import (
     StaleMatchError,
     apply,
     build_min_plus_one,
+    explore,
     fold,
     load_native,
     matches,
@@ -32,15 +33,6 @@ from firmfold.rules import (
     CATALOG,
     RULE_NAMES,
     rule_add_fold_int,
-    rule_block_remove,
-    rule_cleanup_dangling_control,
-    rule_cleanup_dangling_dataflow,
-    rule_cleanup_unref_const,
-    rule_cmp_fold_int,
-    rule_cond_fold_false,
-    rule_cond_fold_true,
-    rule_phi_adjust,
-    rule_phi_fold_single,
 )
 
 from helpers import diamond_chain, witnesses
@@ -48,6 +40,12 @@ from helpers import diamond_chain, witnesses
 
 def rule(name: str):
     return next(r for r in CATALOG if r.name == name)
+
+
+def fold_and_explore(g: ProgramGraph) -> tuple[int, tuple[int, int, int]]:
+    """`fold`'s step count and `explore`'s states, transitions and final states."""
+    lts = explore(g, CATALOG)
+    return fold(g, CATALOG).steps, (len(lts.states), len(lts.transitions), len(lts.final))
 
 
 def test_catalog_shape():
@@ -169,6 +167,17 @@ def test_add_fold_requires_a_start_block():
     assert matches(g, rule("add-fold-int")) == []
 
 
+def test_add_fold_leaves_an_add_of_three_constants():
+    # The binary folds read inputs 0 and 1 only, so a third input keeps
+    # the pattern from matching rather than making it raise.
+    g, consts = straightline(1, 2, 3)
+    add = g.add_op(ADD, 0)
+    for position, const in enumerate(consts):
+        g.connect(const, add, EdgeKind.DATAFLOW, position)
+    assert matches(g, rule("add-fold-int")) == []
+    assert fold_and_explore(g) == (0, (1, 0, 1))
+
+
 # Two start blocks, the larger id declared first.  An Add of two
 # constants in n9 feeds a Return.
 TWO_START_BLOCKS = """<?xml version='1.0' encoding='utf-8'?>
@@ -236,7 +245,7 @@ def test_cmp_fold_signed_relations(relation, a, b, expected):
     g.connect(ca, cmp_, EdgeKind.DATAFLOW, 0)
     g.connect(cb, cmp_, EdgeKind.DATAFLOW, 1)
     user = g.connect(cmp_, ret, EdgeKind.DATAFLOW, 0)
-    h = rule_cmp_fold_int(g, matches(g, rule("cmp-fold-int"))[0])
+    h = rule("cmp-fold-int").applier(g.copy(), matches(g, rule("cmp-fold-int"))[0])
     assert h.op_nodes[h.edge_nodes[user].source].value == expected
 
 
@@ -263,7 +272,7 @@ def test_cond_fold_true_keeps_branch_one():
     assert matches(g, rule("cond-fold-false")) == []
     found = matches(g, rule("cond-fold-true"))
     assert found == [Match("cond-fold-true", (4, 3))]
-    h = rule_cond_fold_true(g, found[0])
+    h = rule("cond-fold-true").applier(g.copy(), found[0])
     assert 4 not in h.op_nodes
     (jmp,) = [n for n, k in h.op_nodes.items() if k.name == "Jmp"]
     assert h.containment[jmp] == 0
@@ -276,7 +285,7 @@ def test_cond_fold_true_keeps_branch_one():
 def test_cond_fold_false_keeps_branch_zero():
     g = cond_ready(0)
     assert matches(g, rule("cond-fold-true")) == []
-    h = rule_cond_fold_false(g, matches(g, rule("cond-fold-false"))[0])
+    h = rule("cond-fold-false").applier(g.copy(), matches(g, rule("cond-fold-false"))[0])
     (jmp,) = [n for n, k in h.op_nodes.items() if k.name == "Jmp"]
     assert [target for _, target in h.control_succs(jmp)] == [2]
 
@@ -301,6 +310,32 @@ def test_cond_fold_needs_both_branch_successors():
     assert matches(g, rule("cond-fold-false")) == []
 
 
+def test_cond_fold_leaves_a_blockless_cond():
+    # A Cond whose block was deleted has no block for the Jmp; its
+    # control edges dangle, and only the cleanups and block-remove fire.
+    # `fold` is safe by priority alone, but `explore` tries every rule.
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    arm_true = g.add_block(BlockKind.BLOCK)
+    arm_false = g.add_block(BlockKind.BLOCK)
+    home = g.add_block(BlockKind.BLOCK)
+    cond = g.add_op(COND, home)
+    g.connect(g.add_op(Const(1), start), cond, EdgeKind.DATAFLOW, 0)
+    g.connect(cond, arm_true, EdgeKind.CONTROLFLOW, 0, branch=1)
+    g.connect(cond, arm_false, EdgeKind.CONTROLFLOW, 0, branch=0)
+    g.delete_node(home)
+    assert matches(g, rule("cond-fold-true")) == []
+    assert fold_and_explore(g) == (4, (8, 10, 1))
+
+
+def test_cond_fold_leaves_a_cond_with_two_inputs():
+    g = cond_ready(1)
+    cond = next(op for op, kind in g.op_nodes.items() if kind == COND)
+    g.connect(g.add_op(Const(0), 0), cond, EdgeKind.DATAFLOW, 1)
+    assert matches(g, rule("cond-fold-true")) == []
+    assert fold_and_explore(g) == (0, (1, 0, 1))
+
+
 def test_block_remove_only_predless_ordinary_blocks():
     g = diamond()
     assert matches(g, rule("block-remove")) == []
@@ -321,7 +356,7 @@ def test_block_remove_takes_members_and_their_edges():
     jmp = g.add_op(JMP, dead)
     g.connect(jmp, merge, EdgeKind.CONTROLFLOW, 0)
     before = g.element_count()
-    h = rule_block_remove(g, Match("block-remove", (dead,)))
+    h = rule("block-remove").applier(g.copy(), Match("block-remove", (dead,)))
     assert h.element_count() == before - 3
     assert jmp not in h.op_nodes
     assert h.control_preds(merge) == []
@@ -333,7 +368,7 @@ def test_phi_adjust_drops_stale_input():
     g.delete_node(21)
     found = matches(g, rule("phi-adjust"))
     assert found == [Match("phi-adjust", (12, 23))]
-    h = rule_phi_adjust(g, found[0])
+    h = rule("phi-adjust").applier(g.copy(), found[0])
     assert 23 not in h.edge_nodes
     assert [src for _, src in h.data_inputs(12)] == [5]
 
@@ -355,7 +390,7 @@ def test_phi_fold_single_shorts_out_the_phi():
     user = g.connect(phi, ret, EdgeKind.DATAFLOW, 0)
     found = matches(g, rule("phi-fold-single"))
     assert found == [Match("phi-fold-single", (phi, c))]
-    h = rule_phi_fold_single(g, found[0])
+    h = rule("phi-fold-single").applier(g.copy(), found[0])
     assert phi not in h.op_nodes
     assert h.edge_nodes[user].source == c
     assert h.element_count() == g.element_count() - 2
@@ -390,7 +425,7 @@ def test_cleanup_dangling_dataflow():
     g.delete_node(block)
     found = matches(g, rule("cleanup-dangling-dataflow"))
     assert found == [Match("cleanup-dangling-dataflow", (edge,))]
-    h = rule_cleanup_dangling_dataflow(g, found[0])
+    h = rule("cleanup-dangling-dataflow").applier(g.copy(), found[0])
     assert edge not in h.edge_nodes
     assert stray in h.op_nodes  # the constant itself is unref-const's turn
 
@@ -404,7 +439,7 @@ def test_cleanup_dangling_control():
     g.delete_node(block)
     found = matches(g, rule("cleanup-dangling-control"))
     assert found == [Match("cleanup-dangling-control", (edge,))]
-    h = rule_cleanup_dangling_control(g, found[0])
+    h = rule("cleanup-dangling-control").applier(g.copy(), found[0])
     assert edge not in h.edge_nodes
 
 
@@ -414,7 +449,7 @@ def test_cleanup_unref_const():
     g.connect(a, ret, EdgeKind.DATAFLOW, 0)
     found = matches(g, rule("cleanup-unref-const"))
     assert found == [Match("cleanup-unref-const", (b,))]
-    h = rule_cleanup_unref_const(g, found[0])
+    h = rule("cleanup-unref-const").applier(g.copy(), found[0])
     assert b not in h.op_nodes
     assert a in h.op_nodes
 
@@ -423,37 +458,38 @@ def test_appliers_reject_fabricated_matches():
     g = diamond()
     cases = [
         (rule_add_fold_int, Match("add-fold-int", (13, 5, 6))),
-        (rule_cmp_fold_int, Match("cmp-fold-int", (8, 6, 5))),
-        (rule_cond_fold_true, Match("cond-fold-true", (9, 8))),
-        (rule_cond_fold_false, Match("cond-fold-false", (9, 8))),
-        (rule_block_remove, Match("block-remove", (1,))),
-        (rule_phi_adjust, Match("phi-adjust", (12, 22))),
-        (rule_phi_fold_single, Match("phi-fold-single", (12, 5))),
-        (rule_cleanup_dangling_dataflow, Match("cleanup-dangling-dataflow", (15,))),
-        (rule_cleanup_dangling_control, Match("cleanup-dangling-control", (18,))),
-        (rule_cleanup_unref_const, Match("cleanup-unref-const", (5,))),
+        (rule("cmp-fold-int").applier, Match("cmp-fold-int", (8, 6, 5))),
+        (rule("cond-fold-true").applier, Match("cond-fold-true", (9, 8))),
+        (rule("cond-fold-false").applier, Match("cond-fold-false", (9, 8))),
+        (rule("block-remove").applier, Match("block-remove", (1,))),
+        (rule("phi-adjust").applier, Match("phi-adjust", (12, 22))),
+        (rule("phi-fold-single").applier, Match("phi-fold-single", (12, 5))),
+        (rule("cleanup-dangling-dataflow").applier, Match("cleanup-dangling-dataflow", (15,))),
+        (rule("cleanup-dangling-control").applier, Match("cleanup-dangling-control", (18,))),
+        (rule("cleanup-unref-const").applier, Match("cleanup-unref-const", (5,))),
         # a first anchor that does not exist
         (rule_add_fold_int, Match("add-fold-int", (99, 5, 6))),
-        (rule_block_remove, Match("block-remove", (99,))),
-        (rule_cleanup_dangling_dataflow, Match("cleanup-dangling-dataflow", (99,))),
+        (rule("block-remove").applier, Match("block-remove", (99,))),
+        (rule("cleanup-dangling-dataflow").applier, Match("cleanup-dangling-dataflow", (99,))),
         # a first anchor of another node class
         (rule_add_fold_int, Match("add-fold-int", (3, 5, 6))),
-        (rule_cleanup_dangling_control, Match("cleanup-dangling-control", (9,))),
-        (rule_phi_adjust, Match("phi-adjust", (22, 12))),
+        (rule("cleanup-dangling-control").applier, Match("cleanup-dangling-control", (9,))),
+        (rule("phi-adjust").applier, Match("phi-adjust", (22, 12))),
         # a first anchor of the right class but the wrong kind
-        (rule_cond_fold_true, Match("cond-fold-true", (5, 8))),
-        (rule_block_remove, Match("block-remove", (0,))),
-        (rule_cleanup_dangling_control, Match("cleanup-dangling-control", (15,))),
+        (rule("cond-fold-true").applier, Match("cond-fold-true", (5, 8))),
+        (rule("block-remove").applier, Match("block-remove", (0,))),
+        (rule("cleanup-dangling-control").applier, Match("cleanup-dangling-control", (15,))),
         # a real cmp-fold-int match, named for another rule
-        (rule_cmp_fold_int, Match("add-fold-int", (8, 5, 6))),
+        (rule("cmp-fold-int").applier, Match("add-fold-int", (8, 5, 6))),
     ]
     # an empty anchor tuple, and a match named for no rule
     for r in CATALOG:
         cases += [(r.applier, Match(r.name, ())), (r.applier, Match("no-such-rule", (5,)))]
     for applier, bogus in cases:
         with pytest.raises(StaleMatchError):
-            applier(g, bogus)
-    assert rule_cmp_fold_int(g, Match("cmp-fold-int", (8, 5, 6))).element_count() < g.element_count()
+            applier(g.copy(), bogus)
+    h = rule("cmp-fold-int").applier(g.copy(), Match("cmp-fold-int", (8, 5, 6)))
+    assert h.element_count() < g.element_count()
 
 
 ADJACENCY_QUERIES = (
