@@ -1,16 +1,18 @@
 """Deterministic rewriting and exhaustive state-space exploration.
 
 A rule pairs a matcher, which enumerates every match of its pattern in
-a graph, with an applier that rewrites one match in place.  The fold
-driver copies its input once and rewrites that copy; it is
-deterministic: at each step it takes the lowest-priority-value
-rule that matches at all and that rule's anchor-lexicographically
-smallest match.  The explorer instead takes every match of every rule
-from every reachable state, deduplicating states up to isomorphism, and
-so observes whether all maximal rewrites end in the same place; it keeps
-every state, so each successor comes from `apply`, which rewrites a
-copy; the copy shares its parent's adjacency index copy-on-write, so
-it pays for what its step writes, not for a new index.  Confluent
+a graph, with an applier that rewrites one match in place.  The engine
+builds both from a rule's pattern and rewrite (`Rule.of`), so the rule
+catalog states only those.  The fold driver copies its input once and
+rewrites that copy; it is deterministic: at each step it takes the
+lowest-priority-value rule that matches at all and that rule's
+anchor-lexicographically smallest match.  The explorer instead takes
+every match of every rule from every reachable state, deduplicating
+states up to isomorphism, and so observes whether all maximal rewrites
+end in the same place; it keeps every state, so each successor comes
+from `apply`, which rewrites a copy; the copy shares its parent's
+adjacency index copy-on-write, so it pays for what its step writes,
+not for a new index.  Confluent
 rewrites often rebuild a stored state node id for node id, so a
 successor is first looked up by its exact content, under a key that is
 its parent's updated at the nodes its step wrote (see below); only one
@@ -43,15 +45,17 @@ pattern asked at node `n` reads only
 - `n`'s block and that block's entries;
 - for an Edge node `n`, its source's block;
 - whether a start block exists, which no rule changes.
-The graph records every node its mutators wrote (`take_written`): each
-node added or deleted, the members of a deleted block, and each edge
-written together with its endpoints.  So a step's answers can change
-only at (a) a recorded node that still exists, (b) a member of a
-recorded block, whose entries changed, and (c) an out-edge of a
-recorded operation that has no block (it lost it).  Only those are
-re-asked (`_dirty`).  The record is not a radius-2 walk: the start block
-holds every constant, and re-asking all its members on every step would
-cost as much as matching from scratch.  A rule without a pattern is
+The graph records every node its mutators wrote (`take_written`), and
+each `_step` restarts that record before it rewrites, so after a step
+it holds just that step's writes: each node added or deleted, the
+members of a deleted block, and each edge written together with its
+endpoints.  So a step's answers can change only at (a) a recorded node
+that still exists, (b) a member of a recorded block, whose entries
+changed, and (c) an out-edge of a recorded operation that has no block
+(it lost it).  Only those are re-asked (`_dirty`).  The record is not
+a radius-2 walk: the start block holds every constant, and re-asking
+all its members on every step would cost as much as matching from
+scratch.  A rule without a pattern is
 asked through its matcher before every step and in every state.
 
 The same record keys `explore`'s content lookup.  The key is the XOR
@@ -114,7 +118,8 @@ class Rule:
     Both drivers then keep the rule's matches in their match table,
     asking the pattern again only where a step wrote, and never call
     `matcher`; without both, either driver asks `matcher` before every
-    step and in every state.
+    step and in every state.  `Rule.of` builds such a rule from its
+    pattern and its rewrite alone.
     """
 
     name: str
@@ -124,6 +129,48 @@ class Rule:
     anchor: NodeKind | None = None
     pattern: Pattern | None = None
 
+    @classmethod
+    def of(
+        cls,
+        name: str,
+        priority: int,
+        anchor: NodeKind,
+        pattern: Pattern,
+        rewrite: Callable[..., None],
+    ) -> Rule:
+        """The rule that rewrites, with `rewrite(g, *anchors)`, each match of `pattern`.
+
+        Its matcher asks the pattern at every node of the anchor's kind,
+        independently of the match table.  Its applier re-checks the one
+        match it is given locally: the first anchor must still be a node
+        of the anchor's kind, and the pattern at that node must still
+        list the match; otherwise it raises StaleMatchError.  The applier
+        then rewrites the graph it is given in place and returns it.
+        """
+
+        def matcher(g: ProgramGraph) -> list[Match]:
+            return [
+                Match(name, anchors)
+                for n in (*g.op_nodes, *g.block_nodes, *g.edge_nodes)
+                if g.kind_of(n) == anchor
+                for anchors in pattern(g, n)
+            ]
+
+        def applier(g: ProgramGraph, match: Match) -> ProgramGraph:
+            anchors = match.anchors
+            if not (
+                match.rule_name == name
+                and anchors
+                and g.kind_of(anchors[0]) == anchor
+                and anchors in pattern(g, anchors[0])
+            ):
+                raise StaleMatchError(f"{name} does not match at {anchors}")
+            rewrite(g, *anchors)
+            return g
+
+        applier.__doc__ = rewrite.__doc__
+        return cls(name, priority, matcher, applier, anchor, pattern)
+
 
 def matches(g: ProgramGraph, rule: Rule) -> list[Match]:
     """All matches of `rule` in `g`, anchor-lexicographic order."""
@@ -131,7 +178,9 @@ def matches(g: ProgramGraph, rule: Rule) -> list[Match]:
 
 
 def _step(g: ProgramGraph, rule: Rule, match: Match) -> None:
-    """Rewrite one match in place, assert the termination measure, normalize."""
+    """Restart `g`'s write record, rewrite one match in place, assert the
+    termination measure, normalize; the record then holds this step's writes."""
+    g.take_written()
     before = g.element_count()
     rule.applier(g, match)
     assert g.element_count() < before, f"{rule.name} did not shrink the graph"
@@ -346,7 +395,6 @@ def fold(
     if max_steps is None:
         max_steps = g.element_count()
     current = _start(g)
-    current.take_written()  # start the record
     ordered = sorted(rules, key=lambda r: r.priority)
     table = _Table.build(current, ordered)
     heaps = table.listed()  # a sorted list is a heap
@@ -489,9 +537,9 @@ def explore(
     table is its parent's with the patterns re-asked around them
     (`_Table.inherit`).
     A wrong key could only cause a miss, since `_same_content` confirms
-    every hit.  Expanding a state restarts its write record, so that
-    each successor's record holds just its own step's writes; a stored
-    state keeps neither a record nor an index (`shelve`).
+    every hit.  Each successor's record holds just its own step's
+    writes, since `_step` restarts it; a stored state keeps neither a
+    record nor an index (`shelve`).
     """
     if max_states < 1:
         raise StateLimitExceeded(f"state space exceeds {max_states} states")
@@ -515,7 +563,6 @@ def explore(
         state = states[digest]
         table = parent.inherit(state, written)
         listed = table.listed()
-        state.take_written()  # each successor's copy starts an empty record
         for index, rule in enumerate(ordered):
             tuples = listed.get(index)
             if tuples is None:
@@ -541,7 +588,7 @@ def explore(
                                 f"state space exceeds {max_states} states"
                             )
                         # Stored states hold no index and no write record;
-                        # expansion rebuilds the one and restarts the other.
+                        # expansion rebuilds the one, `_step` restarts the other.
                         successor.shelve()
                         states[succ_digest] = successor
                         by_content.setdefault(key, succ_digest)

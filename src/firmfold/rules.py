@@ -9,20 +9,12 @@ only `n`'s neighbourhood as the engine's read invariant bounds it (the
 binary folds also ask whether a start block exists).  A pattern demands
 everything its rewrite reads, including what must be absent.
 
-`_rule` derives both halves of a `Rule` from that one pattern, and
-hands the anchor and the pattern on, so that `fold` and `explore` can
-re-ask the pattern only where a step wrote.  Both halves classify nodes
-through `ProgramGraph.kind_of`, as the engine's match table does.  The
-matcher asks the pattern at every node of the anchor's kind; the
-drivers call it only for a rule without a pattern.  The applier
-re-checks the one match it is given locally: the first anchor must
-still be a node of the anchor's kind, and the pattern at that node must
-still list the match.  Otherwise it raises StaleMatchError.  So the
-check reads the anchor's neighbourhood instead of matching over the
-whole graph.  The applier then rewrites the graph it is given in place,
-through the graph's mutators only, and returns it.  `rule_add_fold_int`
-is the one copying form: it drives add-fold-int's applier on a copy
-without the engine and leaves its input untouched.
+This module holds just the patterns and their rewrites.  The engine
+builds each rule from the two (`Rule.of`): it asks the pattern to find
+matches and to re-check a match before the rewrite, and each of its
+steps restarts the graph's write record, so no rewrite manages either.
+A rewrite changes the graph it is given in place, through the graph's
+mutators only.
 
 Folding a binary operation keeps every user edge alive by redirecting
 it to the freshly created constant.  It fires whether or not anything
@@ -52,10 +44,8 @@ anchors:
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
 
-from .engine import Match, Pattern, Rule
-from .errors import StaleMatchError
+from .engine import Rule
 from .graph import (
     ADD,
     COND,
@@ -68,46 +58,12 @@ from .graph import (
     Const,
     EdgeKind,
     NodeId,
-    NodeKind,
     ProgramGraph,
     wrap32,
 )
 
 #: The anchor tuples of the matches at one anchor node.
 _Matches = list[tuple[NodeId, ...]]
-
-
-def _rule(
-    name: str,
-    priority: int,
-    anchor: NodeKind,
-    pattern: Pattern,
-    rewrite: Callable[..., None],
-) -> Rule:
-    """The rule that rewrites, with `rewrite(g, *anchors)`, each match of `pattern`."""
-
-    def matcher(g: ProgramGraph) -> list[Match]:
-        return [
-            Match(name, anchors)
-            for n in (*g.op_nodes, *g.block_nodes, *g.edge_nodes)
-            if g.kind_of(n) == anchor
-            for anchors in pattern(g, n)
-        ]
-
-    def applier(g: ProgramGraph, match: Match) -> ProgramGraph:
-        anchors = match.anchors
-        if not (
-            match.rule_name == name
-            and anchors
-            and g.kind_of(anchors[0]) == anchor
-            and anchors in pattern(g, anchors[0])
-        ):
-            raise StaleMatchError(f"{name} does not match at {anchors}")
-        rewrite(g, *anchors)
-        return g
-
-    applier.__doc__ = rewrite.__doc__
-    return Rule(name, priority, matcher, applier, anchor, pattern)
 
 
 # -- binary folds: cmp-fold-int, add-fold-int -------------------------
@@ -234,28 +190,19 @@ def _delete_anchor(g: ProgramGraph, node: NodeId) -> None:
 
 
 CATALOG: tuple[Rule, ...] = (
-    _rule("cleanup-dangling-dataflow", 1, EdgeKind.DATAFLOW, _sourced_outside_blocks, _delete_anchor),
-    _rule("cleanup-dangling-control", 2, EdgeKind.CONTROLFLOW, _sourced_outside_blocks, _delete_anchor),
-    _rule("cleanup-unref-const", 3, "Const", _unreferenced, _delete_anchor),
-    _rule("cmp-fold-int", 4, "Cmp", _binary_on_consts, _fold_cmp),
-    _rule("cond-fold-true", 5, "Cond", partial(_cond_on_const, nonzero=True), _cond_to_jmp),
-    _rule("cond-fold-false", 6, "Cond", partial(_cond_on_const, nonzero=False), _cond_to_jmp),
-    _rule("block-remove", 7, BlockKind.BLOCK, _entryless, _remove_block),
-    _rule("phi-adjust", 8, "Phi", _stale_phi_inputs, _drop_phi_input),
-    _rule("phi-fold-single", 9, "Phi", _single_entry_phi, _short_phi),
-    _rule("add-fold-int", 10, "Add", _binary_on_consts, _fold_add),
+    Rule.of("cleanup-dangling-dataflow", 1, EdgeKind.DATAFLOW, _sourced_outside_blocks, _delete_anchor),
+    Rule.of("cleanup-dangling-control", 2, EdgeKind.CONTROLFLOW, _sourced_outside_blocks, _delete_anchor),
+    Rule.of("cleanup-unref-const", 3, "Const", _unreferenced, _delete_anchor),
+    Rule.of("cmp-fold-int", 4, "Cmp", _binary_on_consts, _fold_cmp),
+    Rule.of("cond-fold-true", 5, "Cond", partial(_cond_on_const, nonzero=True), _cond_to_jmp),
+    Rule.of("cond-fold-false", 6, "Cond", partial(_cond_on_const, nonzero=False), _cond_to_jmp),
+    Rule.of("block-remove", 7, BlockKind.BLOCK, _entryless, _remove_block),
+    Rule.of("phi-adjust", 8, "Phi", _stale_phi_inputs, _drop_phi_input),
+    Rule.of("phi-fold-single", 9, "Phi", _single_entry_phi, _short_phi),
+    Rule.of("add-fold-int", 10, "Add", _binary_on_consts, _fold_add),
 )
 
 RULE_NAMES: tuple[str, ...] = tuple(r.name for r in CATALOG)
-
-
-def rule_add_fold_int(g: ProgramGraph, match: Match) -> ProgramGraph:
-    """Rewrite one add-fold-int match on a copy of `g` and return the copy.
-
-    `g` itself is left as it was.
-    """
-    (add_fold,) = (r for r in CATALOG if r.name == "add-fold-int")
-    return add_fold.applier(g.copy(), match)
 
 
 def build_min_plus_one(a: int, b: int, relation: str = "lt") -> ProgramGraph:

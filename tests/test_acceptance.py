@@ -37,7 +37,6 @@ from firmfold import (
     save_native,
     verify,
 )
-from firmfold.rules import rule_add_fold_int
 from helpers import materialize, random_graph, random_program
 
 FIXTURE = Path(__file__).parent / "data" / "min_plus_one_firm.gxl"
@@ -246,9 +245,10 @@ def test_criterion_7_add_fold_rule_local_contract():
         ret = g.add_op(RETURN, start)
         users.append(g.connect(add, ret, EdgeKind.DATAFLOW, 0))
 
-    found = matches(g, next(r for r in CATALOG if r.name == "add-fold-int"))
+    add_fold = next(r for r in CATALOG if r.name == "add-fold-int")
+    found = matches(g, add_fold)
     single_match = found == [Match("add-fold-int", (add, a, b))]
-    h = rule_add_fold_int(g, found[0])
+    h = add_fold.applier(g.copy(), found[0])
 
     new_consts = [
         n

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,7 @@ from helpers import (
     random_program,
     reference_explore,
     reference_fold,
+    witnesses,
 )
 
 EXPECTED_TRACE = (
@@ -192,7 +194,7 @@ def _drop_block(g: ProgramGraph, block: NodeId) -> None:
 # block-remove replaced by a rewrite that leaves blockless operations
 # behind, whose out-edges the cleanup rules then delete.
 _DROP_BLOCKS = tuple(
-    rules._rule("block-drop", r.priority, BlockKind.BLOCK, rules._entryless, _drop_block)
+    Rule.of("block-drop", r.priority, BlockKind.BLOCK, rules._entryless, _drop_block)
     if r.name == "block-remove"
     else r
     for r in CATALOG
@@ -236,6 +238,160 @@ def test_incremental_match_sets_equal_the_matchers_after_every_step(monkeypatch)
         assert all(matches(result.graph, r) == [] for r in catalog), index
         # one check when the table is built, and one after every step
         assert checked == Counter(tables=result.steps + 1, steps=result.steps), index
+
+
+#: The one whole-graph read the read invariant allows.
+_START_EXISTS = "a start block exists"
+
+
+class _StartBlockQuery:
+    """A node map's `values()` that answers only whether a start block exists."""
+
+    def __init__(self, kinds, reads: set) -> None:
+        self._kinds, self._reads = kinds, reads
+
+    def __contains__(self, kind) -> bool:
+        assert kind is BlockKind.START_BLOCK, kind
+        self._reads.add(_START_EXISTS)
+        return kind in self._kinds
+
+
+class _RecordedMap:
+    """A node map that records each key looked up in it."""
+
+    def __init__(self, entries: dict, reads: set) -> None:
+        self._entries, self._reads = entries, reads
+
+    def __getitem__(self, n):
+        self._reads.add(n)
+        return self._entries[n]
+
+    def __contains__(self, n) -> bool:
+        self._reads.add(n)
+        return n in self._entries
+
+    def get(self, n, default=None):
+        self._reads.add(n)
+        return self._entries.get(n, default)
+
+    def values(self) -> _StartBlockQuery:
+        return _StartBlockQuery(self._entries.values(), self._reads)
+
+
+class _ReadSpy:
+    """A view of `g` for a pattern to read, which records the nodes it reads.
+
+    A map lookup reads its key.  A neighbourhood query reads the node
+    asked about and every node its answer names: Edge nodes, far
+    endpoints, members, and the input edges whose positions it lists.
+    The view offers no other read.
+    """
+
+    def __init__(self, g: ProgramGraph, incident: dict[NodeId, list]) -> None:
+        self.g, self.incident, self.reads = g, incident, set()
+        self.op_nodes = _RecordedMap(g.op_nodes, self.reads)
+        self.block_nodes = _RecordedMap(g.block_nodes, self.reads)
+        self.edge_nodes = _RecordedMap(g.edge_nodes, self.reads)
+        self.containment = _RecordedMap(g.containment, self.reads)
+
+    def __getattr__(self, name: str):
+        assert name in ("data_inputs", "data_users", "control_preds", "control_succs", "members")
+
+        def query(n: NodeId) -> list:
+            self.reads.add(n)
+            answer = getattr(self.g, name)(n)
+            for item in answer:
+                self.reads.update(item if isinstance(item, tuple) else (item,))
+            return answer
+
+        return query
+
+    def input_positions(self, n: NodeId) -> list[int]:
+        self.reads.add(n)
+        self.reads.update(e.id for e in self.incident[n] if e.target == n)
+        return self.g.input_positions(n)
+
+    # Through this view's own reads.
+    stale_phi_inputs = ProgramGraph.stale_phi_inputs
+
+
+def _incident(g: ProgramGraph) -> dict[NodeId, list]:
+    """Each node's Edge nodes, read from the edge map alone."""
+    incident: dict[NodeId, list] = {n: [] for n in (*g.op_nodes, *g.block_nodes)}
+    for e in g.edge_nodes.values():
+        incident[e.source].append(e)
+        incident[e.target].append(e)
+    return incident
+
+
+def _allowed_reads(g: ProgramGraph, incident: dict[NodeId, list], n: NodeId) -> set:
+    """What the engine's read invariant lets a pattern asked at `n` read.
+
+    Reading an Edge node reads the ids of its endpoints too, so each
+    edge comes with its far endpoint: an entry of `n`'s block with the
+    operation that sources it.
+    """
+    allowed = {n, _START_EXISTS}
+    edge = g.edge_nodes.get(n)
+    if edge is not None:
+        allowed |= {edge.source, edge.target, g.containment.get(edge.source)}
+    else:
+        for e in incident[n]:
+            allowed |= {e.id, e.source, e.target}
+    block = g.containment.get(n)
+    if block is not None:
+        allowed.add(block)
+        for e in incident[block]:
+            if e.target == block:
+                allowed |= {e.id, e.source}
+    return allowed
+
+
+def _assert_patterns_read_within_bounds(g: ProgramGraph, catalog: tuple[Rule, ...]) -> None:
+    incident = _incident(g)
+    for n in (*g.op_nodes, *g.block_nodes, *g.edge_nodes):
+        kind = g.kind_of(n)
+        for r in catalog:
+            if r.anchor == kind:
+                spy = _ReadSpy(g, incident)
+                assert r.pattern(spy, n) == r.pattern(g, n), (r.name, n)
+                stray = spy.reads - _allowed_reads(g, incident, n)
+                assert not stray, (r.name, n, sorted(stray))
+
+
+def test_patterns_read_only_what_the_read_invariant_allows():
+    graphs = [*witnesses().values(), *_differential_cases()]
+    graphs += [g for g, _ in _explore_differential_cases()]
+    graphs += explore(diamond_chain(random.Random(0), 2), CATALOG).states.values()
+    for g in graphs:
+        _assert_patterns_read_within_bounds(g, CATALOG)
+
+
+def _cmp_fold_reading_its_operands_users(g: ProgramGraph, op: NodeId):
+    """cmp-fold-int's pattern, reading one hop further: its operands' users."""
+    for _, source in g.data_inputs(op):
+        g.data_users(source)
+    return rule("cmp-fold-int").pattern(g, op)
+
+
+def test_the_read_check_catches_a_pattern_that_reads_one_hop_further():
+    far = replace(rule("cmp-fold-int"), pattern=_cmp_fold_reading_its_operands_users)
+    with pytest.raises(AssertionError, match="cmp-fold-int"):
+        _assert_patterns_read_within_bounds(build_min_plus_one(3, 5, "lt"), (far,))
+
+
+def test_a_step_records_only_its_own_writes():
+    # A write recorded before the step, here a no-op renumbering of the
+    # Return's control edge, is not in the successor's record.
+    g = build_min_plus_one(3, 5, "lt")
+    match = matches(g, rule("cmp-fold-int"))[0]
+    clean, dirty = g.copy(), g.copy()
+    clean.take_written()
+    dirty.take_written()
+    dirty.set_position(27, dirty.edge_nodes[27].position)
+    expected = apply(clean, rule("cmp-fold-int"), match).take_written()
+    assert 27 not in expected
+    assert apply(dirty, rule("cmp-fold-int"), match).take_written() == expected
 
 
 def test_ten_thousand_element_chain_folds():

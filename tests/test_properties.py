@@ -148,7 +148,6 @@ def test_a_step_records_every_node_whose_entries_it_changes(g, gaps):
     # `explore`'s inherited match tables and step-updated content keys
     # both rest on this record.
     g = gapped(g) if gaps else g
-    g.take_written()  # start the record, which copies carry
     for rule in CATALOG:
         for match in matches(g, rule):
             h = apply(g, rule, match)

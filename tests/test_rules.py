@@ -28,12 +28,9 @@ from firmfold import (
     fold,
     load_native,
     matches,
+    verify,
 )
-from firmfold.rules import (
-    CATALOG,
-    RULE_NAMES,
-    rule_add_fold_int,
-)
+from firmfold.rules import CATALOG, RULE_NAMES
 
 from helpers import diamond_chain, witnesses
 
@@ -81,7 +78,7 @@ def test_add_fold_basic():
     user = g.connect(add, ret, EdgeKind.DATAFLOW, 0)
     found = matches(g, rule("add-fold-int"))
     assert found == [Match("add-fold-int", (add, a, b))]
-    h = rule_add_fold_int(g, found[0])
+    h = rule("add-fold-int").applier(g.copy(), found[0])
     # the операnds themselves survive; only the Add and its input edges go
     assert a in h.op_nodes and b in h.op_nodes
     assert add not in h.op_nodes
@@ -103,7 +100,7 @@ def test_add_fold_wraps_around():
     g.connect(a, add, EdgeKind.DATAFLOW, 0)
     g.connect(b, add, EdgeKind.DATAFLOW, 1)
     g.connect(add, ret, EdgeKind.DATAFLOW, 0)
-    h = rule_add_fold_int(g, matches(g, rule("add-fold-int"))[0])
+    h = rule("add-fold-int").applier(g.copy(), matches(g, rule("add-fold-int"))[0])
     (new_const,) = [
         n for n, k in h.op_nodes.items() if k.name == "Const" and n not in (a, b)
     ]
@@ -119,7 +116,7 @@ def test_add_fold_preserves_every_user():
     for position in range(3):
         ret = g.add_op(RETURN, 0)
         users.append(g.connect(add, ret, EdgeKind.DATAFLOW, 0))
-    h = rule_add_fold_int(g, matches(g, rule("add-fold-int"))[0])
+    h = rule("add-fold-int").applier(g.copy(), matches(g, rule("add-fold-int"))[0])
     survivors = [eid for eid in users if eid in h.edge_nodes]
     assert survivors == users
     sources = {h.edge_nodes[eid].source for eid in users}
@@ -415,6 +412,33 @@ def test_phi_fold_single_needs_a_block():
     assert matches(g, rule("phi-fold-single")) == []
 
 
+def test_phi_fold_single_leaves_a_phi_in_an_entryless_block():
+    # A one-input Phi whose block has no entry is not a single-entry Phi.
+    # Shorting it out would let the Add in the live merge block fold,
+    # while block-remove deletes the Phi first and leaves the Add alone,
+    # so `explore` would end in two different graphs.
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    end = g.add_block(BlockKind.END_BLOCK)
+    orphan = g.add_block(BlockKind.BLOCK)
+    merge = g.add_block(BlockKind.BLOCK)
+    two, three = g.add_op(Const(2), start), g.add_op(Const(3), start)
+    g.connect(g.add_op(JMP, start), merge, EdgeKind.CONTROLFLOW, 0)
+    phi = g.add_op(PHI, orphan)
+    g.connect(two, phi, EdgeKind.DATAFLOW, 0)
+    g.connect(g.add_op(JMP, orphan), merge, EdgeKind.CONTROLFLOW, 1)
+    add = g.add_op(ADD, merge)
+    g.connect(phi, add, EdgeKind.DATAFLOW, 0)
+    g.connect(three, add, EdgeKind.DATAFLOW, 1)
+    ret = g.add_op(RETURN, merge)
+    g.connect(add, ret, EdgeKind.DATAFLOW, 0)
+    g.connect(ret, end, EdgeKind.CONTROLFLOW, 0)
+    assert [v.check for v in verify(g)] == ["phi-check"]
+    assert matches(g, rule("phi-fold-single")) == []
+    assert fold_and_explore(g) == (2, (5, 6, 1))
+    assert explore(g, CATALOG).final_states_isomorphic()
+
+
 def test_cleanup_dangling_dataflow():
     g = ProgramGraph()
     g.add_block(BlockKind.START_BLOCK)
@@ -457,7 +481,7 @@ def test_cleanup_unref_const():
 def test_appliers_reject_fabricated_matches():
     g = diamond()
     cases = [
-        (rule_add_fold_int, Match("add-fold-int", (13, 5, 6))),
+        (rule("add-fold-int").applier, Match("add-fold-int", (13, 5, 6))),
         (rule("cmp-fold-int").applier, Match("cmp-fold-int", (8, 6, 5))),
         (rule("cond-fold-true").applier, Match("cond-fold-true", (9, 8))),
         (rule("cond-fold-false").applier, Match("cond-fold-false", (9, 8))),
@@ -468,11 +492,11 @@ def test_appliers_reject_fabricated_matches():
         (rule("cleanup-dangling-control").applier, Match("cleanup-dangling-control", (18,))),
         (rule("cleanup-unref-const").applier, Match("cleanup-unref-const", (5,))),
         # a first anchor that does not exist
-        (rule_add_fold_int, Match("add-fold-int", (99, 5, 6))),
+        (rule("add-fold-int").applier, Match("add-fold-int", (99, 5, 6))),
         (rule("block-remove").applier, Match("block-remove", (99,))),
         (rule("cleanup-dangling-dataflow").applier, Match("cleanup-dangling-dataflow", (99,))),
         # a first anchor of another node class
-        (rule_add_fold_int, Match("add-fold-int", (3, 5, 6))),
+        (rule("add-fold-int").applier, Match("add-fold-int", (3, 5, 6))),
         (rule("cleanup-dangling-control").applier, Match("cleanup-dangling-control", (9,))),
         (rule("phi-adjust").applier, Match("phi-adjust", (22, 12))),
         # a first anchor of the right class but the wrong kind
