@@ -24,9 +24,10 @@ initial colour and the numbers of an Edge node's source and target or
 of an operation's block, so two equal certificates define a bijection
 that keeps every colour and every arc, which is an isomorphism.  A
 fault in the canonical form can thus split one state in two but never
-merge two that differ.
-`is_isomorphic`, which searches independently, stays the oracle:
-`Lts.final_states_isomorphic` and the tests call it.
+merge two that differ.  `is_isomorphic` is that same comparison of
+canonical forms, and `Lts.final_states_isomorphic` compares the final
+states with it; the tests check the canonical form against an
+independent isomorphism search (`tests/helpers.py`).
 
 Neither driver matches every rule over the whole graph before each
 step, as a graph-transformation tool does.  Both keep one match table
@@ -451,7 +452,14 @@ class Lts:
     final: frozenset[str]
 
     def final_states_isomorphic(self) -> bool:
-        """Whether all maximal rewrites ended in the same graph."""
+        """Whether all maximal rewrites ended in the same graph: whether the
+        final states' canonical forms are all equal (`is_isomorphic`).
+
+        Final states have distinct digests, so distinct canonical forms:
+        with two or more this is False.  A fault that split one final
+        state in two would therefore show as a divergence, never hide
+        one.
+        """
         finals = sorted(self.final)
         if not finals:
             return True

@@ -376,8 +376,9 @@ class ProgramGraph:
         deleted block, and each Edge node connected, removed, redirected
         or renumbered together with its endpoints (on a redirect, both
         the old and the new source).  Deleted nodes stay in the record.
-        None means unknown, as for `take_touched`: the record restarts
-        empty after each call, and `copy` carries it over.
+        None means unknown: the graph is fresh, loaded, shelved or a
+        copy, whose record starts unknown.  The record restarts empty
+        after each call.
         """
         written, self._written = self._written, set()
         return written
@@ -632,7 +633,6 @@ class ProgramGraph:
         h.containment = dict(self.containment)
         h._next_id = self._next_id
         h._touched = None if self._touched is None else set(self._touched)
-        h._written = None if self._written is None else set(self._written)
         if self._adj is not None:
             h._adj = self._adj.share()
         return h

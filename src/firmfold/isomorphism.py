@@ -1,27 +1,26 @@
-"""Graph canonicalization and isomorphism testing.
+"""Graph canonicalization, and isomorphism decided by it.
 
-Two independent routes to the same question:
+`canonical_form` computes a label-preserving certificate, `form_digest`
+digests one, and `canonical_hash` digests a graph's.  The certificate
+has one row per node, in canonical order: the node's initial color,
+then an Edge node's source's and target's numbers, or an operation's
+block's number (-1 without one), or -1 for a block.  The rows are
+concatenated into one tuple of ints; each row's length follows from its
+first int, so the tuple splits into rows one way only.  The rows fix
+every arc, so two equal certificates define a bijection that keeps
+every color and every arc: they prove isomorphism.  And every
+id-renaming of a graph gets the same certificate, so the certificate
+is complete, and `is_isomorphic` is the equality of two forms, as in
+canonical labelling (McKay & Piperno 2014).  The state-space explorer
+keys its states by the digest and confirms a digest hit by comparing
+the two certificates.  The digest hashes a certificate's `marshal`
+version 2 bytes, which depend on its value alone (see `form_digest`).
 
-* `canonical_form` computes a label-preserving certificate,
-  `form_digest` digests one, and `canonical_hash` digests a graph's.
-  The certificate has one row per node, in canonical order: the node's
-  initial color, then an Edge node's source's and target's numbers, or
-  an operation's block's number (-1 without one), or -1 for a block.
-  The rows are concatenated into one tuple of ints; each row's length
-  follows from its first int, so the tuple splits into rows one way
-  only.  The rows fix every arc, so two equal certificates define a
-  bijection that keeps every color and every arc: they prove
-  isomorphism.  The state-space explorer keys its states by the digest
-  and confirms a digest hit by comparing the two certificates.  The
-  digest hashes a certificate's `marshal` version 2 bytes, which depend
-  on its value alone (see `form_digest`).
-* `is_isomorphic` decides isomorphism exactly, by backtracking search
-  over refinement-compatible candidate maps.  It shares neither the
-  traversal nor the search of the canonical form, so it is the
-  independent oracle that checks the canonical form in the tests and
-  the benchmark, and compares an exploration's final states.
+An independent decision, a backtracking search over jointly refined
+color classes, lives in the tests (`tests/helpers.py`) as the oracle
+that checks the canonical form.
 
-Both treat the graph as a colored digraph: each node's initial color
+The graph is treated as a colored digraph: each node's initial color
 encodes its attributes as a tuple of ints, and the arcs, labelled by
 ints, are the out/in halves of every Edge node plus the containment
 adjacencies.
@@ -77,7 +76,6 @@ from .graph import OP_NAMES, RELATIONS, BlockKind, EdgeKind, NodeId, ProgramGrap
 from .graph import _Adjacency as _GraphIndex
 
 _Color = tuple[int, ...]
-_Arc = tuple[NodeId, int, NodeId]
 _Arcs = dict[NodeId, list[tuple[int, NodeId]]]
 _Adjacency = tuple[_Arcs, _Arcs]
 
@@ -110,29 +108,9 @@ def _initial_colors(g: ProgramGraph) -> dict[NodeId, _Color]:
     return colors
 
 
-def _arcs(g: ProgramGraph) -> list[_Arc]:
-    arcs: list[_Arc] = []
-    for eid, e in g.edge_nodes.items():
-        arcs.append((e.source, _OUT, eid))
-        arcs.append((eid, _IN, e.target))
-    for op, blk in g.containment.items():
-        arcs.append((blk, _CONTAINS, op))
-    return arcs
-
-
-def _adjacency(arcs: list[_Arc]) -> _Adjacency:
-    """Each node's out-arcs and in-arcs as (label, neighbor) lists."""
-    out_arcs: _Arcs = defaultdict(list)
-    in_arcs: _Arcs = defaultdict(list)
-    for src, label, dst in arcs:
-        out_arcs[src].append((label, dst))
-        in_arcs[dst].append((label, src))
-    return out_arcs, in_arcs
-
-
 def _adjacency_of(g: ProgramGraph, index: _GraphIndex, nodes: list[NodeId]) -> _Adjacency:
-    """The out-arcs and in-arcs of `nodes` alone, as `_adjacency` lists them,
-    read from `g`'s adjacency index."""
+    """The out-arcs and in-arcs of `nodes` alone, each as a list of (label,
+    neighbor) pairs, read from `g`'s adjacency index."""
     edges, containment = g.edge_nodes, g.containment
     out_arcs: _Arcs = {}
     in_arcs: _Arcs = {}
@@ -151,11 +129,11 @@ def _adjacency_of(g: ProgramGraph, index: _GraphIndex, nodes: list[NodeId]) -> _
 
 
 def _refine(
-    colors: dict[NodeId, int], adjacency: _Adjacency, movable: Collection[NodeId] | None = None
+    colors: dict[NodeId, int], adjacency: _Adjacency, movable: Collection[NodeId]
 ) -> dict[NodeId, int]:
     """Iterate neighborhood-signature splitting until the partition is stable.
 
-    Only the `movable` nodes, all by default, are re-signed, and
+    Only the `movable` nodes are re-signed, and
     `adjacency` needs only their arcs.  They are ranked from k, the
     number of other nodes, which must be singletons colored 0 to k - 1,
     below every movable color.  A signature starts with the node's
@@ -164,8 +142,6 @@ def _refine(
     """
     out_arcs, in_arcs = adjacency
     current = dict(colors)
-    if movable is None:
-        movable = colors.keys()
     start = len(current) - len(movable)
     n_classes = len({current[n] for n in movable})
     while n_classes < len(movable):
@@ -382,104 +358,10 @@ def canonical_hash(g: ProgramGraph) -> str:
     return form_digest(canonical_form(g))
 
 
-_Links = dict[NodeId, dict[NodeId, tuple[list[int], list[int]]]]
-
-
-def _links(arcs: list[_Arc]) -> _Links:
-    """Per node and neighbor: the sorted labels of the arcs to and from it."""
-    links: _Links = defaultdict(dict)
-    for s, lab, d in arcs:
-        links[s].setdefault(d, ([], []))[0].append(lab)
-        links[d].setdefault(s, ([], []))[1].append(lab)
-    for per_node in links.values():
-        for to, back in per_node.values():
-            to.sort()
-            back.sort()
-    return links
-
-
-def _extends(
-    mapping: dict[NodeId, NodeId],
-    used: set[NodeId],
-    links1: _Links,
-    links2: _Links,
-    n1: NodeId,
-    n2: NodeId,
-) -> bool:
-    """Whether adding n1 -> n2 to `mapping` (whose image is `used`) keeps
-    every arc between the mapped nodes, in both graphs.
-
-    Each mapped neighbor of n1 must map to a neighbor of n2 linked by the
-    same arcs; and n2 must have no more mapped neighbors than that, or
-    some arc of g2 would have no counterpart in g1.
-    """
-    mapped = 0
-    for m1, labels in links1.get(n1, {}).items():
-        m2 = mapping.get(m1)
-        if m2 is not None:
-            if links2.get(n2, {}).get(m2) != labels:
-                return False
-            mapped += 1
-    return mapped == sum(m2 in used for m2 in links2.get(n2, ()))
-
-
 def is_isomorphic(g1: ProgramGraph, g2: ProgramGraph) -> bool:
-    """Exact isomorphism test by backtracking over refined color classes.
+    """Whether `g1` and `g2` are isomorphic: whether their canonical forms are equal.
 
-    The two graphs are refined jointly, and a class with unequal
-    per-graph populations rules the pair out before any search: that
-    alone rejects graphs that differ in size, in initial colors or in
-    containment.
+    Exact both ways: every id-renaming keeps the canonical form, and two
+    equal forms define a bijection that keeps every color and every arc.
     """
-    init1 = _initial_colors(g1)
-    init2 = _initial_colors(g2)
-    if not init1 and not init2:
-        return True
-
-    # Joint refinement over the tagged disjoint union: nodes of the two
-    # graphs share the color space.
-    joint_initial: dict[tuple[int, NodeId], _Color] = {}
-    for n, c in init1.items():
-        joint_initial[(1, n)] = c
-    for n, c in init2.items():
-        joint_initial[(2, n)] = c
-    arcs1, arcs2 = _arcs(g1), _arcs(g2)
-    joint_arcs = [((1, s), lab, (1, d)) for s, lab, d in arcs1]
-    joint_arcs += [((2, s), lab, (2, d)) for s, lab, d in arcs2]
-    joint = _refine(_compress(joint_initial), _adjacency(joint_arcs))  # type: ignore[arg-type]
-
-    classes1: dict[int, list[NodeId]] = defaultdict(list)
-    classes2: dict[int, list[NodeId]] = defaultdict(list)
-    for (tag, n), c in joint.items():
-        (classes1 if tag == 1 else classes2)[c].append(n)
-    if any(len(classes1[c]) != len(classes2[c]) for c in {*classes1, *classes2}):
-        return False
-
-    color1 = {n: c for (tag, n), c in joint.items() if tag == 1}
-    links1, links2 = _links(arcs1), _links(arcs2)
-
-    nodes1 = sorted(color1, key=lambda n: (len(classes1[color1[n]]), color1[n], n))
-    mapping: dict[NodeId, NodeId] = {}
-    used: set[NodeId] = set()
-
-    def candidates(depth: int):
-        return iter(sorted(classes2[color1[nodes1[depth]]]))
-
-    # Depth-first search with an explicit stack: stack[d] yields the
-    # untried images of nodes1[d], and nodes1[:len(stack) - 1] are mapped.
-    stack = [candidates(0)]
-    while stack:
-        n1 = nodes1[len(stack) - 1]
-        for n2 in stack[-1]:
-            if n2 not in used and _extends(mapping, used, links1, links2, n1, n2):
-                mapping[n1] = n2
-                used.add(n2)
-                if len(mapping) == len(nodes1):
-                    return True
-                stack.append(candidates(len(stack)))
-                break
-        else:
-            stack.pop()
-            if stack:
-                used.remove(mapping.pop(nodes1[len(stack) - 1]))
-    return False
+    return canonical_form(g1) == canonical_form(g2)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from firmfold import CATALOG, StateLimitExceeded, explore  # noqa: E402
-from helpers import diamond_chain, gapped, random_graph  # noqa: E402
+from helpers import scan_inputs  # noqa: E402
 
 
 def main() -> None:
@@ -32,13 +31,7 @@ def main() -> None:
     started = time.perf_counter()
     explored, over_cap, divergent = 0, [], []
     for seed in range(args.seeds):
-        g = random_graph(random.Random(seed))
-        inputs = {
-            f"random {seed}": g,
-            f"gapped {seed}": gapped(g),
-            f"diamond {seed}": diamond_chain(random.Random(seed), 1),
-        }
-        for name, h in inputs.items():
+        for name, h in scan_inputs(seed).items():
             try:
                 lts = explore(h, CATALOG, max_states=args.max_states)
             except StateLimitExceeded:

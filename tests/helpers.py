@@ -15,11 +15,18 @@ Every plan is well formed and executable, and folds to a fixpoint.
 `diamond_chain` builds a longer chain of diamonds directly, optionally
 with dead merge entries and with entries from operations outside every
 block, and `relabel` renames a graph's ids.  `witnesses` gives each
-rule of the catalog a small graph in which it matches exactly once.  `reference_fold` is the
+rule of the catalog a small graph in which it matches exactly once, and
+`scan_inputs` gives the three inputs `confluence_scan.py` explores for
+one seed.  `reference_fold` is the
 slow oracle for `fold`: it copies the graph on every step and re-checks
 every consumer's positions.
 `reference_explore` is the oracle for `explore`: it canonicalizes every
-successor and confirms every digest hit by isomorphism.
+successor and confirms every digest hit by `search_isomorphic`.
+`search_isomorphic` decides isomorphism by a backtracking search over
+jointly refined color classes.  The library decides it by comparing
+canonical forms (`firmfold.is_isomorphic`), so the search is the
+independent oracle that every test comparing canonical forms or digests
+with isomorphism calls.
 
 `reference_save_native` is the native writer as it was built on
 ElementTree, kept as the oracle for the byte layout of `save_native`;
@@ -33,7 +40,7 @@ from __future__ import annotations
 import random
 import re
 import xml.etree.ElementTree as ET
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 
 from firmfold import (
@@ -58,7 +65,6 @@ from firmfold import (
     StateLimitExceeded,
     apply,
     canonical_hash,
-    is_isomorphic,
     matches,
     normalize_positions,
 )
@@ -71,6 +77,17 @@ from firmfold.errors import (
 )
 from firmfold.graph import OP_NAMES, EdgeNode, NodeId
 from firmfold.gxl import XLINK_NS, DialectTag
+from firmfold.isomorphism import (
+    _CONTAINS,
+    _IN,
+    _OUT,
+    _Adjacency,
+    _Arcs,
+    _Color,
+    _compress,
+    _initial_colors,
+    _refine,
+)
 
 ET.register_namespace("xlink", XLINK_NS)
 
@@ -322,6 +339,16 @@ def witnesses() -> dict[str, ProgramGraph]:
     }
 
 
+def scan_inputs(seed: int) -> dict[str, ProgramGraph]:
+    """The three inputs `confluence_scan.py` explores for `seed`, by name."""
+    g = random_graph(random.Random(seed))
+    return {
+        f"random {seed}": g,
+        f"gapped {seed}": gapped(g),
+        f"diamond {seed}": diamond_chain(random.Random(seed), 1),
+    }
+
+
 def gapped(g: ProgramGraph) -> ProgramGraph:
     """`g` with every input position p moved to 2p + 1, keeping Phis aligned."""
     edges = {eid: replace(e, position=2 * e.position + 1) for eid, e in g.edge_nodes.items()}
@@ -407,7 +434,7 @@ def reference_explore(
 
     The initial state is a normalized copy of `g`, as `explore`'s is.
     Every successor is canonicalized, and every digest hit is confirmed
-    with `is_isomorphic`.
+    with `search_isomorphic`.
     """
     ordered = sorted(rules, key=lambda r: r.priority)
     start = _reference_normalize(g.copy())
@@ -423,7 +450,7 @@ def reference_explore(
                 successor = apply(state, rule, match)
                 succ_digest = canonical_hash(successor)
                 if succ_digest in states:
-                    if not is_isomorphic(successor, states[succ_digest]):
+                    if not search_isomorphic(successor, states[succ_digest]):
                         raise RuntimeError(
                             "canonical digest collision between non-isomorphic states"
                         )
@@ -441,6 +468,137 @@ def reference_explore(
     final = frozenset(d for d in states if d not in outgoing)
     return Lts(states, tuple(sorted(transitions)), initial, final)
 
+
+# The oracle for `canonical_form`: an exact isomorphism search that
+# shares neither the traversal nor the individualization of the
+# canonical form.
+
+_Arc = tuple[NodeId, int, NodeId]
+
+
+def _arcs(g: ProgramGraph) -> list[_Arc]:
+    arcs: list[_Arc] = []
+    for eid, e in g.edge_nodes.items():
+        arcs.append((e.source, _OUT, eid))
+        arcs.append((eid, _IN, e.target))
+    for op, blk in g.containment.items():
+        arcs.append((blk, _CONTAINS, op))
+    return arcs
+
+
+def _adjacency(arcs: list[_Arc]) -> _Adjacency:
+    """Each node's out-arcs and in-arcs as (label, neighbor) lists."""
+    out_arcs: _Arcs = defaultdict(list)
+    in_arcs: _Arcs = defaultdict(list)
+    for src, label, dst in arcs:
+        out_arcs[src].append((label, dst))
+        in_arcs[dst].append((label, src))
+    return out_arcs, in_arcs
+
+
+_Links = dict[NodeId, dict[NodeId, tuple[list[int], list[int]]]]
+
+
+def _links(arcs: list[_Arc]) -> _Links:
+    """Per node and neighbor: the sorted labels of the arcs to and from it."""
+    links: _Links = defaultdict(dict)
+    for s, lab, d in arcs:
+        links[s].setdefault(d, ([], []))[0].append(lab)
+        links[d].setdefault(s, ([], []))[1].append(lab)
+    for per_node in links.values():
+        for to, back in per_node.values():
+            to.sort()
+            back.sort()
+    return links
+
+
+def _extends(
+    mapping: dict[NodeId, NodeId],
+    used: set[NodeId],
+    links1: _Links,
+    links2: _Links,
+    n1: NodeId,
+    n2: NodeId,
+) -> bool:
+    """Whether adding n1 -> n2 to `mapping` (whose image is `used`) keeps
+    every arc between the mapped nodes, in both graphs.
+
+    Each mapped neighbor of n1 must map to a neighbor of n2 linked by the
+    same arcs; and n2 must have no more mapped neighbors than that, or
+    some arc of g2 would have no counterpart in g1.
+    """
+    mapped = 0
+    for m1, labels in links1.get(n1, {}).items():
+        m2 = mapping.get(m1)
+        if m2 is not None:
+            if links2.get(n2, {}).get(m2) != labels:
+                return False
+            mapped += 1
+    return mapped == sum(m2 in used for m2 in links2.get(n2, ()))
+
+
+def search_isomorphic(g1: ProgramGraph, g2: ProgramGraph) -> bool:
+    """Exact isomorphism test by backtracking over refined color classes.
+
+    The two graphs are refined jointly, and a class with unequal
+    per-graph populations rules the pair out before any search: that
+    alone rejects graphs that differ in size, in initial colors or in
+    containment.
+    """
+    init1 = _initial_colors(g1)
+    init2 = _initial_colors(g2)
+    if not init1 and not init2:
+        return True
+
+    # Joint refinement over the tagged disjoint union: nodes of the two
+    # graphs share the color space.
+    joint_initial: dict[tuple[int, NodeId], _Color] = {}
+    for n, c in init1.items():
+        joint_initial[(1, n)] = c
+    for n, c in init2.items():
+        joint_initial[(2, n)] = c
+    arcs1, arcs2 = _arcs(g1), _arcs(g2)
+    joint_arcs = [((1, s), lab, (1, d)) for s, lab, d in arcs1]
+    joint_arcs += [((2, s), lab, (2, d)) for s, lab, d in arcs2]
+    joint = _refine(
+        _compress(joint_initial), _adjacency(joint_arcs), joint_initial  # type: ignore[arg-type]
+    )
+
+    classes1: dict[int, list[NodeId]] = defaultdict(list)
+    classes2: dict[int, list[NodeId]] = defaultdict(list)
+    for (tag, n), c in joint.items():
+        (classes1 if tag == 1 else classes2)[c].append(n)
+    if any(len(classes1[c]) != len(classes2[c]) for c in {*classes1, *classes2}):
+        return False
+
+    color1 = {n: c for (tag, n), c in joint.items() if tag == 1}
+    links1, links2 = _links(arcs1), _links(arcs2)
+
+    nodes1 = sorted(color1, key=lambda n: (len(classes1[color1[n]]), color1[n], n))
+    mapping: dict[NodeId, NodeId] = {}
+    used: set[NodeId] = set()
+
+    def candidates(depth: int):
+        return iter(sorted(classes2[color1[nodes1[depth]]]))
+
+    # Depth-first search with an explicit stack: stack[d] yields the
+    # untried images of nodes1[d], and nodes1[:len(stack) - 1] are mapped.
+    stack = [candidates(0)]
+    while stack:
+        n1 = nodes1[len(stack) - 1]
+        for n2 in stack[-1]:
+            if n2 not in used and _extends(mapping, used, links1, links2, n1, n2):
+                mapping[n1] = n2
+                used.add(n2)
+                if len(mapping) == len(nodes1):
+                    return True
+                stack.append(candidates(len(stack)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                used.remove(mapping.pop(nodes1[len(stack) - 1]))
+    return False
 
 
 def _attr_element(parent: ET.Element, name: str, value: int | str) -> None:

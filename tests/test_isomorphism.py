@@ -1,8 +1,12 @@
-"""Canonical forms and the exact isomorphism test.
+"""Canonical forms, and isomorphism decided by comparing them.
 
-The two routes are independent implementations, so they are tested
-against each other: equal canonical hashes must coincide with the
-backtracking test's verdict across randomized renamings and edits.
+The library's `is_isomorphic` is the equality of canonical forms, so
+checking digests against it would prove nothing.  The tests check
+canonical forms and digests against `helpers.search_isomorphic`, a
+backtracking search that shares with the canonical form only the
+initial colors and color refinement (`_initial_colors`, `_compress`,
+`_refine`): equal canonical hashes must coincide with the search's
+verdict across randomized renamings and edits.
 """
 
 from __future__ import annotations
@@ -42,11 +46,8 @@ from firmfold import (
     save_native,
 )
 from firmfold.isomorphism import (
-    _adjacency,
     _adjacency_of,
-    _arcs,
     _compress,
-    _extends,
     _initial_colors,
     _numbering,
     _refine,
@@ -54,18 +55,22 @@ from firmfold.isomorphism import (
 )
 from helpers import (
     GraphPlan,
+    _adjacency,
+    _arcs,
     _blockless,
+    _extends,
     diamond_chain,
     materialize,
     permute_native_ids,
     random_program,
     relabel,
+    search_isomorphic,
 )
 from test_engine import _explore_differential_cases, _spy
 
 
 def test_empty_graphs():
-    assert is_isomorphic(ProgramGraph(), ProgramGraph())
+    assert search_isomorphic(ProgramGraph(), ProgramGraph())
     assert canonical_hash(ProgramGraph()) == canonical_hash(ProgramGraph())
 
 
@@ -75,7 +80,7 @@ def test_insertion_order_is_irrelevant():
         plan = random_program(random.Random(seed))
         g1 = materialize(plan)
         g2 = materialize(plan, rng)
-        assert is_isomorphic(g1, g2)
+        assert search_isomorphic(g1, g2)
         assert canonical_form(g1) == canonical_form(g2)
         assert canonical_hash(g1) == canonical_hash(g2)
 
@@ -83,10 +88,10 @@ def test_insertion_order_is_irrelevant():
 def test_builder_is_isomorphic_to_itself_only_with_same_labels():
     g1 = build_min_plus_one(3, 5, "lt")
     g2 = build_min_plus_one(3, 5, "lt")
-    assert is_isomorphic(g1, g2)
+    assert search_isomorphic(g1, g2)
     assert canonical_hash(g1) == canonical_hash(g2)
     for other in (build_min_plus_one(3, 6, "lt"), build_min_plus_one(3, 5, "le")):
-        assert not is_isomorphic(g1, other)
+        assert not search_isomorphic(g1, other)
         assert canonical_hash(g1) != canonical_hash(other)
 
 
@@ -104,8 +109,8 @@ def test_operand_order_distinguishes():
         g.connect(add, ret, EdgeKind.DATAFLOW, 0)
         return g
 
-    assert is_isomorphic(wired(3, 5), wired(3, 5))
-    assert not is_isomorphic(wired(3, 5), wired(5, 3))
+    assert search_isomorphic(wired(3, 5), wired(3, 5))
+    assert not search_isomorphic(wired(3, 5), wired(5, 3))
     assert canonical_hash(wired(3, 5)) != canonical_hash(wired(5, 3))
 
 
@@ -131,34 +136,36 @@ def test_wiring_distinguishes_same_node_multiset():
         g.connect(outer, ret, EdgeKind.DATAFLOW, 0)
         return g
 
-    assert not is_isomorphic(chain(True), chain(False))
+    assert not search_isomorphic(chain(True), chain(False))
     assert canonical_hash(chain(True)) != canonical_hash(chain(False))
+
+
+def _twins(swap: bool) -> ProgramGraph:
+    """Two `Const(7)`s feeding one Add, the second at position 0 if `swap`."""
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    a = g.add_op(Const(7), start)
+    b = g.add_op(Const(7), start)
+    add = g.add_op(ADD, start)
+    first, second = (b, a) if swap else (a, b)
+    g.connect(first, add, EdgeKind.DATAFLOW, 0)
+    g.connect(second, add, EdgeKind.DATAFLOW, 1)
+    return g
 
 
 def test_symmetric_twins_need_individualization():
     # Two structurally interchangeable constants: refinement alone
     # cannot split them, so the canonical form has to branch.  Swapping
     # which twin feeds which port must not change the certificate.
-    def twins(swap: bool) -> ProgramGraph:
-        g = ProgramGraph()
-        start = g.add_block(BlockKind.START_BLOCK)
-        a = g.add_op(Const(7), start)
-        b = g.add_op(Const(7), start)
-        add = g.add_op(ADD, start)
-        first, second = (b, a) if swap else (a, b)
-        g.connect(first, add, EdgeKind.DATAFLOW, 0)
-        g.connect(second, add, EdgeKind.DATAFLOW, 1)
-        return g
-
-    assert is_isomorphic(twins(False), twins(True))
-    assert canonical_form(twins(False)) == canonical_form(twins(True))
+    assert search_isomorphic(_twins(False), _twins(True))
+    assert canonical_form(_twins(False)) == canonical_form(_twins(True))
 
 
 def test_size_mismatch_is_cheap_rejection():
     g1 = build_min_plus_one(3, 5, "lt")
     g2 = build_min_plus_one(3, 5, "lt")
     g2.add_block(BlockKind.BLOCK)
-    assert not is_isomorphic(g1, g2)
+    assert not search_isomorphic(g1, g2)
 
 
 def test_single_differences_break_isomorphism():
@@ -179,9 +186,9 @@ def test_single_differences_break_isomorphism():
         {**g.op_nodes, const: Const(4)}, g.block_nodes, g.edge_nodes, g.containment
     )
     for other in (extra, stray, moved, revalued):
-        assert not is_isomorphic(g, other)
-        assert not is_isomorphic(other, g)
-    assert is_isomorphic(g, relabel(g, random.Random(4)))
+        assert not search_isomorphic(g, other)
+        assert not search_isomorphic(other, g)
+    assert search_isomorphic(g, relabel(g, random.Random(4)))
 
 
 def test_random_edits_break_isomorphism():
@@ -198,7 +205,7 @@ def test_random_edits_break_isomorphism():
         values2 = sorted(k.value for k in g2.op_nodes.values() if k.name == "Const")
         if values1 == values2:
             continue  # the edit collided with an existing label; skip
-        assert not is_isomorphic(g1, g2), seed
+        assert not search_isomorphic(g1, g2), seed
         assert canonical_hash(g1) != canonical_hash(g2), seed
 
 
@@ -209,14 +216,14 @@ def test_routes_agree_pairwise():
         graphs.append(materialize(random_program(rng), rng))
     for i, gi in enumerate(graphs):
         for gj in graphs[i:]:
-            assert is_isomorphic(gi, gj) == (canonical_hash(gi) == canonical_hash(gj))
+            assert search_isomorphic(gi, gj) == (canonical_hash(gi) == canonical_hash(gj))
 
 
 def test_isomorphism_search_does_not_recurse_per_node():
     # 1,386 elements: deeper than the interpreter's default recursion limit
     g = diamond_chain(random.Random(0), 60)
     h = load_native(permute_native_ids(save_native(g), random.Random(1)))
-    assert is_isomorphic(g, h)
+    assert search_isomorphic(g, h)
     const = min(n for n, kind in h.op_nodes.items() if kind.name == "Const")
     mutant = ProgramGraph._from_parts(
         {**h.op_nodes, const: Const(h.op_nodes[const].value + 1)},
@@ -224,7 +231,7 @@ def test_isomorphism_search_does_not_recurse_per_node():
         h.edge_nodes,
         h.containment,
     )
-    assert not is_isomorphic(g, mutant)
+    assert not search_isomorphic(g, mutant)
 
 
 def _jmp_cycles(sizes: list[int]) -> ProgramGraph:
@@ -243,8 +250,8 @@ def test_isomorphism_search_backtracks_where_refinement_cannot_split():
     six = _jmp_cycles([6])
     for seed in range(10):
         renamed = load_native(permute_native_ids(save_native(six), random.Random(seed)))
-        assert is_isomorphic(six, renamed), seed
-    assert not is_isomorphic(six, _jmp_cycles([3, 3]))
+        assert search_isomorphic(six, renamed), seed
+    assert not search_isomorphic(six, _jmp_cycles([3, 3]))
 
 
 def _shared_add_chain(adds: int) -> ProgramGraph:
@@ -375,11 +382,36 @@ def test_digest_equality_agrees_with_isomorphism():
     for index, g in enumerate(_differential_corpus()):
         digest = canonical_hash(g)
         for renamed in [relabel(g)] + [relabel(g, rng) for _ in range(3)]:
-            assert is_isomorphic(g, renamed), index
+            assert search_isomorphic(g, renamed), index
             assert canonical_hash(renamed) == digest, index
         for _ in range(6):
             mutant = _mutant(g, rng)
-            assert (canonical_hash(mutant) == digest) == is_isomorphic(g, mutant), index
+            assert (canonical_hash(mutant) == digest) == search_isomorphic(g, mutant), index
+
+
+def test_library_decision_equals_the_search_where_refinement_runs():
+    # Graphs whose canonical form needs stages 2 and 3: twins, rings of
+    # Jmps that refinement cannot split, and the fallbacks (duplicate
+    # input positions, two EndBlocks, no EndBlock); each against each,
+    # against its renamings and against single edits of it.
+    rng = random.Random(23)
+    family = [
+        _twins(False),
+        _identical_constants(5),
+        _jmp_cycles([6]),
+        _jmp_cycles([3, 3]),
+        *_differential_corpus()[-4:],
+    ]
+    verdicts: Counter[bool] = Counter()
+    for index, g in enumerate(family):
+        initial = _initial_colors(g)
+        assert len(_numbering(g, initial, g.adjacency_index())) < len(initial), index
+        variants = [relabel(g), relabel(g, rng)] + [_mutant(g, rng) for _ in range(4)]
+        for h in family + variants + [relabel(v, rng) for v in variants]:
+            verdict = is_isomorphic(g, h)
+            assert verdict == search_isomorphic(g, h), index
+            verdicts[verdict] += 1
+    assert verdicts[True] > len(family) and verdicts[False] > len(family)
 
 
 def _start(g: ProgramGraph) -> int:
@@ -465,10 +497,10 @@ def test_members_and_settled_nodes_are_numbered_invariantly():
             assert canonical_hash(renamed) == digest, index
         for _ in range(6):
             mutant = _mutant(g, rng)
-            assert (canonical_hash(mutant) == digest) == is_isomorphic(g, mutant), index
+            assert (canonical_hash(mutant) == digest) == search_isomorphic(g, mutant), index
     for i, gi in enumerate(family):
         for gj in family[i + 1 :]:
-            assert (canonical_hash(gi) == canonical_hash(gj)) == is_isomorphic(gi, gj)
+            assert (canonical_hash(gi) == canonical_hash(gj)) == search_isomorphic(gi, gj)
 
 
 def _with_stray_sum(g: ProgramGraph) -> ProgramGraph:
@@ -622,7 +654,7 @@ def test_refining_the_unnumbered_nodes_alone_gives_full_refinement():
         everything = _adjacency(_arcs(g))
         own = _adjacency_of(g, g.adjacency_index(), movable)
         colors = _refine(seeded, own, movable)
-        assert colors == _refine(seeded, everything), index
+        assert colors == _refine(seeded, everything, seeded), index
         # and below the individualization of each class's first member
         classes: dict[int, list[int]] = {}
         for n in movable:
@@ -630,7 +662,7 @@ def test_refining_the_unnumbered_nodes_alone_gives_full_refinement():
         for members in classes.values():
             if len(members) > 1:
                 fresh = {**colors, min(members): max(colors.values()) + 1}
-                assert _refine(fresh, own, movable) == _refine(fresh, everything), index
+                assert _refine(fresh, own, movable) == _refine(fresh, everything, fresh), index
     assert partly_numbered > 100
 
 
