@@ -1,4 +1,7 @@
-"""Constant folding on FIRM-style SSA program graphs by graph rewriting."""
+"""Constant folding on FIRM-style SSA program graphs by graph rewriting.
+
+The names imported below are the public API.
+"""
 
 from .engine import (
     FoldResult,
@@ -65,67 +68,3 @@ from .rules import CATALOG, RULE_NAMES, build_min_plus_one
 from .verifier import CHECK_NAMES, Violation, verify
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ADD",
-    "ARITY",
-    "CATALOG",
-    "CHECK_NAMES",
-    "COND",
-    "DialectTag",
-    "DuplicatePositionError",
-    "EdgeKind",
-    "EdgeNode",
-    "FirmFoldError",
-    "FoldResult",
-    "FuelExhaustedError",
-    "GxlError",
-    "GxlParseError",
-    "GxlReferenceError",
-    "INT32_MAX",
-    "INT32_MIN",
-    "IncompatibleEndpointsError",
-    "JMP",
-    "Lts",
-    "MalformedGraphError",
-    "Match",
-    "NodeId",
-    "OpKind",
-    "PHI",
-    "ProgramGraph",
-    "RELATIONS",
-    "RETURN",
-    "RULE_NAMES",
-    "Rule",
-    "SchemaError",
-    "StaleMatchError",
-    "StateLimitExceeded",
-    "StepLimitExceeded",
-    "UnknownBlockError",
-    "UnknownNodeError",
-    "UnsupportedNodeTypeError",
-    "Violation",
-    "BlockKind",
-    "Cmp",
-    "Const",
-    "apply",
-    "build_min_plus_one",
-    "canonical_form",
-    "canonical_hash",
-    "detect_dialect",
-    "evaluate",
-    "explore",
-    "export_dot",
-    "fold",
-    "format_trace",
-    "import_firm_gxl",
-    "is_isomorphic",
-    "load",
-    "load_native",
-    "matches",
-    "normalize_positions",
-    "replay",
-    "save_native",
-    "verify",
-    "wrap32",
-]

@@ -13,12 +13,18 @@ The graph owns the port model: `input_positions` numbers an
 operation's Dataflow inputs or a block's Controlflow entries,
 `contiguous` tests that they run 0..n-1, and `stale_phi_inputs` lists
 the Phi inputs at a position no entry of the Phi's block carries.
+It also states the operations' meaning once: `op_value` gives the
+value a Const, Add or Cmp computes, and `taken_branch` the branch a
+Cond takes, for `evaluate` and the folding rules alike.
 
 Node ids are ints, unique within a graph and never reused, not even
 after deletion.  All queries return deterministically ordered results.
 `block_nodes` holds its blocks in ascending id order: loaders insert
 them sorted, fresh ids only grow, and copies keep the order.  So the
 first block of a kind in that map is the one with the smallest id.
+`start_block` names the first start block without scanning the map on
+every call: it remembers the answer, which only adding the first start
+block or deleting the remembered one can change, and copies carry it.
 
 Queries read an adjacency index (in-edges by target, out-edges by
 source, members by block) rather than scanning every Edge node, so a
@@ -38,7 +44,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import (
     DuplicatePositionError,
@@ -148,6 +154,25 @@ JMP = OpKind("Jmp")
 RETURN = OpKind("Return")
 
 
+def op_value(kind: OpKind, operands: Sequence[int]) -> int:
+    """The value a Const, Add or Cmp computes from its operands' values.
+
+    An Add wraps its sum to 32 bits; a Cmp gives 1 where its signed
+    relation holds and 0 where it does not.
+    """
+    if kind.name == "Const":
+        return kind.value  # type: ignore[return-value]
+    a, b = operands
+    if kind.name == "Add":
+        return wrap32(a + b)
+    return int(RELATION_TESTS[kind.relation](a, b))  # type: ignore[index]
+
+
+def taken_branch(selector: int) -> int:
+    """The branch a Cond takes on a selector value: 1 on non-zero, 0 on zero."""
+    return int(selector != 0)
+
+
 @dataclass(frozen=True, slots=True)
 class EdgeNode:
     """A nodified edge: kind, consumer-side port position, endpoints.
@@ -176,6 +201,9 @@ _BY_ID = operator.attrgetter("id")
 
 #: `_Adjacency._owned` of an index that shares all its inner sets.
 _NONE_OWNED: frozenset[int] = frozenset()
+
+#: `ProgramGraph._start` while the start block is not known.
+_UNKNOWN = object()
 
 
 class _Adjacency:
@@ -288,6 +316,7 @@ class ProgramGraph:
         "edge_nodes",
         "containment",
         "_next_id",
+        "_start",
         "_adj",
         "_touched",
         "_written",
@@ -299,6 +328,7 @@ class ProgramGraph:
         self.edge_nodes: dict[NodeId, EdgeNode] = {}
         self.containment: dict[NodeId, NodeId] = {}
         self._next_id = 0
+        self._start: NodeId | None | object = _UNKNOWN
         self._adj: _Adjacency | None = None
         self._touched: set[NodeId] | None = None
         self._written: set[NodeId] | None = None
@@ -393,6 +423,8 @@ class ProgramGraph:
     def add_block(self, kind: BlockKind) -> NodeId:
         nid = self._fresh_id()
         self.block_nodes[nid] = kind
+        if kind is BlockKind.START_BLOCK and self._start is None:
+            self._start = nid
         self._write(nid)
         return nid
 
@@ -528,6 +560,8 @@ class ProgramGraph:
                 adj.discard_member(block, node)
         else:
             del self.block_nodes[node]
+            if node == self._start:
+                self._start = _UNKNOWN
             members = adj.members.pop(node, ())
             for op in members:
                 del self.containment[op]
@@ -556,6 +590,20 @@ class ProgramGraph:
 
     def blocks_of_kind(self, kind: BlockKind) -> list[NodeId]:
         return sorted(b for b, k in self.block_nodes.items() if k is kind)
+
+    def start_block(self) -> NodeId | None:
+        """The start block with the smallest id, or None when there is none.
+
+        The answer is remembered.  Adding a block changes it only from
+        None, since fresh ids only grow; deleting the remembered block
+        forgets it, and the next call finds the first start block in
+        `block_nodes`.
+        """
+        if self._start is _UNKNOWN:
+            self._start = next(
+                (b for b, kind in self.block_nodes.items() if kind is BlockKind.START_BLOCK), None
+            )
+        return self._start  # type: ignore[return-value]
 
     def input_positions(self, n: NodeId) -> list[int]:
         """Ascending positions of an operation's Dataflow inputs or a block's entries."""
@@ -632,6 +680,7 @@ class ProgramGraph:
         h.edge_nodes = dict(self.edge_nodes)
         h.containment = dict(self.containment)
         h._next_id = self._next_id
+        h._start = self._start
         h._touched = None if self._touched is None else set(self._touched)
         if self._adj is not None:
             h._adj = self._adj.share()

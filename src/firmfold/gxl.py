@@ -84,8 +84,6 @@ _FLOW_EDGE_TYPES = {"Dataflow": EdgeKind.DATAFLOW, "Controlflow": EdgeKind.CONTR
 
 #: The attributes, with their value types, of each operation kind that has any.
 _OP_ATTRS: dict[str, dict[str, type]] = {"Const": {"value": int}, "Cmp": {"relation": str}}
-#: The one label each attribute-free operation kind needs.
-_PLAIN_OPS = {name: OpKind(name) for name in OP_NAMES if name not in _OP_ATTRS}
 
 # The plain subset (see the module docstring).  XML whitespace; an
 # attribute value's character: printable ASCII but space, `"`, `&`, `<`;
@@ -213,8 +211,6 @@ def _label_of(sig: _Signature, context: str, native: bool) -> tuple[int, object]
     """Where a node of signature `sig` goes and what it holds there: its
     operation or block kind, or an Edge node's (kind, position, branch)."""
     type_name, attrs = _typed(sig, context)
-    if type_name in _PLAIN_OPS and not attrs:
-        return _OP, _PLAIN_OPS[type_name]
     if type_name in OP_NAMES:
         _expect_attrs(attrs, context, _OP_ATTRS.get(type_name, {}))
         try:

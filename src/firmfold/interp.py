@@ -23,8 +23,8 @@ default fuel.
 from __future__ import annotations
 
 from .errors import FuelExhaustedError, MalformedGraphError
-from .graph import ARITY, CONTROL_SOURCES, RELATION_TESTS, BlockKind, NodeId, ProgramGraph
-from .graph import contiguous, wrap32
+from .graph import ARITY, CONTROL_SOURCES, BlockKind, NodeId, ProgramGraph
+from .graph import contiguous, op_value, taken_branch
 
 
 def evaluate(g: ProgramGraph, fuel: int | None = None) -> int:
@@ -85,16 +85,6 @@ def evaluate(g: ProgramGraph, fuel: int | None = None) -> int:
             return matching
         raise MalformedGraphError(f"n{op} ({kind.name}) produces no value")
 
-    def combine(op: NodeId, args: list[int]) -> int:
-        kind = g.op_nodes[op]
-        if kind.name == "Const":
-            return kind.value
-        if kind.name == "Add":
-            return wrap32(args[0] + args[1])
-        if kind.name == "Cmp":
-            return 1 if RELATION_TESTS[kind.relation](args[0], args[1]) else 0
-        return args[0]  # Phi
-
     def value(root: NodeId) -> int:
         """The value of `root`, computed depth-first with an explicit stack.
 
@@ -116,7 +106,8 @@ def evaluate(g: ProgramGraph, fuel: int | None = None) -> int:
                     spend()
                     stack.append((src, inputs(src), []))
                 continue
-            result = env[op] = combine(op, args)
+            kind = g.op_nodes[op]
+            result = env[op] = args[0] if kind.name == "Phi" else op_value(kind, args)
             stack.pop()
             if not stack:
                 return result
@@ -143,7 +134,7 @@ def evaluate(g: ProgramGraph, fuel: int | None = None) -> int:
             eid, target = succs[0]
         else:
             (selector,) = operands(op)
-            want = 1 if value(selector) != 0 else 0
+            want = taken_branch(value(selector))
             succs = [
                 (eid, target)
                 for eid, target in g.control_succs(op)

@@ -6,15 +6,19 @@ rule is: the anchor is an operation of one kind (say, every `Add`), a
 block of one kind, or an Edge node of one kind, and `pattern(g, n)`
 lists the anchor tuples of the matches at one such node `n`, reading
 only `n`'s neighbourhood as the engine's read invariant bounds it (the
-binary folds also ask whether a start block exists).  A pattern demands
+binary folds also ask the graph for its start block, which
+`ProgramGraph.start_block` answers without a scan).  A pattern demands
 everything its rewrite reads, including what must be absent.
 
-This module holds just the patterns and their rewrites.  The engine
-builds each rule from the two (`Rule.of`): it asks the pattern to find
-matches and to re-check a match before the rewrite, and each of its
-steps restarts the graph's write record, so no rewrite manages either.
-A rewrite changes the graph it is given in place, through the graph's
-mutators only.
+This module holds just the patterns and their rewrites.  What a folded
+operation computes is not restated here: add-fold-int and cmp-fold-int
+share one rewrite, which asks `graph.op_value` for the constant, and
+the cond folds follow `graph.taken_branch`, as `evaluate` does.  The
+engine builds each rule from the two (`Rule.of`): it asks the pattern
+to find matches and to re-check a match before the rewrite, and each
+of its steps restarts the graph's write record, so no rewrite manages
+either.  A rewrite changes the graph it is given in place, through the
+graph's mutators only.
 
 Folding a binary operation keeps every user edge alive by redirecting
 it to the freshly created constant.  It fires whether or not anything
@@ -51,7 +55,6 @@ from .graph import (
     COND,
     JMP,
     PHI,
-    RELATION_TESTS,
     RETURN,
     BlockKind,
     Cmp,
@@ -59,7 +62,8 @@ from .graph import (
     EdgeKind,
     NodeId,
     ProgramGraph,
-    wrap32,
+    op_value,
+    taken_branch,
 )
 
 #: The anchor tuples of the matches at one anchor node.
@@ -78,40 +82,30 @@ def _binary_on_consts(g: ProgramGraph, op: NodeId) -> _Matches:
     s0, s1 = sources
     # The rewrite parks the result constant in the start block, so a
     # start block is part of the pattern.
-    if BlockKind.START_BLOCK not in g.block_nodes.values():
+    if g.start_block() is None:
         return []
     return [(op, s0, s1)]
 
 
-def _replace_with_const(g: ProgramGraph, op: NodeId, value: int) -> None:
-    start = next(b for b, kind in g.block_nodes.items() if kind is BlockKind.START_BLOCK)
-    folded = g.add_op(Const(value), start)
+def _fold_binary(g: ProgramGraph, op: NodeId, a: NodeId, b: NodeId) -> None:
+    """Replace an Add or Cmp of two constants with the constant it computes."""
+    kinds = g.op_nodes
+    value = op_value(kinds[op], (kinds[a].value, kinds[b].value))
+    folded = g.add_op(Const(value), g.start_block())
     for eid, _ in g.data_users(op):
         g.redirect(eid, folded)
     g.delete_node(op)
 
 
-def _fold_add(g: ProgramGraph, add: NodeId, a: NodeId, b: NodeId) -> None:
-    """Replace an Add of two constants with their wrapped sum."""
-    total = g.op_nodes[a].value + g.op_nodes[b].value  # type: ignore[operator]
-    _replace_with_const(g, add, wrap32(total))
-
-
-def _fold_cmp(g: ProgramGraph, cmp_: NodeId, a: NodeId, b: NodeId) -> None:
-    """Replace a Cmp of two constants with 1 or 0 (signed comparison)."""
-    test = RELATION_TESTS[g.op_nodes[cmp_].relation]  # type: ignore[index]
-    _replace_with_const(g, cmp_, int(test(g.op_nodes[a].value, g.op_nodes[b].value)))
-
-
 # -- cond folds -------------------------------------------------------
 
 
-def _cond_on_const(g: ProgramGraph, cond: NodeId, nonzero: bool) -> _Matches:
+def _cond_on_const(g: ProgramGraph, cond: NodeId, branch: int) -> _Matches:
     if cond not in g.containment or g.input_positions(cond) != [0]:
         return []
     ((_, selector),) = g.data_inputs(cond)
     kind = g.op_nodes[selector]
-    if kind.name != "Const" or (kind.value != 0) != nonzero:
+    if kind.name != "Const" or taken_branch(kind.value) != branch:
         return []
     succs = g.control_succs(cond)
     if len(succs) != 2 or {g.edge_nodes[eid].branch for eid, _ in succs} != {0, 1}:
@@ -120,9 +114,8 @@ def _cond_on_const(g: ProgramGraph, cond: NodeId, nonzero: bool) -> _Matches:
 
 
 def _cond_to_jmp(g: ProgramGraph, cond: NodeId, selector: NodeId) -> None:
-    """Turn a Cond on a constant into a Jmp along the branch it takes:
-    branch 1 on a non-zero constant, branch 0 on zero."""
-    taken = int(g.op_nodes[selector].value != 0)
+    """Turn a Cond on a constant into a Jmp along the branch it takes."""
+    taken = taken_branch(g.op_nodes[selector].value)
     jmp = g.add_op(JMP, g.containment[cond])
     for eid, _ in g.control_succs(cond):
         if g.edge_nodes[eid].branch == taken:
@@ -193,13 +186,13 @@ CATALOG: tuple[Rule, ...] = (
     Rule.of("cleanup-dangling-dataflow", 1, EdgeKind.DATAFLOW, _sourced_outside_blocks, _delete_anchor),
     Rule.of("cleanup-dangling-control", 2, EdgeKind.CONTROLFLOW, _sourced_outside_blocks, _delete_anchor),
     Rule.of("cleanup-unref-const", 3, "Const", _unreferenced, _delete_anchor),
-    Rule.of("cmp-fold-int", 4, "Cmp", _binary_on_consts, _fold_cmp),
-    Rule.of("cond-fold-true", 5, "Cond", partial(_cond_on_const, nonzero=True), _cond_to_jmp),
-    Rule.of("cond-fold-false", 6, "Cond", partial(_cond_on_const, nonzero=False), _cond_to_jmp),
+    Rule.of("cmp-fold-int", 4, "Cmp", _binary_on_consts, _fold_binary),
+    Rule.of("cond-fold-true", 5, "Cond", partial(_cond_on_const, branch=1), _cond_to_jmp),
+    Rule.of("cond-fold-false", 6, "Cond", partial(_cond_on_const, branch=0), _cond_to_jmp),
     Rule.of("block-remove", 7, BlockKind.BLOCK, _entryless, _remove_block),
     Rule.of("phi-adjust", 8, "Phi", _stale_phi_inputs, _drop_phi_input),
     Rule.of("phi-fold-single", 9, "Phi", _single_entry_phi, _short_phi),
-    Rule.of("add-fold-int", 10, "Add", _binary_on_consts, _fold_add),
+    Rule.of("add-fold-int", 10, "Add", _binary_on_consts, _fold_binary),
 )
 
 RULE_NAMES: tuple[str, ...] = tuple(r.name for r in CATALOG)

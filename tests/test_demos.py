@@ -1,8 +1,10 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script, and the README's library example, runs to
+completion and prints something."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,11 +15,24 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def _run(args: list[str]) -> str:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    return done.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    _run([str(demo)])
+
+
+def test_readme_library_example_runs():
+    # It imports its names from the top-level package, as users do.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert "from firmfold import" in example
+    assert _run(["-c", example]).startswith("step 1: cmp-fold-int @ ")

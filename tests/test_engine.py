@@ -61,6 +61,7 @@ from helpers import (
     random_program,
     reference_explore,
     reference_fold,
+    relabel,
     scan_inputs,
     search_isomorphic,
     witnesses,
@@ -246,18 +247,6 @@ def test_incremental_match_sets_equal_the_matchers_after_every_step(monkeypatch)
 _START_EXISTS = "a start block exists"
 
 
-class _StartBlockQuery:
-    """A node map's `values()` that answers only whether a start block exists."""
-
-    def __init__(self, kinds, reads: set) -> None:
-        self._kinds, self._reads = kinds, reads
-
-    def __contains__(self, kind) -> bool:
-        assert kind is BlockKind.START_BLOCK, kind
-        self._reads.add(_START_EXISTS)
-        return kind in self._kinds
-
-
 class _RecordedMap:
     """A node map that records each key looked up in it."""
 
@@ -276,9 +265,6 @@ class _RecordedMap:
         self._reads.add(n)
         return self._entries.get(n, default)
 
-    def values(self) -> _StartBlockQuery:
-        return _StartBlockQuery(self._entries.values(), self._reads)
-
 
 class _ReadSpy:
     """A view of `g` for a pattern to read, which records the nodes it reads.
@@ -286,7 +272,8 @@ class _ReadSpy:
     A map lookup reads its key.  A neighbourhood query reads the node
     asked about and every node its answer names: Edge nodes, far
     endpoints, members, and the input edges whose positions it lists.
-    The view offers no other read.
+    `start_block` reads only whether a start block exists.  The view
+    offers no other read.
     """
 
     def __init__(self, g: ProgramGraph, incident: dict[NodeId, list]) -> None:
@@ -312,6 +299,10 @@ class _ReadSpy:
         self.reads.add(n)
         self.reads.update(e.id for e in self.incident[n] if e.target == n)
         return self.g.input_positions(n)
+
+    def start_block(self) -> NodeId | None:
+        self.reads.add(_START_EXISTS)
+        return self.g.start_block()
 
     # Through this view's own reads.
     stale_phi_inputs = ProgramGraph.stale_phi_inputs
@@ -406,6 +397,29 @@ def test_ten_thousand_element_chain_folds():
     assert verify(result.graph) == []
     for r in CATALOG:
         assert matches(result.graph, r) == []
+
+
+def test_fold_time_does_not_depend_on_where_the_start_block_sits():
+    # Reversing the ids makes the start block the last block of the
+    # chain.  The binary folds ask for it on every match and every
+    # rewrite, so a scan for it that stops at the first start block
+    # makes this fold quadratic: 3-6x the time of the chain as built.
+    built = diamond_chain(random.Random(0), 2048)
+    reversed_ids = relabel(built)
+    assert max(reversed_ids.block_nodes) in reversed_ids.blocks_of_kind(BlockKind.START_BLOCK)
+
+    def timed(g: ProgramGraph):
+        seconds = []
+        for _ in range(2):
+            began = time.perf_counter()
+            result = fold(g, CATALOG)
+            seconds.append(time.perf_counter() - began)
+        return result, min(seconds)
+
+    (as_built, built_s), (start_last, start_last_s) = timed(built), timed(reversed_ids)
+    assert start_last.steps == as_built.steps == 22528
+    assert is_isomorphic(start_last.graph, as_built.graph)
+    assert start_last_s < 2.0 * built_s, (start_last_s, built_s)
 
 
 def test_default_budgets_reach_past_ten_thousand():

@@ -35,7 +35,7 @@ from firmfold import (
     wrap32,
 )
 from firmfold.graph import _Adjacency, contiguous
-from helpers import diamond_chain, random_graph
+from helpers import diamond_chain, random_graph, relabel
 
 
 def test_wrap32_identity_inside_range():
@@ -361,6 +361,41 @@ def test_a_copy_shares_the_index_copy_on_write(seed, data):
             _mutate(graphs[side], data.draw)
         for g in graphs:
             _assert_index_is_its_own(g)
+
+
+def _reassembled(g: ProgramGraph) -> ProgramGraph:
+    return ProgramGraph._from_parts(g.op_nodes, g.block_nodes, g.edge_nodes, g.containment)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_start_block_is_the_smallest_start_block_id(seed, data):
+    # Each call is made on two graphs with the same nodes: `checked` is
+    # asked after every call, so it always remembers an answer when a
+    # mutator runs; `unchecked` is asked only at the end.
+    def start(g: ProgramGraph):
+        return min(g.blocks_of_kind(BlockKind.START_BLOCK), default=None)
+
+    checked = random_graph(random.Random(seed))
+    unchecked = _reassembled(checked)
+    assert checked.start_block() == start(checked)
+    for _ in range(data.draw(st.integers(1, 30))):
+        action = data.draw(st.sampled_from(["add", "delete", "copy", "from_parts", "relabel"]))
+        if action == "add":
+            kind = data.draw(st.sampled_from(list(BlockKind)))
+            assert checked.add_block(kind) == unchecked.add_block(kind)
+        elif action == "delete" and checked.block_nodes:
+            block = data.draw(st.sampled_from(sorted(checked.block_nodes)))
+            checked.delete_node(block)
+            unchecked.delete_node(block)
+        elif action == "copy":
+            checked, unchecked = checked.copy(), unchecked.copy()
+        elif action == "from_parts":
+            checked, unchecked = _reassembled(checked), _reassembled(unchecked)
+        elif action == "relabel":
+            checked, unchecked = relabel(checked), relabel(unchecked)
+        assert checked.start_block() == start(checked)
+    assert unchecked.start_block() == start(unchecked) == start(checked)
 
 
 def _parts() -> tuple[dict, dict, dict, dict]:
