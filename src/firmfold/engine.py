@@ -24,9 +24,9 @@ initial colour and the numbers of an Edge node's source and target or
 of an operation's block, so two equal certificates define a bijection
 that keeps every colour and every arc, which is an isomorphism.  A
 fault in the canonical form can thus split one state in two but never
-merge two that differ.  `is_isomorphic` is that same comparison of
-canonical forms, and `Lts.final_states_isomorphic` compares the final
-states with it; the tests check the canonical form against an
+merge two that differ.  So isomorphic states are one state, and
+`Lts.final_states_isomorphic` reads its verdict from the number of
+final states; the tests check the canonical form against an
 independent isomorphism search (`tests/helpers.py`).
 
 Neither driver matches every rule over the whole graph before each
@@ -78,7 +78,7 @@ from (`_start`), so that gaps in a loaded graph hide no match; only
 there, when the graph's record is unknown (fresh or loaded), is every
 consumer checked.  A block whose renumbering could collide a stale Phi
 input with a live one keeps its gap until the input is dropped (see
-`_renumber`).
+`normalize_positions`).
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ from typing import Callable, Iterable
 
 from .errors import StaleMatchError, StateLimitExceeded, StepLimitExceeded
 from .graph import NodeId, NodeKind, ProgramGraph, contiguous
+# Nothing here calls is_isomorphic; it stays imported because
+# perfbench/tracer.py wraps it by the name engine.is_isomorphic.
 from .isomorphism import canonical_form, canonical_hash, form_digest, is_isomorphic
 
 
@@ -199,14 +201,16 @@ def apply(g: ProgramGraph, rule: Rule, match: Match) -> ProgramGraph:
     return h
 
 
-def _renumber(g: ProgramGraph, target: NodeId) -> None:
+def normalize_positions(g: ProgramGraph, target: NodeId) -> None:
     """Compact the input positions of one consumer to 0..n-1, in place.
 
-    For an operation node the dataflow input edges are renumbered in
-    (position, edge id) order.  For a block the control entry edges are
-    renumbered the same way, and the identical old-to-new position
-    mapping is applied to the dataflow inputs of every Phi in the block,
-    keeping Phi selection aligned with block entries; a stale Phi input
+    `_normalize_all` calls it on every consumer with a gap; a caller
+    that wants the graph kept copies it first.  For an operation node
+    the dataflow input edges are renumbered in (position, edge id)
+    order.  For a block the control entry edges are renumbered the
+    same way, and the identical old-to-new position mapping is applied
+    to the dataflow inputs of every Phi in the block, keeping Phi
+    selection aligned with block entries; a stale Phi input
     (`ProgramGraph.stale_phi_inputs`) keeps its position.  A block with
     k entries waits, unchanged, while a stale Phi input sits below k:
     renumbering moves the entries, and the Phi inputs aligned with them,
@@ -234,20 +238,14 @@ def _renumber(g: ProgramGraph, target: NodeId) -> None:
                 g.set_position(eid, mapping[position])
 
 
-def normalize_positions(g: ProgramGraph, target: NodeId) -> ProgramGraph:
-    """Compact the input positions of one consumer to 0..n-1 on a copy, as `_renumber` does."""
-    h = g.copy()
-    _renumber(h, target)
-    return h
-
-
 def _normalize_all(g: ProgramGraph) -> None:
-    """Compact, in place, the positions of every consumer that may have gaps.
+    """Compact, in place, the positions of every consumer that may have gaps,
+    with `normalize_positions` on each one that has a gap.
 
     Those are the consumers `g` recorded since its last normalization;
     on a graph whose record is unknown, every consumer.  A Phi is
     renumbered with its block, never alone, and a block may wait (see
-    `_renumber`).
+    `normalize_positions`).
 
     Consumers are independent of each other here, so one pass leaves
     every consumer compact or waiting.
@@ -260,7 +258,7 @@ def _normalize_all(g: ProgramGraph) -> None:
         elif n not in g.block_nodes:
             continue  # deleted since it was recorded
         if not contiguous(g.input_positions(n)):
-            _renumber(g, n)
+            normalize_positions(g, n)
     # Renumbering recorded only consumers it has just made compact.
     g.take_touched()
 
@@ -452,19 +450,15 @@ class Lts:
     final: frozenset[str]
 
     def final_states_isomorphic(self) -> bool:
-        """Whether all maximal rewrites ended in the same graph: whether the
-        final states' canonical forms are all equal (`is_isomorphic`).
+        """Whether all maximal rewrites ended in the same graph up to
+        isomorphism: whether there is at most one final state.
 
-        Final states have distinct digests, so distinct canonical forms:
-        with two or more this is False.  A fault that split one final
-        state in two would therefore show as a divergence, never hide
-        one.
+        States are keyed by canonical digest, so two final states have
+        distinct canonical forms and are not isomorphic.  A fault that
+        split one final state in two would therefore show as a
+        divergence, never hide one.
         """
-        finals = sorted(self.final)
-        if not finals:
-            return True
-        first = self.states[finals[0]]
-        return all(is_isomorphic(first, self.states[d]) for d in finals[1:])
+        return len(self.final) <= 1
 
 
 def _node_key(g: ProgramGraph, n: NodeId) -> int:

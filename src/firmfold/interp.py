@@ -127,24 +127,13 @@ def evaluate(g: ProgramGraph, fuel: int | None = None) -> int:
         if name == "Return":
             (operand,) = operands(op)
             return value(operand)
-        if name == "Jmp":
-            succs = g.control_succs(op)
-            if len(succs) != 1:
-                raise MalformedGraphError(f"Jmp n{op} needs exactly one successor")
-            eid, target = succs[0]
-        else:
-            (selector,) = operands(op)
-            want = taken_branch(value(selector))
-            succs = [
-                (eid, target)
-                for eid, target in g.control_succs(op)
-                if g.edge_nodes[eid].branch == want
-            ]
-            if len(succs) != 1:
-                raise MalformedGraphError(
-                    f"Cond n{op} needs exactly one branch-{want} successor"
-                )
-            eid, target = succs[0]
+        # A Jmp's control edges carry no branch (`ProgramGraph._check_edge`).
+        want = None if name == "Jmp" else taken_branch(value(operands(op)[0]))
+        succs = [(eid, to) for eid, to in g.control_succs(op) if g.edge_nodes[eid].branch == want]
+        if len(succs) != 1:
+            successor = "successor" if want is None else f"branch-{want} successor"
+            raise MalformedGraphError(f"{name} n{op} needs exactly one {successor}")
+        ((eid, target),) = succs
         spend()
         entered[target] = g.edge_nodes[eid].position
         current = target

@@ -288,8 +288,6 @@ def canonical_form(g: ProgramGraph) -> tuple:
     adjacency index as it found it, built or absent.
     """
     initial = _initial_colors(g)
-    if not initial:
-        return ()
     index = g.adjacency_index()
     order = _numbering(g, initial, index)
     if len(order) == len(initial):

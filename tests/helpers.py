@@ -393,14 +393,16 @@ def _reference_normalize(g: ProgramGraph) -> ProgramGraph:
             ]
             if not set(phi_positions) <= set(positions):
                 continue
-            current = normalize_positions(current, block)
+            current = current.copy()
+            normalize_positions(current, block)
             changed = True
         for op in sorted(current.op_nodes):
             if current.op_nodes[op].name == "Phi":
                 continue
             positions = [current.edge_nodes[eid].position for eid, _ in current.data_inputs(op)]
             if not _contiguous(positions):
-                current = normalize_positions(current, op)
+                current = current.copy()
+                normalize_positions(current, op)
                 changed = True
         if not changed:
             return current

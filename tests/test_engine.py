@@ -513,7 +513,8 @@ def test_normalize_positions_op_variant():
     phi = g.add_op(PHI, phi_block)
     g.connect(a, phi, EdgeKind.DATAFLOW, 2)
     g.connect(b, phi, EdgeKind.DATAFLOW, 5)
-    h = normalize_positions(g, phi)
+    h = g.copy()
+    normalize_positions(h, phi)
     assert [h.edge_nodes[eid].position for eid, _ in h.data_inputs(phi)] == [0, 1]
     assert [src for _, src in h.data_inputs(phi)] == [a, b]
     # the original is untouched
@@ -531,7 +532,8 @@ def test_normalize_positions_block_variant_carries_phis_along():
     g.connect(j1, merge, EdgeKind.CONTROLFLOW, 3)
     g.connect(a, phi, EdgeKind.DATAFLOW, 3)
     g.connect(b, phi, EdgeKind.DATAFLOW, 7)
-    h = normalize_positions(g, merge)
+    h = g.copy()
+    normalize_positions(h, merge)
     entry_positions = [h.edge_nodes[eid].position for eid, _ in h.control_preds(merge)]
     assert entry_positions == [0]
     phi_positions = [h.edge_nodes[eid].position for eid, _ in h.data_inputs(phi)]
@@ -548,9 +550,25 @@ def test_normalize_positions_defers_a_block_whose_stale_phi_input_could_collide(
     stale = g.stale_phi_inputs(phi)
     assert len(stale) == 1
     # renumbering would move the entry at 1, and the live input, onto the stale input's 0
-    h = normalize_positions(g, merge)
+    h = g.copy()
+    normalize_positions(h, merge)
     assert save_native(h) == save_native(g)
     assert h.stale_phi_inputs(phi) == stale
+
+
+def test_fold_and_explore_renumber_through_normalize_positions(monkeypatch):
+    g = gapped(diamond_chain(random.Random(0), 2))
+    folded = save_native(fold(g, CATALOG).graph)
+    calls: Counter[str] = Counter()
+    _spy(monkeypatch, calls, "normalize_positions", engine)
+    assert save_native(fold(g, CATALOG).graph) == folded
+    # `_start`, in `fold` and in `explore`, renumbers the 14 consumers with
+    # an input, all gapped; no step on this chain leaves a gap.
+    assert calls["normalize_positions"] == 14
+    calls.clear()
+    lts = explore(g, CATALOG)
+    assert (len(lts.states), len(lts.transitions), len(lts.final)) == (1467, 6604, 1)
+    assert calls["normalize_positions"] == 14
 
 
 def test_normalize_positions_rejects_a_target_that_is_no_consumer():

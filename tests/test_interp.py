@@ -177,8 +177,21 @@ def test_add_reading_a_jmp_is_malformed():
 def test_cond_with_missing_branch_edge():
     g = build_min_plus_one(3, 5, "lt")
     g.delete_node(18)  # the branch-1 successor edge, which (3 < 5) takes
-    with pytest.raises(MalformedGraphError):
+    with pytest.raises(MalformedGraphError, match="Cond n9 needs exactly one branch-1 successor"):
         evaluate(g)
+
+
+def test_a_second_taken_successor_is_malformed():
+    # A second edge into the branch-0 block n2: from the Cond n9 on the
+    # taken branch 1, or from the taken block's Jmp n10.
+    for source, branch, error in (
+        (9, 1, "Cond n9 needs exactly one branch-1 successor"),
+        (10, None, "Jmp n10 needs exactly one successor"),
+    ):
+        g = build_min_plus_one(3, 5, "lt")
+        g.connect(source, 2, EdgeKind.CONTROLFLOW, 1, branch=branch)
+        with pytest.raises(MalformedGraphError, match=error):
+            evaluate(g)
 
 
 def test_infinite_loop_exhausts_fuel():

@@ -72,6 +72,7 @@ from test_engine import _explore_differential_cases, _spy
 def test_empty_graphs():
     assert search_isomorphic(ProgramGraph(), ProgramGraph())
     assert canonical_hash(ProgramGraph()) == canonical_hash(ProgramGraph())
+    assert canonical_form(ProgramGraph()) == ()
 
 
 def test_insertion_order_is_irrelevant():
