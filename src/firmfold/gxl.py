@@ -34,13 +34,16 @@ writes and the same elements laid out without indentation:
   whitespace between tags.
 ElementTree parses every other document: the attributed dialect,
 namespaced or commented documents, the empty graph `save_native`
-writes, and any read that forces the attributed dialect.  No document
-is parsed twice.  Both front ends feed their node declarations to one
-loop, `_declarations`, which numbers and de-duplicates them and hands
-each distinct signature (its type href and its attrs' names, value
-tags and texts) to one validator, `_label_of`; and they resolve native
-relation edges in one loop, `_relations`.  So a document reads to the
-same graph, or fails with the same error, whichever reader reads it.
+writes, and any read that forces the attributed dialect.  It is
+imported with the first such document, or the first `detect_dialect`,
+so a process that reads plain documents only never loads it.  No
+document is parsed twice.  Both front ends feed their node
+declarations to one loop, `_declarations`, which numbers and
+de-duplicates them and hands each distinct signature (its type href
+and its attrs' names, value tags and texts) to one validator,
+`_label_of`; and they resolve native relation edges in one loop,
+`_relations`.  So a document reads to the same graph, or fails with
+the same error, whichever reader reads it.
 
 The writer emits the fixed native layout directly; every value in it
 is an integer or a name from a closed set, so nothing needs escaping.
@@ -50,10 +53,9 @@ from __future__ import annotations
 
 import io
 import re
-import xml.etree.ElementTree as ET
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import (
     FirmFoldError,
@@ -71,6 +73,9 @@ from .graph import (
     OpKind,
     ProgramGraph,
 )
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 XLINK_NS = "http://www.w3.org/1999/xlink"
 _XLINK_HREF = f"{{{XLINK_NS}}}href"
@@ -138,6 +143,8 @@ class _Document:
     node and edge elements; any edge with a `<type>` makes it attributed."""
 
     def __init__(self, data: bytes | str) -> None:
+        import xml.etree.ElementTree as ET
+
         try:
             root = ET.fromstring(data.encode("utf-8") if isinstance(data, str) else data)
         except (ET.ParseError, ValueError, LookupError) as exc:

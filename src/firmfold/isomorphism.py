@@ -15,6 +15,9 @@ canonical labelling (McKay & Piperno 2014).  The state-space explorer
 keys its states by the digest and confirms a digest hit by comparing
 the two certificates.  The digest hashes a certificate's `marshal`
 version 2 bytes, which depend on its value alone (see `form_digest`).
+It imports `hashlib`, and with it OpenSSL's libcrypto, on the first
+digest a process takes, so `fold` and `verify`, which take none, never
+load it.
 
 An independent decision, a backtracking search over jointly refined
 color classes, lives in the tests (`tests/helpers.py`) as the oracle
@@ -67,7 +70,6 @@ The canonical form numbers nodes in three stages:
 
 from __future__ import annotations
 
-import hashlib
 import marshal
 from collections import defaultdict
 from typing import Collection, Iterator
@@ -348,7 +350,9 @@ def form_digest(form: tuple) -> str:
     ints are distinct objects would then digest differently, and one
     state would be split in two.
     """
-    return hashlib.sha256(marshal.dumps(form, 2)).hexdigest()
+    from hashlib import sha256
+
+    return sha256(marshal.dumps(form, 2)).hexdigest()
 
 
 def canonical_hash(g: ProgramGraph) -> str:

@@ -5,6 +5,10 @@ either finds nothing or produces one `Violation` per offending witness
 tuple.  `verify` runs them all in a fixed order and concatenates the
 findings, so its output is deterministic for a given graph.  An empty
 list means the graph is well formed.
+
+The two checks that read input positions, `check_phi` and
+`check_positions`, each take them in one pass over the Edge nodes
+(`_input_positions`), so `verify` builds no adjacency index.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import ARITY, BlockKind, NodeId, ProgramGraph, contiguous
+
+#: Each consumer's input positions, ascending; a consumer without inputs is absent.
+_Positions = dict[NodeId, list[int]]
 
 SINGLE_START = "single-start"
 SINGLE_END = "single-end"
@@ -74,6 +81,16 @@ def check_containment(g: ProgramGraph) -> list[Violation]:
     ]
 
 
+def _input_positions(g: ProgramGraph) -> _Positions:
+    """`g.input_positions` of every consumer, from one pass over the Edge nodes."""
+    positions: _Positions = {}
+    for e in g.edge_nodes.values():
+        positions.setdefault(e.target, []).append(e.position)
+    for inputs in positions.values():
+        inputs.sort()
+    return positions
+
+
 def check_phi(g: ProgramGraph) -> list[Violation]:
     """Phi inputs align positionally with the entries of the Phi's block.
 
@@ -82,13 +99,14 @@ def check_phi(g: ProgramGraph) -> list[Violation]:
     set must equal the block's control predecessor position set.
     Blockless Phis are containment's finding, not this check's.
     """
+    positions = _input_positions(g)
     return [
         Violation(
             PHI_CHECK, tuple(sorted((phi, block))), "phi inputs do not align with block entries"
         )
         for phi, block in sorted(g.containment.items())
         if g.op_nodes[phi].name == "Phi"
-        and set(g.input_positions(phi)) != set(g.input_positions(block))
+        and set(positions.get(phi, ())) != set(positions.get(block, ()))
     ]
 
 
@@ -100,24 +118,25 @@ def check_positions(g: ProgramGraph) -> list[Violation]:
     and block control entries alike; (b) an operation of fixed arity
     has the wrong number of dataflow inputs.  Phi has no fixed arity.
     """
+    positions = _input_positions(g)
     out = []
     for op in sorted(g.op_nodes):
-        positions = g.input_positions(op)
-        if not contiguous(positions):
+        inputs = positions.get(op, [])
+        if not contiguous(inputs):
             out.append(
                 Violation(POS_CHECK, (op,), "dataflow input positions are not 0..n-1")
             )
         arity = ARITY.get(g.op_nodes[op].name)
-        if arity is not None and len(positions) != arity:
+        if arity is not None and len(inputs) != arity:
             out.append(
                 Violation(
                     POS_CHECK,
                     (op,),
-                    f"{g.op_nodes[op].name} takes {arity} inputs, found {len(positions)}",
+                    f"{g.op_nodes[op].name} takes {arity} inputs, found {len(inputs)}",
                 )
             )
     for block in sorted(g.block_nodes):
-        if not contiguous(g.input_positions(block)):
+        if not contiguous(positions.get(block, [])):
             out.append(
                 Violation(POS_CHECK, (block,), "control entry positions are not 0..n-1")
             )

@@ -28,6 +28,8 @@ canonical forms (`firmfold.is_isomorphic`), so the search is the
 independent oracle that every test comparing canonical forms or digests
 with isomorphism calls.
 
+`index_builds` records each adjacency index the library builds.
+
 `reference_save_native` is the native writer as it was built on
 ElementTree, kept as the oracle for the byte layout of `save_native`;
 `mutate_document` damages a GXL document for robustness tests.
@@ -75,6 +77,7 @@ from firmfold.errors import (
     SchemaError,
     UnsupportedNodeTypeError,
 )
+from firmfold import graph
 from firmfold.graph import OP_NAMES, EdgeNode, NodeId
 from firmfold.gxl import XLINK_NS, DialectTag
 from firmfold.isomorphism import (
@@ -353,6 +356,21 @@ def gapped(g: ProgramGraph) -> ProgramGraph:
     """`g` with every input position p moved to 2p + 1, keeping Phis aligned."""
     edges = {eid: replace(e, position=2 * e.position + 1) for eid, e in g.edge_nodes.items()}
     return ProgramGraph._from_parts(g.op_nodes, g.block_nodes, edges, g.containment)
+
+
+def index_builds(monkeypatch) -> list[ProgramGraph]:
+    """Spy on index builds: the list returned gets each graph an adjacency
+    index is built from, kept or not.  A copy-on-write share is no build."""
+    built: list[ProgramGraph] = []
+    real = graph._Adjacency.__init__
+
+    def counted(index, g=None):
+        if g is not None:
+            built.append(g)
+        real(index, g)
+
+    monkeypatch.setattr(graph._Adjacency, "__init__", counted)
+    return built
 
 
 def relabel(g: ProgramGraph, rng: random.Random | None = None) -> ProgramGraph:

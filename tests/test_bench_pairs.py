@@ -1,0 +1,60 @@
+"""Tests for tools/bench_pairs.py's comparison of two checkouts' runs."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py"
+)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRIC = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}
+
+
+def run(side: str, value: float, correct: bool = True, failed: int = 0) -> dict:
+    return {"side": side, "correct": correct, "failed": failed, "values": {"peak_rss_mb": value}}
+
+
+def crashed(side: str) -> dict:
+    return {"side": side, "correct": False, "failed": None, "error": "boom"}
+
+
+def pairs(n: int) -> list[dict]:
+    """`n` pairs in which the change reads 4 MB lower, parent first in each."""
+    return [r for i in range(n) for r in (run("parent", 26.7 + i / 100), run("change", 22.7))]
+
+
+def test_a_clear_gain_on_every_pair_is_claimed():
+    result = bench_pairs.compare(pairs(10), METRIC)
+    assert (result["n_pairs"], result["wins"], result["claim"]) == (10, 10, True)
+
+
+def test_a_crashed_pair_counts_as_a_loss():
+    runs = pairs(10)
+    runs[-1] = crashed("change")
+    result = bench_pairs.compare(runs, METRIC)
+    # nine wins of ten would do, but the crashed run is not correct
+    assert (result["n_pairs"], result["wins"], result["change"]["n"]) == (10, 9, 9)
+    assert result["claim"] is False
+    runs[-1], runs[-2] = run("change", 22.7), crashed("parent")
+    result = bench_pairs.compare(runs, METRIC)
+    assert (result["wins"], result["claim"]) == (9, True)
+    runs[1] = crashed("change")
+    assert bench_pairs.compare(runs, METRIC)["wins"] == 8
+
+
+def test_no_claim_when_the_change_fails_more_operations():
+    runs = pairs(10)
+    runs[1] = run("change", 22.7, failed=1)
+    assert bench_pairs.compare(runs, METRIC)["claim"] is False
+    runs[0] = run("parent", 26.7, failed=1)
+    assert bench_pairs.compare(runs, METRIC)["claim"] is True
+
+
+def test_an_incorrect_run_of_the_change_blocks_the_claim():
+    runs = pairs(10)
+    runs[3] = run("change", 22.7, correct=False)
+    assert bench_pairs.compare(runs, METRIC)["claim"] is False

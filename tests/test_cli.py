@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -282,3 +285,47 @@ def test_each_subcommand_reaches_the_names_it_calls_through_its_module(
     capsys.readouterr()
     expected = {"load": 3, "verify": 1, "fold": 1, "explore": 1, "save_native": 2, "export_dot": 1}
     assert calls == expected
+
+
+# Runs one command in a fresh interpreter and prints its exit code, its
+# output and the modules it added to `sys.modules`, as JSON.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    from firmfold.cli import main
+    code = main(sys.argv[1:])
+added = sorted(set(sys.modules) - before)
+print(json.dumps({"code": code, "out": out.getvalue(), "added": added}))
+"""
+
+#: What a command loads only if it needs it: OpenSSL for a digest, and
+#: ElementTree for a document outside the plain subset.
+ON_DEMAND = {"hashlib", "_hashlib", "xml.etree.ElementTree"}
+
+
+def footprint(*argv: object) -> tuple[int, str, set[str]]:
+    """The exit code, the output and the modules added of one command run alone."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    result = json.loads(run.stdout)
+    return result["code"], result["out"], set(result["added"])
+
+
+def test_each_command_loads_only_what_it_uses(tmp_path):
+    src = write_example(tmp_path / "ex.gxl")
+    for argv in (("verify", src), ("fold", src, tmp_path / "out.gxl")):
+        code, _, added = footprint(*argv)
+        assert code == 0, argv
+        assert "firmfold.isomorphism" in added, argv
+        assert not added & ON_DEMAND, argv
+    code, out, added = footprint("explore", src)
+    assert code == 0
+    assert out.startswith("states: 26\ntransitions: 44\nfinal_states: 1\n")
+    assert {"hashlib", "_hashlib"} <= added
+    code, _, added = footprint("verify", FIXTURE)
+    assert code == 0
+    assert "xml.etree.ElementTree" in added

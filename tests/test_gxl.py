@@ -128,13 +128,14 @@ def test_save_matches_the_element_tree_writer_byte_for_byte():
 
 def test_load_parses_each_document_once(monkeypatch):
     calls = []
-    real = gxl.ET.fromstring
+    real = ET.fromstring
 
     def counted(data):
         calls.append(data)
         return real(data)
 
-    monkeypatch.setattr(gxl.ET, "fromstring", counted)
+    # `gxl` imports ElementTree where it parses, so the spy sits on the module.
+    monkeypatch.setattr(ET, "fromstring", counted)
     native = save_native(build_min_plus_one(3, 5, "lt"))
     commented = native.replace(b"<graph", b"<!-- c --><graph", 1)
     for doc, trees in ((native, 0), (commented, 1), (FIXTURE.read_bytes(), 1)):

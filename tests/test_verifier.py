@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from firmfold import (
+    CHECK_NAMES,
     BlockKind,
     Const,
     ProgramGraph,
@@ -22,9 +23,13 @@ from firmfold.verifier import (
     SINGLE_END,
     SINGLE_START,
     check_consts,
+    check_containment,
+    check_phi,
     check_positions,
+    check_single_end,
+    check_single_start,
 )
-from helpers import diamond_chain
+from helpers import diamond_chain, gapped, index_builds, random_graph
 
 
 def checks_hit(g) -> set[str]:
@@ -161,10 +166,9 @@ def test_blockless_const_is_not_a_consts_finding():
     assert stray in g.op_nodes
 
 
-def test_duplicate_positions_admitted_by_loader_are_flagged():
-    # the model's connect refuses duplicate positions, but a document
-    # can declare them; pos-check owns that diagnosis
-    doc = """<?xml version="1.0" encoding="utf-8"?>
+# The model's connect refuses duplicate positions, but a document can
+# declare them: here, an Add's two inputs at position 0.
+DUPLICATE_POSITIONS = """<?xml version="1.0" encoding="utf-8"?>
     <gxl xmlns:xlink="http://www.w3.org/1999/xlink">
       <graph id="g" edgeids="false" edgemode="directed">
         <node id="n0"><type xlink:href="#StartBlock"/></node>
@@ -183,7 +187,11 @@ def test_duplicate_positions_admitted_by_loader_are_flagged():
         <edge from="n0" to="n3"/>
       </graph>
     </gxl>"""
-    g = load_native(doc)
+
+
+def test_duplicate_positions_admitted_by_loader_are_flagged():
+    # pos-check owns that diagnosis
+    g = load_native(DUPLICATE_POSITIONS)
     findings = [v for v in verify(g) if v.check == POS_CHECK]
     assert (3,) in [v.witnesses for v in findings]
 
@@ -208,3 +216,53 @@ def test_ten_thousand_element_chain_is_clean():
     g = diamond_chain(random.Random(0), 430)
     assert g.element_count() == 9896
     assert verify(g) == []
+
+
+def _verify_cases() -> list[ProgramGraph]:
+    """Clean, gapped, duplicate-position and many-finding graphs."""
+    chain = diamond_chain(random.Random(0), 40)
+    missing_operand = build_min_plus_one(3, 5, "lt")
+    missing_operand.delete_node(24)
+    ordering = build_min_plus_one(3, 5, "lt")
+    ordering.add_block(BlockKind.START_BLOCK)
+    ordering.add_op(Const(9), 3)
+    ordering.delete_node(23)
+    blockless = build_min_plus_one(3, 5, "lt")
+    blockless.delete_node(1)
+    cases = [chain, gapped(chain), missing_operand, ordering, blockless]
+    cases.append(load_native(DUPLICATE_POSITIONS))
+    for seed in range(6):
+        g = random_graph(random.Random(seed))
+        cases += [g, gapped(g)]
+    return cases
+
+
+def _findings(violations: list[Violation]) -> list[tuple]:
+    # `Violation` equality ignores `absence`.
+    return [(v.render(), v.absence) for v in violations]
+
+
+def test_verify_is_the_six_checks_called_alone():
+    checks = (
+        check_single_start,
+        check_single_end,
+        check_containment,
+        check_phi,
+        check_positions,
+        check_consts,
+    )
+    hit = set()
+    for index, g in enumerate(_verify_cases()):
+        alone = [v for check in checks for v in check(g)]
+        assert _findings(verify(g)) == _findings(alone), index
+        hit |= {v.check for v in alone}
+    # the cases reach every check
+    assert hit == set(CHECK_NAMES)
+
+
+def test_verify_builds_no_adjacency_index(monkeypatch):
+    loaded = [load_native(save_native(g)) for g in _verify_cases()]
+    built = index_builds(monkeypatch)
+    for g in loaded:
+        verify(g)
+    assert built == []
