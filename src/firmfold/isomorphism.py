@@ -13,11 +13,11 @@ id-renaming of a graph gets the same certificate, so the certificate
 is complete, and `is_isomorphic` is the equality of two forms, as in
 canonical labelling (McKay & Piperno 2014).  The state-space explorer
 keys its states by the digest and confirms a digest hit by comparing
-the two certificates.  The digest hashes a certificate's `marshal`
-version 2 bytes, which depend on its value alone (see `form_digest`).
-It imports `hashlib`, and with it OpenSSL's libcrypto, on the first
-digest a process takes, so `fold` and `verify`, which take none, never
-load it.
+the two certificates.  The digest is the SHA-256 of a certificate's
+`marshal` version 2 bytes, which depend on its value alone (see
+`form_digest`).  CPython's built-in SHA-256 module computes it, and
+`hashlib` only where the interpreter has none, so a digest does not
+load OpenSSL's libcrypto; `fold` and `verify` take no digest at all.
 
 An independent decision, a backtracking search over jointly refined
 color classes, lives in the tests (`tests/helpers.py`) as the oracle
@@ -339,8 +339,28 @@ def canonical_form(g: ProgramGraph) -> tuple:
     return best
 
 
+def _builtin_sha256():
+    """CPython's own SHA-256 constructor, or `hashlib`'s where it has none.
+
+    `hashlib` would load OpenSSL's libcrypto, a few megabytes of memory,
+    for this one hash function.
+    """
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+#: The SHA-256 constructor, resolved by the first digest a process takes.
+_sha256 = None
+
+
 def form_digest(form: tuple) -> str:
-    """Hex digest of a canonical form.
+    """Hex SHA-256 digest of a canonical form's `marshal` version 2 bytes.
 
     A form holds only tuples and ints, and `marshal` version 2 writes
     those by value alone, so equal forms give equal bytes in every
@@ -348,11 +368,13 @@ def form_digest(form: tuple) -> str:
     included, write an object met twice as a back-reference chosen by
     object identity and reference count: two equal forms whose large
     ints are distinct objects would then digest differently, and one
-    state would be split in two.
+    state would be split in two.  The digest is the same whichever
+    module computes it (`_builtin_sha256`).
     """
-    from hashlib import sha256
-
-    return sha256(marshal.dumps(form, 2)).hexdigest()
+    global _sha256
+    if _sha256 is None:
+        _sha256 = _builtin_sha256()
+    return _sha256(marshal.dumps(form, 2)).hexdigest()
 
 
 def canonical_hash(g: ProgramGraph) -> str:

@@ -58,3 +58,36 @@ def test_an_incorrect_run_of_the_change_blocks_the_claim():
     runs = pairs(10)
     runs[3] = run("change", 22.7, correct=False)
     assert bench_pairs.compare(runs, METRIC)["claim"] is False
+
+
+def test_a_gain_is_within_the_bound():
+    assert bench_pairs.compare(pairs(10), METRIC)["verdict"] == "within_bound"
+
+
+def test_a_median_worse_by_more_than_the_bound_is_worse():
+    runs = [r for i in range(10) for r in (run("parent", 20.0), run("change", 22.0 + i / 100))]
+    assert bench_pairs.compare(runs, METRIC)["verdict"] == "worse"
+    # just under 10% worse stays within the bound
+    runs = [r for _ in range(10) for r in (run("parent", 20.0), run("change", 21.99))]
+    assert bench_pairs.compare(runs, METRIC)["verdict"] == "within_bound"
+
+
+def test_a_parent_spread_wider_than_the_bound_leaves_the_verdict_unresolved():
+    # The parent's quartiles are 18 and 22: its IQR is 20% of its median.
+    parent = [18.0, 22.0] * 5
+    runs = [r for p in parent for r in (run("parent", p), run("change", 20.0))]
+    assert bench_pairs.compare(runs, METRIC)["verdict"] == "unresolved"
+    # unless every run of the change reads better than every parent run
+    runs = [r for p in parent for r in (run("parent", p), run("change", 17.9))]
+    assert bench_pairs.compare(runs, METRIC)["verdict"] == "within_bound"
+    # and a median worse beyond the bound is worse, whatever the spread
+    runs = [r for p in parent for r in (run("parent", p), run("change", 22.5))]
+    assert bench_pairs.compare(runs, METRIC)["verdict"] == "worse"
+
+
+def test_the_verdict_follows_the_metric_direction():
+    higher = {**METRIC, "better": "higher", "bound": 0.25}
+    runs = [r for _ in range(10) for r in (run("parent", 20.0), run("change", 14.0))]
+    assert bench_pairs.compare(runs, higher)["verdict"] == "worse"
+    runs = [r for _ in range(10) for r in (run("parent", 20.0), run("change", 30.0))]
+    assert bench_pairs.compare(runs, higher)["verdict"] == "within_bound"

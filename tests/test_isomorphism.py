@@ -12,6 +12,8 @@ verdict across randomized renamings and edits.
 from __future__ import annotations
 
 import copy
+import hashlib
+import marshal
 import os
 import random
 import subprocess
@@ -20,6 +22,8 @@ import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from firmfold import (
     ADD,
@@ -62,6 +66,7 @@ from helpers import (
     diamond_chain,
     materialize,
     permute_native_ids,
+    random_graph,
     random_program,
     relabel,
     search_isomorphic,
@@ -594,6 +599,25 @@ def test_form_digest_depends_only_on_the_value_of_the_form():
     distinct = ((int("1000000"), int("1000000")), ((0, 1, int("1000000")),))
     assert shared == distinct
     assert form_digest(shared) == form_digest(distinct)
+
+
+@pytest.mark.parametrize("module", ["built-in", "hashlib"])
+def test_form_digest_is_the_sha256_of_the_marshalled_form(monkeypatch, module):
+    # Unresolved, so this test's first digest resolves the constructor.
+    monkeypatch.setattr(isomorphism, "_sha256", None)
+    if module == "hashlib":
+        # the fallback of an interpreter built without either module
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    chain = canonical_form(diamond_chain(random.Random(0), 430))
+    assert len(marshal.dumps(chain, 2)) > 64 * 1024
+    forms = [canonical_form(ProgramGraph()), canonical_form(build_min_plus_one(3, 5, "lt"))]
+    forms += [canonical_form(random_graph(random.Random(seed))) for seed in range(60)]
+    forms.append(chain)
+    for form in forms:
+        assert form_digest(form) == hashlib.sha256(marshal.dumps(form, 2)).hexdigest()
+    expected = {"_hashlib"} if module == "hashlib" else {"_sha2", "_sha256"}
+    assert isomorphism._sha256.__module__ in expected
 
 
 _DIGESTS = """

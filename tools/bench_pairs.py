@@ -19,10 +19,12 @@ says whether every run of the change is correct, its runs fail no more
 operations than the parent's, it wins at least nine tenths of the pairs
 run, and its median is better than the parent's by more than the
 parent's interquartile range; `median_change` is the change's median
-over the parent's, less one, beside the metric's bound.  The file also
-records each checkout's commit (with `dirty` if its tracked files
-differ from it) and a digest of its `src` tree, the Python version, the
-CPU count, the settings, and every run's `correct`, `failed` and values.
+over the parent's, less one, beside the metric's bound, and `verdict`
+says whether the change stays within that bound (see `verdict`).  The
+file also records each checkout's commit (with `dirty` if its tracked
+files differ from it) and a digest of its `src` tree, the Python
+version, the CPU count, the settings, and every run's `correct`,
+`failed` and values.
 Standard library only.
 """
 
@@ -88,6 +90,27 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def verdict(parent: list[float], change: list[float], metric: dict) -> str:
+    """The no-regression verdict on one metric, from each side's run values.
+
+    `worse` when the change's median is worse than the parent's by more
+    than the metric's `bound`, a fraction of the parent's median.
+    Otherwise `unresolved` when the parent's interquartile range exceeds
+    that fraction of its median, so that such a regression could not be
+    told from the spread, unless every run of the change reads better
+    than every run of the parent.  Otherwise `within_bound`.
+    """
+    sign = 1 if metric["better"] == "lower" else -1
+    p, c = summary(parent), summary(change)
+    allowed = metric["bound"] * p["median"]
+    if sign * (c["median"] - p["median"]) > allowed:
+        return "worse"
+    every_run_better = all(sign * (x - y) > 0 for x in parent for y in change)
+    if p["q3"] - p["q1"] > allowed and not every_run_better:
+        return "unresolved"
+    return "within_bound"
+
+
 def compare(runs: list[dict], metric: dict) -> dict:
     """Each side's summary of one metric over the pairs, and the change's wins.
 
@@ -118,6 +141,7 @@ def compare(runs: list[dict], metric: dict) -> dict:
         "wins": wins,
         "median_change": change["median"] / parent["median"] - 1 if parent["median"] else None,
         "claim": sound and wins >= 0.9 * len(sides["change"]) and gain > parent["q3"] - parent["q1"],
+        "verdict": verdict(values["parent"], values["change"], metric),
     }
 
 
@@ -166,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
             if "parent" in m:
                 print(f"{workload:14} {name:16} parent {m['parent']['median']:.4g}  "
                       f"change {m['change']['median']:.4g} {m['unit']}  "
-                      f"wins {m['wins']}/{m['n_pairs']}  claim {m['claim']}")
+                      f"wins {m['wins']}/{m['n_pairs']}  claim {m['claim']}  {m['verdict']}")
     return 0
 
 
