@@ -12,19 +12,21 @@ states up to isomorphism, and so observes whether all maximal rewrites
 end in the same place; it keeps every state, so each successor comes
 from `apply`, which rewrites a copy; the copy shares its parent's
 adjacency index copy-on-write, so it pays for what its step writes,
-not for a new index.  Confluent
-rewrites often rebuild a stored state node id for node id, so a
-successor is first looked up by its exact content, under a key that is
-its parent's updated at the nodes its step wrote (see below); only one
-that is not identical to a stored state is canonicalized.  A
-digest hit is confirmed by comparing the successor's canonical form
-with the stored state's, recomputed then rather than stored: a
-certificate has one row per node in canonical order, holding its
-initial colour and the numbers of an Edge node's source and target or
-of an operation's block, so two equal certificates define a bijection
-that keeps every colour and every arc, which is an isomorphism.  A
-fault in the canonical form can thus split one state in two but never
-merge two that differ.  So isomorphic states are one state, and
+not for a new index.  A stored successor keeps that index while it
+waits in the queue, so its expansion builds none, and drops it once
+expanded (`ProgramGraph.shelve`): only the breadth-first frontier holds
+indexes.  Confluent rewrites often rebuild a stored state node id for
+node id, so a successor is first looked up by its exact content, under
+a key that is its parent's updated at the nodes its step wrote (see
+below); only one that is not identical to a stored state is
+canonicalized.  A digest hit is confirmed by comparing the successor's
+canonical form with the stored state's, recomputed then rather than
+stored: a certificate has one row per node in canonical order, holding
+its initial colour and the numbers of an Edge node's source and target
+or of an operation's block, so two equal certificates define a
+bijection that keeps every colour and every arc, which is an
+isomorphism.  A fault in the canonical form can thus split one state in
+two but never merge two that differ.  So isomorphic states are one state, and
 `Lts.final_states_isomorphic` reads its verdict from the number of
 final states; the tests check the canonical form against an
 independent isomorphism search (`tests/helpers.py`).
@@ -533,15 +535,16 @@ def explore(
     states turn up, the initial state included.
 
     Only the initial state is matched and keyed in full.  Each stored
-    successor waits in the queue with its parent's match table and the
-    nodes its step wrote (`take_written`); its content key is its
-    parent's updated at those nodes (`_step_key`), and on expansion its
-    table is its parent's with the patterns re-asked around them
-    (`_Table.inherit`).
+    successor waits in the queue with its parent's match table, the
+    nodes its step wrote (`take_written`) and the adjacency index that
+    step left; its content key is its parent's updated at those nodes
+    (`_step_key`), and on expansion its table is its parent's with the
+    patterns re-asked around them (`_Table.inherit`), which reads that
+    index rather than building one.
     A wrong key could only cause a miss, since `_same_content` confirms
     every hit.  Each successor's record holds just its own step's
-    writes, since `_step` restarts it; a stored state keeps neither a
-    record nor an index (`shelve`).
+    writes, since `_step` restarts it.  An expanded state is shelved
+    (`shelve`), so the states returned keep no index and no records.
     """
     if max_states < 1:
         raise StateLimitExceeded(f"state space exceeds {max_states} states")
@@ -589,9 +592,6 @@ def explore(
                             raise StateLimitExceeded(
                                 f"state space exceeds {max_states} states"
                             )
-                        # Stored states hold no index and no write record;
-                        # expansion rebuilds the one, `_step` restarts the other.
-                        successor.shelve()
                         states[succ_digest] = successor
                         by_content.setdefault(key, succ_digest)
                         queue.append((succ_digest, key, table, written))

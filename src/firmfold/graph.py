@@ -370,13 +370,15 @@ class ProgramGraph:
         ]
 
     def shelve(self) -> None:
-        """Free the adjacency index and stop the write record.
+        """Free the adjacency index and forget both records.
 
-        For graphs kept in bulk, such as the states `explore` stores: the
-        next query rebuilds the index, and the next `take_written` call
-        returns None and restarts the record.
+        For graphs kept in bulk, such as the states `explore` has
+        expanded: the next query rebuilds the index, and the next
+        `take_touched` and `take_written` calls return None, unknown,
+        and restart their records.
         """
         self._adj = None
+        self._touched = None
         self._written = None
 
     def adjacency_index(self) -> _Adjacency:
@@ -392,9 +394,9 @@ class ProgramGraph:
 
         Those are the targets of edges connected, renumbered or removed,
         and the block of each operation that lost an input.  None means
-        unknown: the graph is fresh or loaded, so any consumer may have
-        gaps in its input positions.  The record restarts empty after
-        each call, and `copy` carries it over.
+        unknown: the graph is fresh, loaded or shelved, so any consumer
+        may have gaps in its input positions.  The record restarts empty
+        after each call, and `copy` carries it over.
         """
         touched, self._touched = self._touched, set()
         return touched

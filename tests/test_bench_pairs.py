@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -91,3 +92,25 @@ def test_the_verdict_follows_the_metric_direction():
     assert bench_pairs.compare(runs, higher)["verdict"] == "worse"
     runs = [r for _ in range(10) for r in (run("parent", 20.0), run("change", 30.0))]
     assert bench_pairs.compare(runs, higher)["verdict"] == "within_bound"
+
+
+def test_a_run_that_times_out_is_recorded_as_crashed(monkeypatch):
+    def timed_out(command, **kwargs):
+        raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", timed_out)
+    result = bench_pairs.run_once(Path("."), "explore-small", 1, 2.0)
+    assert (result["correct"], result["failed"]) == (False, None)
+    assert result["error"] == "timed out after 640.0 s"
+
+
+def test_a_run_without_a_json_result_is_recorded_as_crashed(monkeypatch):
+    for stdout in ("warming up\nnot a result\n", "[1, 2]\n", '{"correct": true}\n'):
+
+        def exited_cleanly(command, _stdout=stdout, **kwargs):
+            return subprocess.CompletedProcess(command, 0, stdout=_stdout, stderr="")
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", exited_cleanly)
+        result = bench_pairs.run_once(Path("."), "explore-small", 1, 2.0)
+        assert (result["correct"], result["failed"]) == (False, None), stdout
+        assert result["error"].startswith("the last line of output is not a JSON result"), stdout

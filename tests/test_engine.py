@@ -46,6 +46,7 @@ from firmfold import (
     fold,
     format_trace,
     is_isomorphic,
+    load,
     matches,
     normalize_positions,
     replay,
@@ -56,6 +57,7 @@ from helpers import (
     _reference_normalize,
     diamond_chain,
     gapped,
+    index_builds,
     materialize,
     random_graph,
     random_program,
@@ -839,23 +841,42 @@ def test_explore_stores_only_normalized_successors():
             assert save_native(_reference_normalize(state)) == save_native(state), index
 
 
-def test_explore_stores_no_state_with_an_adjacency_index(monkeypatch):
-    # A digest hit recomputes a stored state's form, which reads its
-    # index; the state must still wait for expansion without one.
-    indexed: dict[int, bool] = {}
+def test_explore_keeps_a_waiting_states_index_until_it_is_expanded(monkeypatch):
+    # A state waits with the index its step left, so its expansion, which
+    # re-asks the patterns and copies the state for each successor,
+    # builds none.  A digest hit may recompute the form of a state already
+    # expanded, and so shelved, which builds a throwaway index of it.
+    built = index_builds(monkeypatch)
+    expanded: list[tuple[ProgramGraph, bool, int]] = []
     real = engine._Table.inherit
 
     def spying(table, g, written):
-        indexed.setdefault(id(g), g._adj is not None)
+        expanded.append((g, g._adj is not None, len(built)))
         return real(table, g, written)
 
     monkeypatch.setattr(engine._Table, "inherit", spying)
     for index, (g, rules) in enumerate(_explore_differential_cases()[:4]):
-        indexed.clear()
+        built.clear()
+        expanded.clear()
         lts = explore(g, rules)
-        waited = [s for d, s in lts.states.items() if d != lts.initial]
-        assert not any(indexed[id(s)] for s in waited), index
+        assert len(expanded) == len(lts.states), index
+        assert all(had_index for _, had_index, _ in expanded), index
+        shelved: set[int] = set()
+        for i, (state, _, mark) in enumerate(expanded):
+            end = expanded[i + 1][2] if i + 1 < len(expanded) else len(built)
+            assert all(id(h) in shelved for h in built[mark:end]), (index, i)
+            shelved.add(id(state))
         assert all(s._adj is None for s in lts.states.values()), index
+
+
+def test_explore_leaves_no_record_on_its_states():
+    # An expanded state is shelved: its records are unknown, as a loaded
+    # graph's are, so folding it checks every consumer's positions.
+    for index, (g, rules) in enumerate(_explore_differential_cases()[:4]):
+        for state in explore(g, rules).states.values():
+            folded = save_native(fold(state, CATALOG).graph)
+            assert folded == save_native(fold(load(save_native(state)), CATALOG).graph), index
+            assert state.take_touched() is None and state.take_written() is None, index
 
 
 def test_explore_inherits_the_matchers_answers_and_the_content_key(monkeypatch):

@@ -14,7 +14,9 @@ pairs, the change first in odd ones.  Pair i uses seed
 The JSON file it writes holds, for each workload and end-to-end metric,
 each side's median, quartiles and run count, and the change's wins: the
 pairs in which it reads better than the parent, ties counting for
-neither side and a pair with a crashed run counting as a loss.  `claim`
+neither side and a pair with a crashed run counting as a loss; a run
+crashed when it exited with an error, timed out or printed no JSON
+result, and the file records why.  `claim`
 says whether every run of the change is correct, its runs fail no more
 operations than the parent's, it wins at least nine tenths of the pairs
 run, and its median is better than the parent's by more than the
@@ -66,23 +68,38 @@ def checkout_info(root: Path) -> dict:
     }
 
 
+def crashed(error: str) -> dict:
+    """A run that gave no result, with the reason."""
+    return {"correct": False, "failed": None, "error": error}
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in `root`: its correctness, failures and metric values."""
+    """One benchmark run in `root`: its correctness, failures and metric values.
+
+    A run that exits with an error, times out, or whose last line of
+    output is not a JSON result is recorded as crashed (`crashed`), so
+    the pairs already run are kept.
+    """
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    run = subprocess.run(
-        command, cwd=root, capture_output=True, text=True, timeout=20 * seconds + 600
-    )
+    timeout = 20 * seconds + 600
+    try:
+        run = subprocess.run(command, cwd=root, capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return crashed(f"timed out after {timeout} s")
     lines = run.stdout.strip().splitlines()
     if run.returncode != 0 or not lines:
-        return {"correct": False, "failed": None, "error": run.stderr.strip()[-2000:]}
-    result = json.loads(lines[-1])
-    return {
-        "correct": result["correct"],
-        "failed": result["failed"],
-        "attempted": result["attempted"],
-        "values": {name: m["value"] for name, m in result["metrics"].items()},
-    }
+        return crashed(run.stderr.strip()[-2000:])
+    try:
+        result = json.loads(lines[-1])
+        return {
+            "correct": result["correct"],
+            "failed": result["failed"],
+            "attempted": result["attempted"],
+            "values": {name: m["value"] for name, m in result["metrics"].items()},
+        }
+    except (ValueError, LookupError, TypeError, AttributeError):
+        return crashed(f"the last line of output is not a JSON result: {lines[-1][:200]!r}")
 
 
 def summary(values: list[float]) -> dict:
