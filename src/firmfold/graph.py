@@ -37,6 +37,13 @@ graph shares its index copy-on-write: each side copies an inner set of
 the index before its first write to it, so a copy costs what it writes
 rather than a rebuild.  A graph without an index is copied without one,
 and its first query builds it.
+
+Two predicates answer the yes/no and count questions that the rules'
+patterns ask most, without building, sorting or yielding a list:
+`has_data_users` is `bool(data_users(n))` and reads out-edges only up
+to the first Dataflow one, and `entry_count` is
+`len(control_preds(b))`, the length of one inner set of the index.
+Each validates its node as its list twin does.
 """
 
 from __future__ import annotations
@@ -642,6 +649,18 @@ class ProgramGraph:
         edges.sort(key=_BY_TARGET)
         return [(e.id, e.target) for e in edges]
 
+    def has_data_users(self, n: NodeId) -> bool:
+        """Whether a Dataflow edge leaves `n`: `bool(data_users(n))`, with no list."""
+        if n not in self.op_nodes:
+            raise UnknownNodeError(f"n{n} is not an operation node")
+        edges = self.edge_nodes
+        # Any operation may source a Dataflow edge (`_check_edge`), and a
+        # Jmp, Cond or Return sources Controlflow edges too: read each kind.
+        for eid in self._index().outs.get(n, ()):
+            if edges[eid].kind is EdgeKind.DATAFLOW:
+                return True
+        return False
+
     def control_preds(self, b: NodeId) -> list[tuple[NodeId, NodeId]]:
         """Controlflow (edge id, source) pairs into block `b`, ascending by position."""
         if b not in self.block_nodes:
@@ -649,6 +668,12 @@ class ProgramGraph:
         edges = self._in_edges(b)
         edges.sort(key=_BY_POSITION)
         return [(e.id, e.source) for e in edges]
+
+    def entry_count(self, b: NodeId) -> int:
+        """The number of Controlflow entries of block `b`: `len(control_preds(b))`."""
+        if b not in self.block_nodes:
+            raise UnknownBlockError(f"n{b} is not a block node")
+        return len(self._index().ins.get(b, ()))
 
     def control_succs(self, n: NodeId) -> list[tuple[NodeId, NodeId]]:
         """Controlflow (edge id, target block) pairs sourced by operation `n`."""

@@ -8,7 +8,13 @@ lists the anchor tuples of the matches at one such node `n`, reading
 only `n`'s neighbourhood as the engine's read invariant bounds it (the
 binary folds also ask the graph for its start block, which
 `ProgramGraph.start_block` answers without a scan).  A pattern demands
-everything its rewrite reads, including what must be absent.
+everything its rewrite reads, including what must be absent.  The match
+table asks the patterns at every node a step may have changed, so each
+asks the cheapest query that decides it: cleanup-unref-const asks
+`has_data_users` and block-remove and phi-fold-single ask
+`entry_count`, which build no list, and the binary and cond folds read
+their input positions off the Edge nodes of their one `data_inputs`
+answer.
 
 This module holds just the patterns and their rewrites.  What a folded
 operation computes is not restated here: add-fold-int and cmp-fold-int
@@ -74,12 +80,12 @@ _Matches = list[tuple[NodeId, ...]]
 
 
 def _binary_on_consts(g: ProgramGraph, op: NodeId) -> _Matches:
-    sources = [src for _, src in g.data_inputs(op)]
-    if any(g.op_nodes[src].name != "Const" for src in sources):
+    inputs = g.data_inputs(op)
+    if any(g.op_nodes[src].name != "Const" for _, src in inputs):
         return []
-    if g.input_positions(op) != [0, 1]:
+    if [g.edge_nodes[eid].position for eid, _ in inputs] != [0, 1]:
         return []
-    s0, s1 = sources
+    (_, s0), (_, s1) = inputs
     # The rewrite parks the result constant in the start block, so a
     # start block is part of the pattern.
     if g.start_block() is None:
@@ -101,9 +107,10 @@ def _fold_binary(g: ProgramGraph, op: NodeId, a: NodeId, b: NodeId) -> None:
 
 
 def _cond_on_const(g: ProgramGraph, cond: NodeId, branch: int) -> _Matches:
-    if cond not in g.containment or g.input_positions(cond) != [0]:
+    inputs = g.data_inputs(cond)
+    if cond not in g.containment or [g.edge_nodes[eid].position for eid, _ in inputs] != [0]:
         return []
-    ((_, selector),) = g.data_inputs(cond)
+    ((_, selector),) = inputs
     kind = g.op_nodes[selector]
     if kind.name != "Const" or taken_branch(kind.value) != branch:
         return []
@@ -129,7 +136,7 @@ def _cond_to_jmp(g: ProgramGraph, cond: NodeId, selector: NodeId) -> None:
 
 
 def _entryless(g: ProgramGraph, block: NodeId) -> _Matches:
-    return [] if g.control_preds(block) else [(block,)]
+    return [] if g.entry_count(block) else [(block,)]
 
 
 def _remove_block(g: ProgramGraph, block: NodeId) -> None:
@@ -153,7 +160,7 @@ def _single_entry_phi(g: ProgramGraph, phi: NodeId) -> _Matches:
     if block is None:
         return []
     inputs = g.data_inputs(phi)
-    if len(inputs) != 1 or len(g.control_preds(block)) != 1:
+    if len(inputs) != 1 or g.entry_count(block) != 1:
         return []
     return [(phi, inputs[0][1])]
 
@@ -174,7 +181,7 @@ def _sourced_outside_blocks(g: ProgramGraph, edge: NodeId) -> _Matches:
 
 
 def _unreferenced(g: ProgramGraph, const: NodeId) -> _Matches:
-    return [] if g.data_users(const) else [(const,)]
+    return [] if g.has_data_users(const) else [(const,)]
 
 
 def _delete_anchor(g: ProgramGraph, node: NodeId) -> None:

@@ -274,6 +274,9 @@ class _ReadSpy:
     A map lookup reads its key.  A neighbourhood query reads the node
     asked about and every node its answer names: Edge nodes, far
     endpoints, members, and the input edges whose positions it lists.
+    A predicate reads the node asked about and the Edge nodes it looks
+    at: `has_data_users` every out-edge, whose kind it reads, and
+    `entry_count` every in-edge, which it counts.
     `start_block` reads only whether a start block exists.  The view
     offers no other read.
     """
@@ -301,6 +304,16 @@ class _ReadSpy:
         self.reads.add(n)
         self.reads.update(e.id for e in self.incident[n] if e.target == n)
         return self.g.input_positions(n)
+
+    def has_data_users(self, n: NodeId) -> bool:
+        self.reads.add(n)
+        self.reads.update(e.id for e in self.incident[n] if e.source == n)
+        return self.g.has_data_users(n)
+
+    def entry_count(self, n: NodeId) -> int:
+        self.reads.add(n)
+        self.reads.update(e.id for e in self.incident[n] if e.target == n)
+        return self.g.entry_count(n)
 
     def start_block(self) -> NodeId | None:
         self.reads.add(_START_EXISTS)

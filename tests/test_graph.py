@@ -35,7 +35,7 @@ from firmfold import (
     wrap32,
 )
 from firmfold.graph import _Adjacency, contiguous
-from helpers import diamond_chain, random_graph, relabel
+from helpers import diamond_chain, gapped, random_graph, relabel
 
 
 def test_wrap32_identity_inside_range():
@@ -361,6 +361,74 @@ def test_a_copy_shares_the_index_copy_on_write(seed, data):
             _mutate(graphs[side], data.draw)
         for g in graphs:
             _assert_index_is_its_own(g)
+
+
+def _assert_predicates_agree_with_their_twins(g: ProgramGraph) -> None:
+    """On every node of `g` and one id it lacks, `has_data_users` answers
+    `bool(data_users(n))` and `entry_count` answers `len(control_preds(n))`,
+    or each raises what its list twin raises."""
+    pairs = (
+        (g.has_data_users, lambda n: bool(g.data_users(n))),
+        (g.entry_count, lambda n: len(g.control_preds(n))),
+    )
+    for n in (*g.op_nodes, *g.block_nodes, *g.edge_nodes, g._next_id):
+        for predicate, twin in pairs:
+            try:
+                expected = twin(n)
+            except FirmFoldError as exc:
+                with pytest.raises(type(exc), match=str(exc)):
+                    predicate(n)
+            else:
+                assert predicate(n) == expected, (predicate.__name__, n)
+
+
+def test_predicates_on_every_answer():
+    # Consts with 0, 1 and 3 users, a Cond and a Jmp that source a
+    # Dataflow edge beside their Controlflow edges, a Return that sources
+    # only a Controlflow edge, and blocks with 0, 1 and 2 entries.
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    one, two, entryless = (g.add_block(BlockKind.BLOCK) for _ in range(3))
+    end = g.add_block(BlockKind.END_BLOCK)
+    unread, read_once, read_thrice = (g.add_op(Const(v), start) for v in range(3))
+    cond, jmp = g.add_op(COND, start), g.add_op(JMP, one)
+    add, phi, ret = g.add_op(ADD, two), g.add_op(PHI, two), g.add_op(RETURN, two)
+    g.connect(read_once, cond, EdgeKind.DATAFLOW, 0)
+    g.connect(cond, one, EdgeKind.CONTROLFLOW, 0, branch=1)
+    g.connect(cond, two, EdgeKind.CONTROLFLOW, 0, branch=0)
+    g.connect(jmp, two, EdgeKind.CONTROLFLOW, 1)
+    for position, source in enumerate((read_thrice, cond, jmp)):
+        g.connect(source, phi, EdgeKind.DATAFLOW, position)
+    for position in (0, 1):
+        g.connect(read_thrice, add, EdgeKind.DATAFLOW, position)
+    g.connect(add, ret, EdgeKind.DATAFLOW, 0)
+    g.connect(ret, end, EdgeKind.CONTROLFLOW, 0)
+    users = {unread: False, read_once: True, read_thrice: True, cond: True, jmp: True}
+    assert {n: g.has_data_users(n) for n in users} == users
+    assert not g.has_data_users(ret) and g.control_succs(ret)
+    entries = {entryless: 0, one: 1, two: 2, start: 0, end: 1}
+    assert {b: g.entry_count(b) for b in entries} == entries
+    with pytest.raises(UnknownNodeError):
+        g.has_data_users(start)
+    with pytest.raises(UnknownBlockError):
+        g.entry_count(cond)
+    _assert_predicates_agree_with_their_twins(g)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.data())
+def test_predicates_agree_with_their_list_twins(seed, gaps, blockless, data):
+    # Random programs, gapped or not, with a block deleted (its members
+    # left blockless) or not, then malformed by drawn mutator calls.
+    g = random_graph(random.Random(seed))
+    if gaps:
+        g = gapped(g)
+    if blockless:
+        g.delete_node(data.draw(st.sampled_from(sorted(g.block_nodes))))
+    _assert_predicates_agree_with_their_twins(g)
+    for _ in range(data.draw(st.integers(0, 20))):
+        _mutate(g, data.draw)
+    _assert_predicates_agree_with_their_twins(g)
 
 
 def _reassembled(g: ProgramGraph) -> ProgramGraph:
