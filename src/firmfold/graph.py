@@ -38,6 +38,12 @@ the index before its first write to it, so a copy costs what it writes
 rather than a rebuild.  A graph without an index is copied without one,
 and its first query builds it.
 
+The four edge-list queries share one body per direction and keep only
+their node-class check: `data_inputs` and `control_preds` list the
+in-edges as (edge id, source) pairs by (position, id), and
+`data_users` and `control_succs` list the out-edges of one kind as
+(edge id, target) pairs, by (target, id) and by id.
+
 Two predicates answer the yes/no and count questions that the rules'
 patterns ask most, without building, sorting or yielding a list:
 `has_data_users` is `bool(data_users(n))` and reads out-edges only up
@@ -366,16 +372,6 @@ class ProgramGraph:
         if block is not None:
             self._touch(block)
 
-    def _in_edges(self, node: NodeId) -> list[EdgeNode]:
-        edges = self.edge_nodes
-        return [edges[eid] for eid in self._index().ins.get(node, ())]
-
-    def _out_edges(self, kind: EdgeKind, node: NodeId) -> list[EdgeNode]:
-        edges = self.edge_nodes
-        return [
-            edges[eid] for eid in self._index().outs.get(node, ()) if edges[eid].kind is kind
-        ]
-
     def shelve(self) -> None:
         """Free the adjacency index and forget both records.
 
@@ -633,21 +629,31 @@ class ProgramGraph:
         edges = self.edge_nodes
         return [eid for eid, _ in self.data_inputs(phi) if edges[eid].position not in entries]
 
+    def _sources(self, n: NodeId) -> list[tuple[NodeId, NodeId]]:
+        """(edge id, source) pairs of the edges into `n`, ascending by (position, id)."""
+        edges = self.edge_nodes
+        ins = [edges[eid] for eid in self._index().ins.get(n, ())]
+        ins.sort(key=_BY_POSITION)
+        return [(e.id, e.source) for e in ins]
+
+    def _targets(self, n: NodeId, kind: EdgeKind, key: Callable) -> list[tuple[NodeId, NodeId]]:
+        """(edge id, target) pairs of the `kind` edges out of `n`, ascending by `key`."""
+        edges = self.edge_nodes
+        outs = [edges[eid] for eid in self._index().outs.get(n, ()) if edges[eid].kind is kind]
+        outs.sort(key=key)
+        return [(e.id, e.target) for e in outs]
+
     def data_inputs(self, n: NodeId) -> list[tuple[NodeId, NodeId]]:
         """Dataflow (edge id, source) pairs into `n`, ascending by position."""
         if n not in self.op_nodes:
             raise UnknownNodeError(f"n{n} is not an operation node")
-        edges = self._in_edges(n)
-        edges.sort(key=_BY_POSITION)
-        return [(e.id, e.source) for e in edges]
+        return self._sources(n)
 
     def data_users(self, n: NodeId) -> list[tuple[NodeId, NodeId]]:
         """Dataflow (edge id, target) pairs out of `n`, ascending by target id."""
         if n not in self.op_nodes:
             raise UnknownNodeError(f"n{n} is not an operation node")
-        edges = self._out_edges(EdgeKind.DATAFLOW, n)
-        edges.sort(key=_BY_TARGET)
-        return [(e.id, e.target) for e in edges]
+        return self._targets(n, EdgeKind.DATAFLOW, _BY_TARGET)
 
     def has_data_users(self, n: NodeId) -> bool:
         """Whether a Dataflow edge leaves `n`: `bool(data_users(n))`, with no list."""
@@ -665,9 +671,7 @@ class ProgramGraph:
         """Controlflow (edge id, source) pairs into block `b`, ascending by position."""
         if b not in self.block_nodes:
             raise UnknownBlockError(f"n{b} is not a block node")
-        edges = self._in_edges(b)
-        edges.sort(key=_BY_POSITION)
-        return [(e.id, e.source) for e in edges]
+        return self._sources(b)
 
     def entry_count(self, b: NodeId) -> int:
         """The number of Controlflow entries of block `b`: `len(control_preds(b))`."""
@@ -679,9 +683,7 @@ class ProgramGraph:
         """Controlflow (edge id, target block) pairs sourced by operation `n`."""
         if n not in self.op_nodes:
             raise UnknownNodeError(f"n{n} is not an operation node")
-        edges = self._out_edges(EdgeKind.CONTROLFLOW, n)
-        edges.sort(key=_BY_ID)
-        return [(e.id, e.target) for e in edges]
+        return self._targets(n, EdgeKind.CONTROLFLOW, _BY_ID)
 
     def members(self, b: NodeId) -> list[NodeId]:
         """Operation nodes contained in block `b`, ascending by id."""

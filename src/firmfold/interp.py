@@ -4,7 +4,9 @@
 start block, each block hands off through its single control operation,
 and the value returned by the Return operation is the program's result.
 A Phi resolves to the input whose position matches the entry through
-which its block was most recently reached.
+which its block was most recently reached.  An Add, Cmp, Cond or
+Return reads its operands from one `data_inputs` answer, whose
+positions must run 0..k-1 for its arity k.
 
 Values are memoized per run.  For the acyclic graphs this package
 rewrites that is exact; a cyclic graph whose values change between
@@ -23,8 +25,7 @@ default fuel.
 from __future__ import annotations
 
 from .errors import FuelExhaustedError, MalformedGraphError
-from .graph import ARITY, CONTROL_SOURCES, BlockKind, NodeId, ProgramGraph
-from .graph import contiguous, op_value, taken_branch
+from .graph import ARITY, CONTROL_SOURCES, BlockKind, NodeId, ProgramGraph, op_value, taken_branch
 
 
 def evaluate(g: ProgramGraph, fuel: int | None = None) -> int:
@@ -55,12 +56,12 @@ def evaluate(g: ProgramGraph, fuel: int | None = None) -> int:
 
     def operands(op: NodeId) -> list[NodeId]:
         count = ARITY[g.op_nodes[op].name]
-        positions = g.input_positions(op)
-        if len(positions) != count or not contiguous(positions):
+        inputs = g.data_inputs(op)
+        if [g.edge_nodes[eid].position for eid, _ in inputs] != list(range(count)):
             raise MalformedGraphError(
                 f"n{op} needs {count} operands at positions 0..{count - 1}"
             )
-        return [src for _, src in g.data_inputs(op)]
+        return [src for _, src in inputs]
 
     def inputs(op: NodeId) -> list[NodeId]:
         """The operands `op`'s value is computed from, in evaluation order."""

@@ -415,20 +415,60 @@ def test_predicates_on_every_answer():
     _assert_predicates_agree_with_their_twins(g)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.data())
-def test_predicates_agree_with_their_list_twins(seed, gaps, blockless, data):
-    # Random programs, gapped or not, with a block deleted (its members
-    # left blockless) or not, then malformed by drawn mutator calls.
+def _check_drawn_graph(check, seed, gaps, blockless, data) -> None:
+    """`check` a random program, gapped or not, with a block deleted (its
+    members left blockless) or not, before and after drawn mutator calls
+    malform it."""
     g = random_graph(random.Random(seed))
     if gaps:
         g = gapped(g)
     if blockless:
         g.delete_node(data.draw(st.sampled_from(sorted(g.block_nodes))))
-    _assert_predicates_agree_with_their_twins(g)
+    check(g)
     for _ in range(data.draw(st.integers(0, 20))):
         _mutate(g, data.draw)
-    _assert_predicates_agree_with_their_twins(g)
+    check(g)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.data())
+def test_predicates_agree_with_their_list_twins(seed, gaps, blockless, data):
+    _check_drawn_graph(_assert_predicates_agree_with_their_twins, seed, gaps, blockless, data)
+
+
+def _assert_edge_lists_equal_scans(g: ProgramGraph) -> None:
+    """On every node of `g`, each edge-list query equals a scan of
+    `edge_nodes`; on a node of the other class and on an id `g` lacks,
+    it raises its class error."""
+
+    def into(n):
+        ins = [e for e in g.edge_nodes.values() if e.target == n]
+        return [(e.id, e.source) for e in sorted(ins, key=lambda e: (e.position, e.id))]
+
+    def out_of(n, kind, key):
+        outs = [e for e in g.edge_nodes.values() if e.source == n and e.kind is kind]
+        return [(e.id, e.target) for e in sorted(outs, key=key)]
+
+    for n in g.op_nodes:
+        assert g.data_inputs(n) == into(n)
+        assert g.data_users(n) == out_of(n, EdgeKind.DATAFLOW, lambda e: (e.target, e.id))
+        assert g.control_succs(n) == out_of(n, EdgeKind.CONTROLFLOW, lambda e: e.id)
+    for b in g.block_nodes:
+        assert g.control_preds(b) == into(b)
+    for n in (*g.op_nodes, *g.block_nodes, *g.edge_nodes, g._next_id):
+        if n not in g.block_nodes:
+            with pytest.raises(UnknownBlockError, match=f"^n{n} is not a block node$"):
+                g.control_preds(n)
+        if n not in g.op_nodes:
+            for query in (g.data_inputs, g.data_users, g.control_succs):
+                with pytest.raises(UnknownNodeError, match=f"^n{n} is not an operation node$"):
+                    query(n)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.data())
+def test_edge_list_queries_equal_a_scan_of_the_edge_nodes(seed, gaps, blockless, data):
+    _check_drawn_graph(_assert_edge_lists_equal_scans, seed, gaps, blockless, data)
 
 
 def _reassembled(g: ProgramGraph) -> ProgramGraph:

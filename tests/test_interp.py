@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -126,6 +127,44 @@ def test_return_needs_its_operand():
     start = g.add_block(BlockKind.START_BLOCK)
     g.add_op(RETURN, start)
     with pytest.raises(MalformedGraphError):
+        evaluate(g)
+
+
+def _returned_add(positions: list[int]) -> tuple[ProgramGraph, int, int, list[int]]:
+    """A start block returning an Add of constants that sit at `positions`:
+    the graph, the Add, the Return, and the Add's input edges."""
+    g = ProgramGraph()
+    start = g.add_block(BlockKind.START_BLOCK)
+    end = g.add_block(BlockKind.END_BLOCK)
+    add = g.add_op(ADD, start)
+    ret = g.add_op(RETURN, start)
+    edges = [
+        g.connect(g.add_op(Const(i), start), add, EdgeKind.DATAFLOW, position)
+        for i, position in enumerate(positions)
+    ]
+    g.connect(add, ret, EdgeKind.DATAFLOW, 0)
+    g.connect(ret, end, EdgeKind.CONTROLFLOW, 0)
+    return g, add, ret, edges
+
+
+def test_operands_must_sit_at_positions_zero_to_arity():
+    def needs(count: int) -> str:
+        return re.escape(f"needs {count} operands at positions 0..{count - 1}")
+
+    g, _, _, _ = _returned_add([0, 1])
+    assert evaluate(g) == 1
+    gapped, add, _, _ = _returned_add([0, 2])
+    doubled, _, _, edges = _returned_add([0, 1])
+    doubled.set_position(edges[1], 0)
+    extra, _, _, _ = _returned_add([0, 1, 2])
+    # An Add at 0 and 2, at 0 and 0, or at 0, 1 and 2.
+    for g in (gapped, doubled, extra):
+        with pytest.raises(MalformedGraphError, match=rf"^n{add} {needs(2)}$"):
+            evaluate(g)
+    # A Return with two inputs.
+    g, add, ret, _ = _returned_add([0, 1])
+    g.connect(add, ret, EdgeKind.DATAFLOW, 1)
+    with pytest.raises(MalformedGraphError, match=rf"^n{ret} {needs(1)}$"):
         evaluate(g)
 
 
