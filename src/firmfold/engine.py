@@ -19,14 +19,17 @@ indexes.  Confluent rewrites often rebuild a stored state node id for
 node id, so a successor is first looked up by its exact content, under
 a key that is its parent's updated at the nodes its step wrote (see
 below); only one that is not identical to a stored state is
-canonicalized.  A digest hit is confirmed by comparing the successor's
-canonical form with the stored state's, recomputed then rather than
-stored: a certificate has one row per node in canonical order, holding
-its initial colour and the numbers of an Edge node's source and target
-or of an operation's block, so two equal certificates define a
-bijection that keeps every colour and every arc, which is an
-isomorphism.  A fault in the canonical form can thus split one state in
-two but never merge two that differ.  So isomorphic states are one state, and
+canonicalized, once, and looked up by its packed canonical form
+(`isomorphism.pack`), bytes equal exactly when the forms are, so the
+lookup itself confirms a hit and no stored state is canonicalized
+again.  A certificate has one row per node in canonical
+order, holding its initial colour and the numbers of an Edge node's
+source and target or of an operation's block, so two equal certificates
+define a bijection that keeps every colour and every arc, which is an
+isomorphism.  Only a new form takes a digest, the SHA-256 of its bytes,
+and a digest that a stored state already has raises rather than merging
+the two.  A fault in the canonical form can thus split one state in two
+but never merge two that differ.  So isomorphic states are one state, and
 `Lts.final_states_isomorphic` reads its verdict from the number of
 final states; the tests check the canonical form against an
 independent isomorphism search (`tests/helpers.py`).
@@ -92,9 +95,10 @@ from typing import Callable, Iterable
 
 from .errors import StaleMatchError, StateLimitExceeded, StepLimitExceeded
 from .graph import NodeId, NodeKind, ProgramGraph, contiguous
-# Nothing here calls is_isomorphic; it stays imported because
-# perfbench/tracer.py wraps it by the name engine.is_isomorphic.
-from .isomorphism import canonical_form, canonical_hash, form_digest, is_isomorphic
+# Nothing here calls canonical_hash or is_isomorphic; they stay imported
+# because perfbench/tracer.py wraps them by the names engine.canonical_hash
+# and engine.is_isomorphic.
+from .isomorphism import canonical_form, canonical_hash, is_isomorphic, pack, packed_digest
 
 
 @dataclass(frozen=True)
@@ -524,13 +528,14 @@ def explore(
     """Breadth-first closure of `g` under all matches of all rules.
 
     The initial state is a copy of `g` (`_start`); `g` is left as it was.
-    States are deduplicated by canonical digest.  A successor identical,
-    node id for node id, to the first stored state with its content key
-    takes that state's digest without being canonicalized: the identity
-    map is the isomorphism.  Any other successor is canonicalized once,
-    and a digest it shares with a stored state is confirmed by comparing
-    that form with the stored state's, recomputed; unequal forms raise
-    RuntimeError.
+    States are deduplicated up to isomorphism and named by canonical
+    digest.  A successor identical, node id for node id, to the first
+    stored state with its content key takes that state's digest without
+    being canonicalized: the identity map is the isomorphism.  Any other
+    successor is canonicalized once, and takes the digest of the stored
+    state with the same packed form (`isomorphism.pack`); a new form's
+    digest that a stored state already has raises RuntimeError.  No
+    stored state is canonicalized or indexed again.
     Raises StateLimitExceeded when more than `max_states` distinct
     states turn up, the initial state included.
 
@@ -550,8 +555,11 @@ def explore(
         raise StateLimitExceeded(f"state space exceeds {max_states} states")
     ordered = sorted(rules, key=lambda r: r.priority)
     g = _start(g)
-    initial = canonical_hash(g)
+    packed = pack(canonical_form(g))
+    initial = packed_digest(packed)
     states: dict[str, ProgramGraph] = {initial: g}
+    # Packed canonical form -> digest of the stored state with that form.
+    by_form: dict[bytes, str] = {packed: initial}
     initial_key = _content_key(g)
     # Content key -> digest of the first stored state with that key; a
     # successor of other content under the same key is canonicalized.
@@ -580,19 +588,20 @@ def explore(
                 key = _step_key(state_key, state, successor, written)
                 succ_digest = by_content.get(key)
                 if succ_digest is None or not _same_content(successor, states[succ_digest]):
-                    form = canonical_form(successor)
-                    succ_digest = form_digest(form)
-                    if succ_digest in states:
-                        if form != canonical_form(states[succ_digest]):
+                    packed = pack(canonical_form(successor))
+                    succ_digest = by_form.get(packed)
+                    if succ_digest is None:
+                        succ_digest = packed_digest(packed)
+                        if succ_digest in states:
                             raise RuntimeError(
                                 "canonical digest collision between non-isomorphic states"
                             )
-                    else:
                         if len(states) >= max_states:
                             raise StateLimitExceeded(
                                 f"state space exceeds {max_states} states"
                             )
                         states[succ_digest] = successor
+                        by_form[packed] = succ_digest
                         by_content.setdefault(key, succ_digest)
                         queue.append((succ_digest, key, table, written))
                 transitions.add((digest, rule.name, succ_digest))

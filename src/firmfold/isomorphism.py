@@ -1,23 +1,25 @@
 """Graph canonicalization, and isomorphism decided by it.
 
-`canonical_form` computes a label-preserving certificate, `form_digest`
-digests one, and `canonical_hash` digests a graph's.  The certificate
-has one row per node, in canonical order: the node's initial color,
-then an Edge node's source's and target's numbers, or an operation's
-block's number (-1 without one), or -1 for a block.  The rows are
+`canonical_form` computes a label-preserving certificate, `pack` packs
+one into bytes, `packed_digest` digests those, and `canonical_hash`
+digests a graph's.  The certificate has one row per node, in canonical
+order: the node's initial color, then an Edge node's source's and
+target's numbers, or an operation's block's number (-1 without one),
+or -1 for a block.  The rows are
 concatenated into one tuple of ints; each row's length follows from its
 first int, so the tuple splits into rows one way only.  The rows fix
 every arc, so two equal certificates define a bijection that keeps
 every color and every arc: they prove isomorphism.  And every
 id-renaming of a graph gets the same certificate, so the certificate
 is complete, and `is_isomorphic` is the equality of two forms, as in
-canonical labelling (McKay & Piperno 2014).  The state-space explorer
-keys its states by the digest and confirms a digest hit by comparing
-the two certificates.  The digest is the SHA-256 of a certificate's
-`marshal` version 2 bytes, which depend on its value alone (see
-`form_digest`).  CPython's built-in SHA-256 module computes it, and
-`hashlib` only where the interpreter has none, so a digest does not
-load OpenSSL's libcrypto; `fold` and `verify` take no digest at all.
+canonical labelling (McKay & Piperno 2014).  The packed bytes are a
+certificate's `marshal` version 2 encoding, which depends on its value
+alone and decodes back to it (see `pack`), so equal bytes mean equal
+certificates: the state-space explorer looks its states up by them, and
+names each state by their digest, the SHA-256 of the bytes.  CPython's
+built-in SHA-256 module computes it, and `hashlib` only where the
+interpreter has none, so a digest does not load OpenSSL's libcrypto;
+`fold` and `verify` take no digest at all.
 
 An independent decision, a backtracking search over jointly refined
 color classes, lives in the tests (`tests/helpers.py`) as the oracle
@@ -51,7 +53,10 @@ The canonical form numbers nodes in three stages:
    canonical order, and stages 2 and 3 do not run.  Nodes it leaves
    unnumbered, such as unread operations that share a color and have
    inputs, or nodes adjacent only to one another, keep their initial
-   colors, ranked above the numbered ones.
+   colors, ranked above the numbered ones.  The numbering is one
+   insertion-ordered map from node to number, built in the traversal's
+   one walk; the certificate reads it as it is, and stages 2 and 3
+   extend copies of it.
 2. **Color refinement** splits classes by neighborhood signature until
    the partition is stable.  It re-signs only the nodes stage 1 left
    unnumbered: the numbered ones are singletons below every other
@@ -171,11 +176,12 @@ def _compress(colors: dict[NodeId, _Color]) -> dict[NodeId, int]:
 
 def _backward_order(
     g: ProgramGraph, colors: dict[NodeId, _Color], index: _GraphIndex
-) -> list[NodeId]:
-    """The nodes the backward traversal numbers, in traversal order: those
-    that reach the one EndBlock, and the block members it numbers on its
-    way.  An expanded block numbers its waiting members whose color no
-    other waiting member shares; the rest may yet be reached as sources.
+) -> dict[NodeId, int]:
+    """The nodes the backward traversal numbers, each mapped to its number,
+    in traversal order: those that reach the one EndBlock, and the block
+    members it numbers on its way.  An expanded block numbers its waiting
+    members whose color no other waiting member shares; the rest may yet
+    be reached as sources.
 
     Empty when the order is not determined by the labels: there is no
     EndBlock or more than one, or an expanded node has two in-edges of
@@ -183,47 +189,47 @@ def _backward_order(
     """
     ends = [b for b, kind in g.block_nodes.items() if kind is BlockKind.END_BLOCK]
     if len(ends) != 1:
-        return []
+        return {}
     edges, containment, ins, members = g.edge_nodes, g.containment, index.ins, index.members
     color = colors.__getitem__
-    order = ends
-    seen = set(order)
-    for n in order:  # grows while it is read: a queue
-        if n in edges:
-            continue
+    number = {ends[0]: 0}
+    queue = ends  # the numbered operations and blocks; grows while it is read
+    for n in queue:
         entries = ins.get(n, ())
         if len(entries) > 1:
             entries = sorted(entries, key=color)
             if len(set(map(color, entries))) < len(entries):
-                return []
+                return {}
         for eid in entries:
-            order.append(eid)
+            number[eid] = len(number)
             src = edges[eid].source
-            if src not in seen:
-                seen.add(src)
-                order.append(src)
+            if src not in number:
+                number[src] = len(number)
+                queue.append(src)
         block = containment.get(n)
         if block is not None:
-            if block not in seen:
-                seen.add(block)
-                order.append(block)
+            if block not in number:
+                number[block] = len(number)
+                queue.append(block)
         elif n in members:
-            waiting = [m for m in members[n] if m not in seen]
+            waiting = [m for m in members[n] if m not in number]
             if len(waiting) > 1:
                 counts: dict[_Color, int] = {}
                 for m in waiting:
                     c = color(m)
                     counts[c] = counts.get(c, 0) + 1
                 waiting = sorted((m for m in waiting if counts[color(m)] == 1), key=color)
-            seen.update(waiting)
-            order += waiting
-    return order
+            for m in waiting:
+                number[m] = len(number)
+            queue += waiting
+    return number
 
 
 def _numbering(
     g: ProgramGraph, colors: dict[NodeId, _Color], index: _GraphIndex
-) -> list[NodeId]:
-    """Stage 1: the backward traversal's order, then the settled nodes.
+) -> dict[NodeId, int]:
+    """Stage 1: the backward traversal's numbering, extended in place by
+    the settled nodes.
 
     A node outside the traversal's order is settled when all its
     neighbors lie inside it: an Edge node's source and target, an
@@ -236,10 +242,9 @@ def _numbering(
     in key order.  Two with equal keys are twins, so swapping them is an
     automorphism, and their tie may fall either way.
     """
-    order = _backward_order(g, colors, index)
-    if len(order) == len(colors):
-        return order
-    number = {n: i for i, n in enumerate(order)}
+    number = _backward_order(g, colors, index)
+    if len(number) == len(colors):
+        return number
     edges, containment = g.edge_nodes, g.containment
     ins, outs, members = index.ins, index.outs, index.members
     keys: dict[NodeId, _Color] = {}
@@ -251,14 +256,19 @@ def _numbering(
             keys[n] = (*c, -1)
         elif block in number:
             keys[n] = (*c, number[block])
-    return order + sorted(keys, key=keys.__getitem__)
+    for n in sorted(keys, key=keys.__getitem__):
+        number[n] = len(number)
+    return number
 
 
-def _certificate(order: list[NodeId], initial: dict[NodeId, _Color], g: ProgramGraph) -> tuple:
-    """One row per node of `order`, concatenated into one tuple of ints:
-    the node's initial color, then an Edge node's source's and target's
-    numbers in `order`, or an operation's block's number, or -1 for a
-    block or a blockless operation.
+def _certificate(
+    number: dict[NodeId, int], initial: dict[NodeId, _Color], g: ProgramGraph
+) -> tuple:
+    """One row per node of `number`, in its order, which is the order of
+    the numbers, concatenated into one tuple of ints: the node's initial
+    color, then an Edge node's source's and target's numbers, or an
+    operation's block's number, or -1 for a block or a blockless
+    operation.
 
     A row's length follows from its first int, which tells operations,
     blocks and Edge nodes apart, so the tuple splits into rows one way
@@ -266,10 +276,9 @@ def _certificate(order: list[NodeId], initial: dict[NodeId, _Color], g: ProgramG
     equal certificates define a bijection that keeps every color and
     every arc.
     """
-    number = {n: i for i, n in enumerate(order)}
     edges, containment = g.edge_nodes, g.containment
     rows: list[int] = []
-    for n in order:
+    for n in number:
         rows += initial[n]
         e = edges.get(n)
         if e is None:
@@ -291,15 +300,14 @@ def canonical_form(g: ProgramGraph) -> tuple:
     """
     initial = _initial_colors(g)
     index = g.adjacency_index()
-    order = _numbering(g, initial, index)
-    if len(order) == len(initial):
-        return _certificate(order, initial, g)
+    number = _numbering(g, initial, index)
+    if len(number) == len(initial):
+        return _certificate(number, initial, g)
     # Stages 2 and 3 move only the nodes stage 1 left unnumbered,
     # colored above the numbered ones in the order of their initial colors.
-    seeded = {n: i for i, n in enumerate(order)}
-    movable = [n for n in initial if n not in seeded]
+    movable = [n for n in initial if n not in number]
     ranks = _compress({n: initial[n] for n in movable})
-    seeded.update((n, len(order) + ranks[n]) for n in movable)
+    seeded = {**number, **{n: len(number) + ranks[n] for n in movable}}
     adjacency = out_arcs, in_arcs = _adjacency_of(g, index, movable)
 
     def branches(colors: dict[NodeId, int], cell: list[NodeId]) -> Iterator[dict[NodeId, int]]:
@@ -332,7 +340,10 @@ def canonical_form(g: ProgramGraph) -> tuple:
         if cells:
             stack.append(branches(colors, classes[min(cells)[1]]))
             continue
-        cert = _certificate(order + sorted(movable, key=colors.__getitem__), initial, g)
+        leaf = dict(number)
+        for n in sorted(movable, key=colors.__getitem__):
+            leaf[n] = len(leaf)
+        cert = _certificate(leaf, initial, g)
         if best is None or cert < best:
             best = cert
     assert best is not None
@@ -359,27 +370,37 @@ def _builtin_sha256():
 _sha256 = None
 
 
-def form_digest(form: tuple) -> str:
-    """Hex SHA-256 digest of a canonical form's `marshal` version 2 bytes.
+def pack(form: tuple) -> bytes:
+    """A canonical form's `marshal` version 2 bytes: equal exactly when the
+    forms are equal.
 
     A form holds only tuples and ints, and `marshal` version 2 writes
     those by value alone, so equal forms give equal bytes in every
-    process, whatever its hash seed.  Later versions, the default
-    included, write an object met twice as a back-reference chosen by
-    object identity and reference count: two equal forms whose large
-    ints are distinct objects would then digest differently, and one
-    state would be split in two.  The digest is the same whichever
-    module computes it (`_builtin_sha256`).
+    process, whatever its hash seed; and `marshal.loads` reads the form
+    back from its bytes, so unequal forms give unequal bytes.  Later
+    versions, the default included, write an object met twice as a
+    back-reference chosen by object identity and reference count: two
+    equal forms whose large ints are distinct objects would then pack
+    differently, and one state would be split in two.
+    """
+    return marshal.dumps(form, 2)
+
+
+def packed_digest(packed: bytes) -> str:
+    """Hex SHA-256 digest of a packed canonical form (see `pack`).
+
+    The digest is the same whichever module computes it
+    (`_builtin_sha256`).
     """
     global _sha256
     if _sha256 is None:
         _sha256 = _builtin_sha256()
-    return _sha256(marshal.dumps(form, 2)).hexdigest()
+    return _sha256(packed).hexdigest()
 
 
 def canonical_hash(g: ProgramGraph) -> str:
     """Hex digest of the canonical form; stable across id-renamings."""
-    return form_digest(canonical_form(g))
+    return packed_digest(pack(canonical_form(g)))
 
 
 def is_isomorphic(g1: ProgramGraph, g2: ProgramGraph) -> bool:

@@ -331,3 +331,77 @@ def test_each_command_loads_only_what_it_uses(tmp_path):
     code, _, added = footprint("verify", FIXTURE)
     assert code == 0
     assert "xml.etree.ElementTree" in added
+
+
+# Prints the digests of the states that `explore` finds from the document
+# named by its argument, in discovery order, then its transitions.
+_DISCOVERY = """
+import sys
+from pathlib import Path
+from firmfold import CATALOG, explore, load
+lts = explore(load(Path(sys.argv[1]).read_bytes()), CATALOG)
+print("\\n".join(lts.states))
+print(lts.transitions)
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # BlockKind and EdgeKind hash by identity, and strings by the hash
+    # seed, so their hashes differ from run to run; no output may depend
+    # on either.  Each command runs alone, as users run it.
+    src = str(Path(cli.__file__).parents[1])
+    example, six = write_example(tmp_path / "ex.gxl"), tmp_path / "six.gxl"
+    six.write_bytes(save_native(diamond_chain(random.Random(0), 6)))
+    outputs: dict[str, dict[str, bytes]] = {}
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        out = tmp_path / seed
+        out.mkdir()
+
+        def run(*argv: object) -> bytes:
+            done = subprocess.run(
+                [sys.executable, *map(str, argv)],
+                env=env, capture_output=True, timeout=60, check=True,
+            )
+            return done.stdout
+
+        run("-m", "firmfold.cli", "fold", example, out / "ex.gxl", "--trace", out / "ex.txt")
+        run("-m", "firmfold.cli", "fold", six, out / "six.gxl", "--trace", out / "six.txt")
+        run("-m", "firmfold.cli", "explore", example, "--report", out / "lts.txt")
+        outputs[seed] = {path.name: path.read_bytes() for path in out.iterdir()}
+        outputs[seed]["digests"] = run("-c", _DISCOVERY, example)
+    assert sorted(outputs["0"]) == ["digests", "ex.gxl", "ex.txt", "lts.txt", "six.gxl", "six.txt"]
+    assert outputs["0"]["lts.txt"].startswith(b"states: 26\n")
+    assert outputs["0"] == outputs["1"]
+
+
+# Installs the benchmark's tracer, which replaces firmfold's functions by
+# name, then folds and explores the example through the wrapped names.
+_TRACED = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import firmfold, firmfold.cli
+traced = tracer.Tracer()
+traced.install(firmfold)
+traced.active = True
+g = firmfold.build_min_plus_one(3, 5, "lt")
+assert firmfold.engine.fold(g, firmfold.rules.CATALOG).steps == 10
+assert len(firmfold.engine.explore(g, firmfold.rules.CATALOG).states) == 26
+print(traced.counters["engine.steps"], traced.counters["engine.explore_states"])
+"""
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # A rename or removal of a name the tracer wraps (say
+    # `engine.canonical_hash`) fails here rather than at the next traced
+    # benchmark.  The tracer is imported from its file and not written to.
+    root = Path(cli.__file__).parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", _TRACED, str(root / "perfbench" / "tracer.py")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["10", "26"]

@@ -9,6 +9,7 @@ sequential allocator hands out.  The test freezes that derivation.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -604,6 +605,52 @@ def test_explore_is_deterministic():
         assert lts.final == first.final
 
 
+#: The initial digest and the SHA-256 of the digests in discovery order
+#: (`"\n".join(lts.states)`), of the example under each relation and of
+#: the 2-diamond chain.  A change to the canonical form or its digest
+#: changes them, and must say so in CHANGES.md.
+PINNED_DIGESTS = {
+    "lt": (
+        "e8e7d92ca9dbdd07e939ec787f1653fd6265c88972d3f86501b4e787449c5164",
+        "e014e85d6b2f7a4986cff3e7f0877ec92eb0870a9795437e080d51209517135d",
+    ),
+    "le": (
+        "876d0093499e28ed2864ffcc5e04e0e32e32c8692aef968b3590d431fcb01d2a",
+        "95710e45f74113e1a26a89ea65703c0a8775ab96d943e16be0666a6ad9ab18f2",
+    ),
+    "gt": (
+        "50c32fb5ceaa57c4c36dd9505e55dfaaa22467b474ead4c4a852115d507a3920",
+        "82a287e2383405f842eecfe93998ef2525632420315314ee355fe46be1df7996",
+    ),
+    "ge": (
+        "6621339387b147d4ae145a520166aae75941da1af5bff302781e78f7bda21199",
+        "ff14130c2a0c677ffe0215b09aadebb40fc3f1ef43bd2e841ce6c009c4f42130",
+    ),
+    "eq": (
+        "55df2cb9ec930de094f931b1c81fecb07e2184213699de3dcfb373aad8db5fc6",
+        "9d16c3e8c3319d4cb2dad08c7e1692eaabfde8b5b808225dc9b43b99d797af4d",
+    ),
+    "ne": (
+        "9465d4caacf97eef41f5d166a3e1bb5349531adbf7719d39b2027055d0237ffa",
+        "29bd92c0d87db681f3b33655be9ecea764616bd99b7dac2d3d72218d2fe270bf",
+    ),
+    "chain": (
+        "4b6579a777511c8b6abef0d2ce93ec3050bdb9c00daea67f042de584e6984f95",
+        "ae17ae70207fb1b42b95941ec4f70917c1ba3978815420b749ccc2e2ee37de5c",
+    ),
+}
+
+
+def test_explore_digests_are_pinned():
+    graphs = {relation: build_min_plus_one(3, 5, relation) for relation in RELATIONS}
+    graphs["chain"] = diamond_chain(random.Random(0), 2)
+    assert set(graphs) == set(PINNED_DIGESTS)
+    for name, g in graphs.items():
+        lts = explore(g, CATALOG)
+        listed = hashlib.sha256("\n".join(lts.states).encode()).hexdigest()
+        assert (lts.initial, listed) == PINNED_DIGESTS[name], name
+
+
 def test_explore_confluence_on_the_example():
     lts = explore(build_min_plus_one(3, 5, "lt"), CATALOG)
     assert len(lts.final) == 1
@@ -782,17 +829,17 @@ def _spy(monkeypatch, calls: Counter[str], name: str, *modules) -> None:
 
 def test_explore_canonicalizes_each_distinct_state_once(monkeypatch):
     calls: Counter[str] = Counter()
-    # `canonical_hash` digests through `isomorphism.form_digest`, and
+    # `canonical_hash` digests through `isomorphism.packed_digest`, and
     # `is_isomorphic` computes through `isomorphism.canonical_form`
-    _spy(monkeypatch, calls, "form_digest", engine, isomorphism)
+    _spy(monkeypatch, calls, "packed_digest", engine, isomorphism)
     _spy(monkeypatch, calls, "canonical_form", engine, isomorphism)
     lts = explore(build_min_plus_one(3, 5, "lt"), CATALOG)
     assert (len(lts.states), len(lts.transitions)) == (26, 44)
-    # 1 initial + 25 new states + 4 digest hits
-    assert calls["form_digest"] == 30
-    # and each hit recomputes the stored state's form to confirm it; an
-    # isomorphism test of the two graphs would compute both forms again
-    assert calls["canonical_form"] == 34
+    # 1 initial + 25 new states: a form hit takes the stored digest
+    assert calls["packed_digest"] == 26
+    # and the 4 successors whose form hits compute only their own form;
+    # an isomorphism test of two graphs would compute both forms
+    assert calls["canonical_form"] == 30
 
 
 def test_explore_computes_each_successor_form_once(monkeypatch):
@@ -801,9 +848,27 @@ def test_explore_computes_each_successor_form_once(monkeypatch):
     _spy(monkeypatch, calls, "canonical_form", engine, isomorphism)
     lts = explore(diamond_chain(random.Random(0), 2), CATALOG)
     assert (len(lts.states), len(lts.transitions)) == (1467, 6604)
-    # 1 initial + 1,914 canonicalized successors + 448 stored states
-    # recomputed on a digest hit
-    assert calls["canonical_form"] == 2363
+    # 1 initial + 1,914 canonicalized successors
+    assert calls["canonical_form"] == 1915
+
+
+def test_explore_never_canonicalizes_a_stored_state(monkeypatch):
+    canonicalized: list[ProgramGraph] = []
+    real = engine.canonical_form
+
+    def spying(g):
+        canonicalized.append(g)
+        return real(g)
+
+    monkeypatch.setattr(engine, "canonical_form", spying)
+    for index, (g, rules) in enumerate(_explore_differential_cases()):
+        canonicalized.clear()
+        lts = explore(g, rules)
+        # each stored state once, before it was stored; every other
+        # graph canonicalized is a successor that was dropped
+        calls = Counter(map(id, canonicalized))
+        assert all(calls[id(state)] == 1 for state in lts.states.values()), index
+        assert max(calls.values()) == 1, index
 
 
 def test_explore_without_content_hits_gives_the_same_lts(monkeypatch):
@@ -840,9 +905,14 @@ def test_content_keys_ignore_object_identity():
 
 
 def test_explore_still_confirms_digest_hits(monkeypatch):
-    monkeypatch.setattr(engine, "form_digest", lambda form: "same digest for every successor")
+    # States are looked up by their packed forms, so a digest shared by
+    # two unequal forms raises rather than merging the two states.
+    monkeypatch.setattr(engine, "packed_digest", lambda packed: "same digest for every form")
     with pytest.raises(RuntimeError, match="digest collision"):
         explore(build_min_plus_one(3, 5, "lt"), CATALOG)
+    # A fixpoint has one form, and so takes no second digest.
+    fixpoint = fold(build_min_plus_one(3, 5, "lt"), CATALOG).graph
+    assert explore(fixpoint, CATALOG).initial == "same digest for every form"
 
 
 def test_explore_stores_only_normalized_successors():
@@ -857,14 +927,14 @@ def test_explore_stores_only_normalized_successors():
 def test_explore_keeps_a_waiting_states_index_until_it_is_expanded(monkeypatch):
     # A state waits with the index its step left, so its expansion, which
     # re-asks the patterns and copies the state for each successor,
-    # builds none.  A digest hit may recompute the form of a state already
-    # expanded, and so shelved, which builds a throwaway index of it.
+    # builds none.  No stored state is canonicalized again, so none is
+    # indexed again once it is shelved: only the initial state may build one.
     built = index_builds(monkeypatch)
-    expanded: list[tuple[ProgramGraph, bool, int]] = []
+    expanded: list[bool] = []
     real = engine._Table.inherit
 
     def spying(table, g, written):
-        expanded.append((g, g._adj is not None, len(built)))
+        expanded.append(g._adj is not None)
         return real(table, g, written)
 
     monkeypatch.setattr(engine._Table, "inherit", spying)
@@ -872,13 +942,8 @@ def test_explore_keeps_a_waiting_states_index_until_it_is_expanded(monkeypatch):
         built.clear()
         expanded.clear()
         lts = explore(g, rules)
-        assert len(expanded) == len(lts.states), index
-        assert all(had_index for _, had_index, _ in expanded), index
-        shelved: set[int] = set()
-        for i, (state, _, mark) in enumerate(expanded):
-            end = expanded[i + 1][2] if i + 1 < len(expanded) else len(built)
-            assert all(id(h) in shelved for h in built[mark:end]), (index, i)
-            shelved.add(id(state))
+        assert len(expanded) == len(lts.states) and all(expanded), index
+        assert all(h is lts.states[lts.initial] for h in built), index
         assert all(s._adj is None for s in lts.states.values()), index
 
 

@@ -55,7 +55,8 @@ from firmfold.isomorphism import (
     _initial_colors,
     _numbering,
     _refine,
-    form_digest,
+    pack,
+    packed_digest,
 )
 from helpers import (
     GraphPlan,
@@ -598,7 +599,10 @@ def test_form_digest_depends_only_on_the_value_of_the_form():
     shared = ((big, big), ((0, 1, big),))  # one int object, met three times
     distinct = ((int("1000000"), int("1000000")), ((0, 1, int("1000000")),))
     assert shared == distinct
-    assert form_digest(shared) == form_digest(distinct)
+    assert pack(shared) == pack(distinct)
+    # and the bytes read back as the form, so unequal forms pack unequal
+    assert marshal.loads(pack(shared)) == shared
+    assert pack(((big, big), ((0, 1, big + 1),))) != pack(shared)
 
 
 @pytest.mark.parametrize("module", ["built-in", "hashlib"])
@@ -615,7 +619,8 @@ def test_form_digest_is_the_sha256_of_the_marshalled_form(monkeypatch, module):
     forms += [canonical_form(random_graph(random.Random(seed))) for seed in range(60)]
     forms.append(chain)
     for form in forms:
-        assert form_digest(form) == hashlib.sha256(marshal.dumps(form, 2)).hexdigest()
+        assert marshal.loads(pack(form)) == form
+        assert packed_digest(pack(form)) == hashlib.sha256(marshal.dumps(form, 2)).hexdigest()
     expected = {"_hashlib"} if module == "hashlib" else {"_sha2", "_sha256"}
     assert isomorphism._sha256.__module__ in expected
 
