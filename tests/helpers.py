@@ -15,9 +15,9 @@ Every plan is well formed and executable, and folds to a fixpoint.
 `diamond_chain` builds a longer chain of diamonds directly, optionally
 with dead merge entries and with entries from operations outside every
 block, and `relabel` renames a graph's ids.  `witnesses` gives each
-rule of the catalog a small graph in which it matches exactly once, and
-`scan_inputs` gives the three inputs `confluence_scan.py` explores for
-one seed.  `reference_fold` is the
+rule of the catalog a small graph in which it matches exactly once,
+`scan_inputs` gives three inputs for one seed, and `scan` explores them
+under a catalog for each of a range of seeds.  `reference_fold` is the
 slow oracle for `fold`: it copies the graph on every step and re-checks
 every consumer's positions.
 `reference_explore` is the oracle for `explore`: it canonicalizes every
@@ -43,6 +43,7 @@ import random
 import re
 import xml.etree.ElementTree as ET
 from collections import defaultdict, deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 from firmfold import (
@@ -67,6 +68,7 @@ from firmfold import (
     StateLimitExceeded,
     apply,
     canonical_hash,
+    explore,
     matches,
     normalize_positions,
 )
@@ -343,13 +345,28 @@ def witnesses() -> dict[str, ProgramGraph]:
 
 
 def scan_inputs(seed: int) -> dict[str, ProgramGraph]:
-    """The three inputs `confluence_scan.py` explores for `seed`, by name."""
+    """The three inputs `scan` explores for `seed`, by name: a random
+    program, its `gapped` variant and a one-diamond chain."""
     g = random_graph(random.Random(seed))
     return {
         f"random {seed}": g,
         f"gapped {seed}": gapped(g),
         f"diamond {seed}": diamond_chain(random.Random(seed), 1),
     }
+
+
+def scan(
+    catalog: tuple[Rule, ...], seeds: Iterable[int], max_states: int = 3000
+) -> Iterator[tuple[str, Lts | None]]:
+    """Explore `scan_inputs(seed)` under `catalog` for each seed in turn:
+    each input's name with its LTS, or with None when it passes
+    `max_states`."""
+    for seed in seeds:
+        for name, g in scan_inputs(seed).items():
+            try:
+                yield name, explore(g, catalog, max_states=max_states)
+            except StateLimitExceeded:
+                yield name, None
 
 
 def gapped(g: ProgramGraph) -> ProgramGraph:

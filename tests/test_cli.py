@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from firmfold import build_min_plus_one, cli, evaluate, is_isomorphic, load, save_native
+from firmfold import build_min_plus_one, cli, evaluate, is_isomorphic, load, save_native, verify
 from firmfold.cli import _build_parser, main
-from helpers import diamond_chain
+from helpers import diamond_chain, relabel
 
 FIXTURE = Path(__file__).parent / "data" / "min_plus_one_firm.gxl"
 
@@ -82,6 +82,7 @@ def test_fold_writes_all_outputs(tmp_path):
     )
     assert code == 0
     folded = load(out.read_bytes())
+    assert verify(folded) == []
     assert evaluate(folded) == 4
     lines = trace.read_text().splitlines()
     assert len(lines) == 10
@@ -89,9 +90,13 @@ def test_fold_writes_all_outputs(tmp_path):
     assert dot.read_text().startswith("digraph {")
 
 
-def test_fold_accepts_the_attributed_dialect(tmp_path):
-    out = tmp_path / "out.gxl"
-    assert main(["fold", str(FIXTURE), str(out)]) == 0
+def test_fold_accepts_the_attributed_dialect(tmp_path, capsys):
+    out, trace = tmp_path / "out.gxl", tmp_path / "steps.txt"
+    assert main(["verify", str(FIXTURE)]) == 0
+    assert main(["fold", str(FIXTURE), str(out), "--trace", str(trace)]) == 0
+    assert trace.read_text().count("\n") == 10
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == ""
     assert evaluate(load(out.read_bytes())) == 4
 
 
@@ -106,17 +111,22 @@ def test_fold_step_limit_blocks_all_output(tmp_path, capsys):
     assert not trace.exists()
 
 
-def test_fold_runs_past_ten_thousand_steps_by_default(tmp_path):
-    src = tmp_path / "chain.gxl"
-    g = diamond_chain(random.Random(0), 1024)
-    assert g.element_count() == 23558
-    src.write_bytes(save_native(g))
-    out, trace = tmp_path / "out.gxl", tmp_path / "steps.txt"
-    assert main(["fold", str(src), str(out), "--trace", str(trace)]) == 0
-    assert trace.read_text().count("\n") == 11264
+def test_fold_runs_past_ten_thousand_steps_by_default(tmp_path, capsys):
+    chain = diamond_chain(random.Random(0), 1024)
+    assert chain.element_count() == 23558
+    # the chain, and its twin with its ids reversed, so that the start
+    # block has the highest id, fold in as many steps
+    for name, g in (("chain", chain), ("start-last", relabel(chain))):
+        src = tmp_path / f"{name}.gxl"
+        src.write_bytes(save_native(g))
+        out, trace = tmp_path / f"{name}-out.gxl", tmp_path / f"{name}-steps.txt"
+        assert main(["fold", str(src), str(out), "--trace", str(trace)]) == 0, name
+        assert trace.read_text().count("\n") == 11264, name
+        assert main(["verify", str(out)]) == 0, name
+    assert capsys.readouterr().out == ""
     capped = tmp_path / "capped.gxl"
-    assert main(["fold", str(src), str(capped), "--max-steps", "23558"]) == 0
-    assert out.read_bytes() == capped.read_bytes()
+    assert main(["fold", str(tmp_path / "chain.gxl"), str(capped), "--max-steps", "23558"]) == 0
+    assert (tmp_path / "chain-out.gxl").read_bytes() == capped.read_bytes()
 
 
 def test_consecutive_calls_share_no_state(tmp_path, capsys):
@@ -168,12 +178,9 @@ def test_non_integer_budgets_are_usage_errors(tmp_path, monkeypatch, capsys, arg
 def test_explore_report_on_stdout(tmp_path, capsys):
     src = write_example(tmp_path / "in.gxl")
     assert main(["explore", str(src)]) == 0
-    out = capsys.readouterr().out
-    lines = out.splitlines()
-    assert lines[0].startswith("states: ")
-    assert lines[1].startswith("transitions: ")
-    assert lines[2] == "final_states: 1"
-    assert lines[3] == "final_states_isomorphic: true"
+    assert capsys.readouterr().out == (
+        "states: 26\ntransitions: 44\nfinal_states: 1\nfinal_states_isomorphic: true\n"
+    )
 
 
 def test_explore_report_to_file(tmp_path, capsys):
@@ -287,17 +294,19 @@ def test_each_subcommand_reaches_the_names_it_calls_through_its_module(
     assert calls == expected
 
 
-# Runs one command in a fresh interpreter and prints its exit code, its
-# output and the modules it added to `sys.modules`, as JSON.
+# Runs the statements of its first argument in a fresh interpreter, with
+# the rest as `args`, and prints the exit `code` they set (0 if none),
+# their output and the modules they added to `sys.modules`, as JSON.
 _FOOTPRINT = """
 import contextlib, io, json, sys
 before = set(sys.modules)
+args, code = sys.argv[2:], 0
 with contextlib.redirect_stdout(io.StringIO()) as out:
-    from firmfold.cli import main
-    code = main(sys.argv[1:])
+    exec(sys.argv[1])
 added = sorted(set(sys.modules) - before)
 print(json.dumps({"code": code, "out": out.getvalue(), "added": added}))
 """
+_COMMAND = "from firmfold.cli import main; code = main(args)"
 
 #: What a command of a plain document does not load: OpenSSL (through
 #: `hashlib`), which no digest needs since digests take CPython's
@@ -306,11 +315,12 @@ print(json.dumps({"code": code, "out": out.getvalue(), "added": added}))
 ON_DEMAND = {"hashlib", "_hashlib", "xml.etree.ElementTree"}
 
 
-def footprint(*argv: object) -> tuple[int, str, set[str]]:
-    """The exit code, the output and the modules added of one command run alone."""
+def footprint(*argv: object, run_as: str = _COMMAND) -> tuple[int, str, set[str]]:
+    """The exit code, the output and the modules added of one command, or
+    of the statements `run_as`, run alone."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     run = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT, *map(str, argv)],
+        [sys.executable, "-c", _FOOTPRINT, run_as, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
     result = json.loads(run.stdout)
@@ -327,6 +337,13 @@ def test_each_command_loads_only_what_it_uses(tmp_path):
     code, out, added = footprint("explore", src)
     assert code == 0
     assert out.startswith("states: 26\ntransitions: 44\nfinal_states: 1\n")
+    assert not added & ON_DEMAND
+    # the library's digest takes the built-in SHA-256 too
+    _, _, added = footprint(
+        run_as="from firmfold import build_min_plus_one, canonical_hash\n"
+        "canonical_hash(build_min_plus_one(3, 5))"
+    )
+    assert "firmfold.isomorphism" in added
     assert not added & ON_DEMAND
     code, _, added = footprint("verify", FIXTURE)
     assert code == 0

@@ -65,7 +65,7 @@ from helpers import (
     reference_explore,
     reference_fold,
     relabel,
-    scan_inputs,
+    scan,
     search_isomorphic,
     witnesses,
 )
@@ -745,17 +745,29 @@ def test_divergence_verdicts_flag_exactly_the_user_requiring_catalogs_faults():
         for r in CATALOG
     )
     flagged, inputs = [], 0
-    for seed in [*range(10), 28, 29]:
-        for name, g in scan_inputs(seed).items():
-            lts = explore(g, requiring, max_states=3000)
-            verdict = lts.final_states_isomorphic()
-            first, *rest = (lts.states[d] for d in sorted(lts.final))
-            assert verdict == all(search_isomorphic(first, h) for h in rest), name
-            if not verdict:
-                flagged.append(name)
-            inputs += 1
+    for name, lts in scan(requiring, [*range(10), 28, 29]):
+        verdict = lts.final_states_isomorphic()
+        first, *rest = (lts.states[d] for d in sorted(lts.final))
+        assert verdict == all(search_isomorphic(first, h) for h in rest), name
+        if not verdict:
+            flagged.append(name)
+        inputs += 1
     assert inputs == 36
     assert flagged == [f"{kind} {seed}" for seed in (9, 28, 29) for kind in ("random", "gapped")]
+
+
+def test_the_shipped_catalog_ends_every_scan_input_in_one_final_state():
+    # The 40 seeds include 9, 28, 29, 36, 37 and 38, whose inputs
+    # diverged while the binary folds still required a user.
+    explored, over_cap, divergent = 0, [], []
+    for name, lts in scan(CATALOG, range(40)):
+        if lts is None:
+            over_cap.append(name)
+            continue
+        explored += 1
+        if not lts.final_states_isomorphic():
+            divergent.append(name)
+    assert (explored, len(over_cap), len(divergent)) == (120, 0, 0), (over_cap, divergent)
 
 
 def test_drivers_start_from_a_normalized_copy_of_their_input():
@@ -850,6 +862,11 @@ def test_explore_computes_each_successor_form_once(monkeypatch):
     assert (len(lts.states), len(lts.transitions)) == (1467, 6604)
     # 1 initial + 1,914 canonicalized successors
     assert calls["canonical_form"] == 1915
+
+
+def test_explore_merges_the_three_diamond_chain_to_one_final_state():
+    lts = explore(diamond_chain(random.Random(0), 3), CATALOG, max_states=60_000)
+    assert (len(lts.states), len(lts.transitions), len(lts.final)) == (24123, 150540, 1)
 
 
 def test_explore_never_canonicalizes_a_stored_state(monkeypatch):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from firmfold import (
+    CATALOG,
     INT32_MAX,
     INT32_MIN,
     JMP,
@@ -27,6 +28,7 @@ from firmfold import (
     canonical_hash,
     detect_dialect,
     export_dot,
+    fold,
     import_firm_gxl,
     is_isomorphic,
     load,
@@ -165,6 +167,11 @@ INVALID_PLAIN = (
         '<edge from="n1" to="n3"/><edge from="n2" to="n3"/>',
         "Edge node n3 has two sources",
     ),
+    (
+        '<node id="n1"><type xlink:href="#StartBlock"/></node>'
+        '<node id="n1"><type xlink:href="#EndBlock"/></node>',
+        "duplicate node id 'n1'",
+    ),
 )
 
 
@@ -187,6 +194,15 @@ def test_invalid_plain_documents_are_parsed_once(monkeypatch):
             assert built == []
             assert outcome(reader, twin) == (SchemaError, message)
             assert built == [twin]
+
+
+def test_a_document_and_its_commented_twin_fold_to_the_same_bytes():
+    # the plain reader reads the document, and ElementTree its twin
+    doc = save_native(diamond_chain(random.Random(1), 8)).decode()
+    twin = with_comment(doc)
+    assert gxl._PLAIN.fullmatch(doc) and not gxl._PLAIN.fullmatch(twin)
+    plain, commented = (save_native(fold(load(d.encode()), CATALOG).graph) for d in (doc, twin))
+    assert plain == commented
 
 
 @pytest.mark.parametrize(
