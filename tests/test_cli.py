@@ -394,6 +394,9 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 # Installs the benchmark's tracer, which replaces firmfold's functions by
 # name, then folds and explores the example through the wrapped names.
+# The `gt` example's fold and explore each renumber some consumer, which
+# the `lt` example's do not, so they print how often each called the
+# wrapped `engine.normalize_positions`.
 _TRACED = """
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
@@ -407,6 +410,11 @@ g = firmfold.build_min_plus_one(3, 5, "lt")
 assert firmfold.engine.fold(g, firmfold.rules.CATALOG).steps == 10
 assert len(firmfold.engine.explore(g, firmfold.rules.CATALOG).states) == 26
 print(traced.counters["engine.steps"], traced.counters["engine.explore_states"])
+g = firmfold.build_min_plus_one(3, 5, "gt")
+for run in (firmfold.engine.fold, firmfold.engine.explore):
+    traced.reset()
+    run(g, firmfold.rules.CATALOG)
+    print(traced.stats["engine.normalize_positions"][0])
 """
 
 
@@ -421,4 +429,6 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["10", "26"]
+    steps, states, fold_renumbered, explore_renumbered = run.stdout.split()
+    assert (steps, states) == ("10", "26")
+    assert int(fold_renumbered) > 0 and int(explore_renumbered) > 0
