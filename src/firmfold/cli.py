@@ -45,12 +45,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _budget(raw: str) -> int:
-    """A step or state budget: a non-negative integer."""
-    try:
-        if (value := int(raw)) >= 0:
-            return value
-    except ValueError:
-        pass
+    """A step or state budget: a non-negative integer in ASCII digits, as in GXL."""
+    if raw.isascii() and raw.isdecimal():
+        return int(raw)
     raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
 
 

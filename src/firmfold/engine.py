@@ -16,9 +16,8 @@ not for a new index.  A stored successor keeps that index while it
 waits in the queue, so its expansion builds none, and drops it once
 expanded (`ProgramGraph.shelve`): only the breadth-first frontier holds
 indexes.  Confluent rewrites often rebuild a stored state node id for
-node id, so a successor is first looked up by its exact content, under
-a key that is its parent's updated at the nodes its step wrote (see
-below); only one that is not identical to a stored state is
+node id, so a successor is first looked up by its exact content (see
+`explore`); only one that is not identical to a stored state is
 canonicalized, once, and looked up by its packed canonical form
 (`isomorphism.pack`), bytes equal exactly when the forms are, so the
 lookup itself confirms a hit and no stored state is canonicalized
@@ -63,14 +62,6 @@ a radius-2 walk: the start block holds every constant, and re-asking
 all its members on every step would cost as much as matching from
 scratch.  A rule without a pattern is
 asked through its matcher before every step and in every state.
-
-The same record keys `explore`'s content lookup.  The key is the XOR
-over nodes of a hash of each node's entries in the four node maps, as
-in Zobrist hashing (Zobrist 1970), taken over plain values rather than
-the label objects (`_node_key`).  It is computed in full only for the
-input; every node whose entries a step changed is in the step's record,
-so a successor's key is its parent's with just those nodes' hashes
-swapped.
 
 Both drivers advance by one `_step`: rewrite a match, assert that the
 element count shrank (the measure that bounds both drivers, and so
@@ -467,49 +458,13 @@ class Lts:
         return len(self.final) <= 1
 
 
-def _node_key(g: ProgramGraph, n: NodeId) -> int:
-    """A hash of node `n`'s entries in `g`'s four node maps; 0 when `n` is absent.
-
-    It hashes plain values only, never an `OpKind` or `EdgeNode` object,
-    whose dataclass hashes run in Python: an operation's name, value,
-    relation and block, an Edge node's fields, a block's kind.  The
-    kinds hash by identity, and equal kinds are one object, so equal
-    entries still give equal keys.
-    """
-    op = g.op_nodes.get(n)
-    if op is not None:
-        return hash((n, op.name, op.value, op.relation, g.containment.get(n)))
-    e = g.edge_nodes.get(n)
-    if e is not None:
-        return hash((n, e.kind, e.position, e.source, e.target, e.branch))
-    block = g.block_nodes.get(n)
-    if block is not None:
-        return hash((n, block))
-    return 0
-
-
 def _content_key(g: ProgramGraph) -> int:
-    """The XOR of `_node_key` over `g`'s nodes: graphs of equal content key equal.
+    """A hash of `g`'s node ids, in map order.
 
-    `explore` computes it in full only for its input; a successor's key
-    is its parent's, updated by `_step_key` where the step wrote.
+    Within one `explore` ids are never reused and new ones come last, so
+    states with equal node maps list their ids alike and key equal.
     """
-    key = 0
-    for n in (*g.op_nodes, *g.block_nodes, *g.edge_nodes):
-        key ^= _node_key(g, n)
-    return key
-
-
-def _step_key(key: int, g: ProgramGraph, h: ProgramGraph, written: set[NodeId]) -> int:
-    """The content key of `h` from `key`, that of `g`, where the step from `g` to `h` wrote.
-
-    Every node whose entries differ between `g` and `h` is in `written`,
-    so XOR-ing out its old hash and in its new one at those nodes alone
-    gives `_content_key(h)`.
-    """
-    for n in written:
-        key ^= _node_key(g, n) ^ _node_key(h, n)
-    return key
+    return hash((*g.op_nodes, *g.block_nodes, *g.edge_nodes))
 
 
 def _same_content(a: ProgramGraph, b: ProgramGraph) -> bool:
@@ -529,27 +484,27 @@ def explore(
 
     The initial state is a copy of `g` (`_start`); `g` is left as it was.
     States are deduplicated up to isomorphism and named by canonical
-    digest.  A successor identical, node id for node id, to the first
-    stored state with its content key takes that state's digest without
-    being canonicalized: the identity map is the isomorphism.  Any other
-    successor is canonicalized once, and takes the digest of the stored
-    state with the same packed form (`isomorphism.pack`); a new form's
-    digest that a stored state already has raises RuntimeError.  No
-    stored state is canonicalized or indexed again.
+    digest.  A successor is first looked up by a hash of its node ids
+    (`_content_key`): one identical, node id for node id, to the first
+    stored state with its key (`_same_content`) takes that state's digest
+    without being canonicalized, since the identity map is the
+    isomorphism.  Any other successor, a key collision among them, is
+    canonicalized once, and takes the digest of the stored state with the
+    same packed form (`isomorphism.pack`); a new form's digest that a
+    stored state already has raises RuntimeError.  No stored state is
+    canonicalized or indexed again.
     Raises StateLimitExceeded when more than `max_states` distinct
     states turn up, the initial state included.
 
-    Only the initial state is matched and keyed in full.  Each stored
-    successor waits in the queue with its parent's match table, the
-    nodes its step wrote (`take_written`) and the adjacency index that
-    step left; its content key is its parent's updated at those nodes
-    (`_step_key`), and on expansion its table is its parent's with the
-    patterns re-asked around them (`_Table.inherit`), which reads that
-    index rather than building one.
-    A wrong key could only cause a miss, since `_same_content` confirms
-    every hit.  Each successor's record holds just its own step's
-    writes, since `_step` restarts it.  An expanded state is shelved
-    (`shelve`), so the states returned keep no index and no records.
+    Only the initial state is matched in full.  Each stored successor
+    waits in the queue with its parent's match table, the nodes its step
+    wrote (`take_written`) and the adjacency index that step left; on
+    expansion its table is its parent's with the patterns re-asked
+    around those nodes (`_Table.inherit`), which reads that index rather
+    than building one.  Each successor's record holds just its own
+    step's writes, since `_step` restarts it.  An expanded state is
+    shelved (`shelve`), so the states returned keep no index and no
+    records.
     """
     if max_states < 1:
         raise StateLimitExceeded(f"state space exceeds {max_states} states")
@@ -560,19 +515,17 @@ def explore(
     states: dict[str, ProgramGraph] = {initial: g}
     # Packed canonical form -> digest of the stored state with that form.
     by_form: dict[bytes, str] = {packed: initial}
-    initial_key = _content_key(g)
     # Content key -> digest of the first stored state with that key; a
     # successor of other content under the same key is canonicalized.
-    by_content: dict[int, str] = {initial_key: initial}
+    by_content: dict[int, str] = {_content_key(g): initial}
     transitions: set[tuple[str, str, str]] = set()
-    # Each waiting state's digest and content key, with its parent's
-    # match table and its step's written nodes (`g` waits with its own
-    # table and none).
-    queue: deque[tuple[str, int, _Table, set[NodeId]]] = deque(
-        [(initial, initial_key, _Table.build(g, ordered), set())]
+    # Each waiting state's digest, with its parent's match table and its
+    # step's written nodes (`g` waits with its own table and none).
+    queue: deque[tuple[str, _Table, set[NodeId]]] = deque(
+        [(initial, _Table.build(g, ordered), set())]
     )
     while queue:
-        digest, state_key, parent, written = queue.popleft()
+        digest, parent, written = queue.popleft()
         state = states[digest]
         table = parent.inherit(state, written)
         listed = table.listed()
@@ -584,8 +537,7 @@ def explore(
                 found = [Match(rule.name, t) for t in tuples]
             for match in found:
                 successor = apply(state, rule, match)
-                written = successor.take_written()
-                key = _step_key(state_key, state, successor, written)
+                key = _content_key(successor)
                 succ_digest = by_content.get(key)
                 if succ_digest is None or not _same_content(successor, states[succ_digest]):
                     packed = pack(canonical_form(successor))
@@ -603,7 +555,7 @@ def explore(
                         states[succ_digest] = successor
                         by_form[packed] = succ_digest
                         by_content.setdefault(key, succ_digest)
-                        queue.append((succ_digest, key, table, written))
+                        queue.append((succ_digest, table, successor.take_written()))
                 transitions.add((digest, rule.name, succ_digest))
         state.shelve()
     outgoing = {src for src, _, _ in transitions}

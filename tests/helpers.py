@@ -15,9 +15,10 @@ Every plan is well formed and executable, and folds to a fixpoint.
 `diamond_chain` builds a longer chain of diamonds directly, optionally
 with dead merge entries and with entries from operations outside every
 block, and `relabel` renames a graph's ids.  `witnesses` gives each
-rule of the catalog a small graph in which it matches exactly once,
-`scan_inputs` gives three inputs for one seed, and `scan` explores them
-under a catalog for each of a range of seeds.  `reference_fold` is the
+rule of the catalog a small graph in which it matches exactly once, and
+`disjoint_union` puts two graphs side by side.  `scan_inputs` gives
+three inputs for one seed, and `scan` explores them under a catalog for
+each of a range of seeds.  `reference_fold` is the
 slow oracle for `fold`: it copies the graph on every step and re-checks
 every consumer's positions.
 `reference_explore` is the oracle for `explore`: it canonicalizes every
@@ -342,6 +343,23 @@ def witnesses() -> dict[str, ProgramGraph]:
         "phi-fold-single": _phi(entry=True),
         "add-fold-int": _on_two_consts(ADD),
     }
+
+
+def disjoint_union(g: ProgramGraph, h: ProgramGraph) -> ProgramGraph:
+    """`g` and `h` side by side in one graph, `h`'s ids moved past `g`'s."""
+    to = {n: g._next_id + n for n in (*h.op_nodes, *h.block_nodes, *h.edge_nodes)}
+    return ProgramGraph._from_parts(
+        {**g.op_nodes, **{to[n]: kind for n, kind in h.op_nodes.items()}},
+        {**g.block_nodes, **{to[n]: kind for n, kind in h.block_nodes.items()}},
+        {
+            **g.edge_nodes,
+            **{
+                to[eid]: replace(e, id=to[eid], source=to[e.source], target=to[e.target])
+                for eid, e in h.edge_nodes.items()
+            },
+        },
+        {**g.containment, **{to[op]: to[block] for op, block in h.containment.items()}},
+    )
 
 
 def scan_inputs(seed: int) -> dict[str, ProgramGraph]:

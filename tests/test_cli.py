@@ -162,6 +162,11 @@ def test_negative_budgets_are_usage_errors(tmp_path, capsys):
     [
         (["fold", "in.gxl", "out", "--max-steps", "abc"], "abc"),
         (["explore", "in.gxl", "--report", "out", "--max-states", "1.5"], "1.5"),
+        # only ASCII digits, as GXL integers: int() would accept each of these
+        (["fold", "in.gxl", "out", "--max-steps", "1_0"], "1_0"),
+        (["fold", "in.gxl", "out", "--max-steps", " 7"], " 7"),
+        (["fold", "in.gxl", "out", "--max-steps", "+5"], "+5"),
+        (["explore", "in.gxl", "--report", "out", "--max-states", "\u0663"], "\u0663"),
     ],
 )
 def test_non_integer_budgets_are_usage_errors(tmp_path, monkeypatch, capsys, argv, raw):

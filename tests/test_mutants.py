@@ -82,6 +82,14 @@ def _swapped(first: int, second: int) -> Maker:
     return lambda mp: {"CATALOG": catalog}
 
 
+def _swap_row(first: int) -> tuple[Maker, partial]:
+    """The catalog with the priorities `first` and `first + 1` swapped, and
+    its killer: fold's first step on a graph where both rules match."""
+    names = rules.RULE_NAMES[first - 1 : first + 1]
+    killer = test_rules.test_fold_first_fires_the_earlier_of_two_matching_rules
+    return _swapped(first, first + 1), partial(killer, *names)
+
+
 _BINARY_POSITIONS = "    if [g.edge_nodes[eid].position for eid, _ in inputs] != [0, 1]:\n        return []\n"
 _START_BLOCK = "    if g.start_block() is None:\n        return []\n"
 _COND = "if cond not in g.containment or [g.edge_nodes[eid].position for eid, _ in inputs] != [0]:"
@@ -121,6 +129,7 @@ MUTANTS: dict[str, tuple[Maker, partial]] = {
         _swapped(7, 8),
         partial(test_rules.test_phi_fold_single_leaves_a_phi_in_an_entryless_block),
     ),
+    **{f"priorities-{p}-{p + 1}": _swap_row(p) for p in (1, 2, 4, 5, 6, 8, 9)},
 }
 
 

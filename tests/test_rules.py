@@ -32,7 +32,7 @@ from firmfold import (
 )
 from firmfold.rules import CATALOG, RULE_NAMES
 
-from helpers import diamond_chain, witnesses
+from helpers import diamond_chain, disjoint_union, witnesses
 
 
 def rule(name: str):
@@ -59,6 +59,42 @@ def test_each_rule_matches_its_witness_exactly_once():
         g = graphs[r.name]
         (match,) = matches(g, r)
         assert engine._Table.build(g, ordered).listed()[index] == [match.anchors], r.name
+
+
+def _stale_and_single_phis() -> ProgramGraph:
+    """One single-entry block holding a Phi with a stale input and a one-input Phi."""
+    g = ProgramGraph()
+    start, block = g.add_block(BlockKind.START_BLOCK), g.add_block(BlockKind.BLOCK)
+    g.connect(g.add_op(JMP, start), block, EdgeKind.CONTROLFLOW, 0)
+    stale, single = g.add_op(PHI, block), g.add_op(PHI, block)
+    for phi, positions in ((stale, (0, 1)), (single, (0,))):
+        for position in positions:
+            g.connect(g.add_op(Const(7), start), phi, EdgeKind.DATAFLOW, position)
+    return g
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("cleanup-dangling-dataflow", "cleanup-dangling-control"),
+        ("cleanup-dangling-control", "cleanup-unref-const"),
+        ("cmp-fold-int", "cond-fold-true"),
+        ("cond-fold-true", "cond-fold-false"),
+        ("cond-fold-false", "block-remove"),
+        ("phi-adjust", "phi-fold-single"),
+        ("phi-fold-single", "add-fold-int"),
+    ],
+)
+def test_fold_first_fires_the_earlier_of_two_matching_rules(first, second):
+    # Rules adjacent in priority, each matching once in a graph; fold's
+    # first step is the earlier rule's.  phi-adjust's witness has no
+    # entry, so there block-remove would fire first.
+    if first == "phi-adjust":
+        g = _stale_and_single_phis()
+    else:
+        g = disjoint_union(witnesses()[first], witnesses()[second])
+    assert [len(matches(g, rule(name))) for name in (first, second)] == [1, 1]
+    assert fold(g, CATALOG).trace[0].rule_name == first
 
 
 def straightline(*values: int) -> tuple[ProgramGraph, list[int]]:
