@@ -485,13 +485,13 @@ def explore(
     The initial state is a copy of `g` (`_start`); `g` is left as it was.
     States are deduplicated up to isomorphism and named by canonical
     digest.  A successor is first looked up by a hash of its node ids
-    (`_content_key`): one identical, node id for node id, to the first
-    stored state with its key (`_same_content`) takes that state's digest
+    (`_content_key`): one identical, node id for node id, to a stored
+    state with its key (`_same_content`) takes that state's digest
     without being canonicalized, since the identity map is the
-    isomorphism.  Any other successor, a key collision among them, is
-    canonicalized once, and takes the digest of the stored state with the
-    same packed form (`isomorphism.pack`); a new form's digest that a
-    stored state already has raises RuntimeError.  No stored state is
+    isomorphism.  Any other successor is canonicalized once, and takes
+    the digest of the stored state with the same packed form
+    (`isomorphism.pack`); a new form's digest that a stored state
+    already has raises RuntimeError.  No stored state is
     canonicalized or indexed again.
     Raises StateLimitExceeded when more than `max_states` distinct
     states turn up, the initial state included.
@@ -515,9 +515,8 @@ def explore(
     states: dict[str, ProgramGraph] = {initial: g}
     # Packed canonical form -> digest of the stored state with that form.
     by_form: dict[bytes, str] = {packed: initial}
-    # Content key -> digest of the first stored state with that key; a
-    # successor of other content under the same key is canonicalized.
-    by_content: dict[int, str] = {_content_key(g): initial}
+    # Content key -> digests of the stored states with that key.
+    by_content: dict[int, list[str]] = {_content_key(g): [initial]}
     transitions: set[tuple[str, str, str]] = set()
     # Each waiting state's digest, with its parent's match table and its
     # step's written nodes (`g` waits with its own table and none).
@@ -538,8 +537,10 @@ def explore(
             for match in found:
                 successor = apply(state, rule, match)
                 key = _content_key(successor)
-                succ_digest = by_content.get(key)
-                if succ_digest is None or not _same_content(successor, states[succ_digest]):
+                for succ_digest in by_content.get(key, ()):
+                    if _same_content(successor, states[succ_digest]):
+                        break
+                else:
                     packed = pack(canonical_form(successor))
                     succ_digest = by_form.get(packed)
                     if succ_digest is None:
@@ -554,7 +555,7 @@ def explore(
                             )
                         states[succ_digest] = successor
                         by_form[packed] = succ_digest
-                        by_content.setdefault(key, succ_digest)
+                        by_content.setdefault(key, []).append(succ_digest)
                         queue.append((succ_digest, table, successor.take_written()))
                 transitions.add((digest, rule.name, succ_digest))
         state.shelve()

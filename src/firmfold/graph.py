@@ -55,7 +55,7 @@ Each validates its node as its list twin does.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -129,25 +129,44 @@ ARITY = {"Const": 0, "Cmp": 2, "Cond": 1, "Add": 2, "Return": 1, "Jmp": 0}
 CONTROL_SOURCES = ("Jmp", "Cond", "Return")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OpKind:
-    """Operation label.  `value` is set for Const only, `relation` for Cmp only."""
+    """Operation label.  `value` is set for Const only, `relation` for Cmp only.
+
+    `__init__` is written by hand.  It checks the label, then sets each
+    slot through its descriptor rather than through `object.__setattr__`
+    as a frozen dataclass's own initializer does, which makes every
+    label built (a read node, a fold's `Const`) cheaper.  The record
+    stays a dataclass: fields, equality, hash, repr and `replace` work
+    as before.
+    """
 
     name: str
     value: int | None = None
     relation: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.name not in OP_NAMES:
-            raise ValueError(f"unknown operation kind {self.name!r}")
-        if (self.value is not None) != (self.name == "Const"):
+    def __init__(self, name: str, value: int | None = None, relation: str | None = None) -> None:
+        if name not in OP_NAMES:
+            raise ValueError(f"unknown operation kind {name!r}")
+        if (value is not None) != (name == "Const"):
             raise ValueError("value is carried by Const and only by Const")
-        if self.value is not None and not INT32_MIN <= self.value <= INT32_MAX:
-            raise ValueError(f"constant {self.value} outside 32-bit range")
-        if (self.relation is not None) != (self.name == "Cmp"):
+        if value is not None and not INT32_MIN <= value <= INT32_MAX:
+            raise ValueError(f"constant {value} outside 32-bit range")
+        if (relation is not None) != (name == "Cmp"):
             raise ValueError("relation is carried by Cmp and only by Cmp")
-        if self.relation is not None and self.relation not in RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
+        if relation is not None and relation not in RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
+        _set_op_name(self, name)
+        _set_op_value(self, value)
+        _set_op_relation(self, relation)
+
+
+def _slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    """The `__set__` of each field's slot of a slotted dataclass, in field order."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_set_op_name, _set_op_value, _set_op_relation = _slot_setters(OpKind)
 
 
 def Const(value: int) -> OpKind:
@@ -197,6 +216,11 @@ class EdgeNode:
     Edge nodes are immutable.  `ProgramGraph.redirect` and
     `set_position` replace them, so the graph's adjacency index always
     sees the change.
+
+    `__init__` is written by hand, as `OpKind`'s is: it sets each slot
+    through its descriptor, not through `object.__setattr__`.  Readers
+    build one Edge node per flow edge and every rewrite of an edge
+    builds another, so this is the record a large graph builds most.
     """
 
     id: NodeId
@@ -205,6 +229,32 @@ class EdgeNode:
     source: NodeId
     target: NodeId
     branch: int | None = None
+
+    def __init__(
+        self,
+        id: NodeId,
+        kind: EdgeKind,
+        position: int,
+        source: NodeId,
+        target: NodeId,
+        branch: int | None = None,
+    ) -> None:
+        _set_edge_id(self, id)
+        _set_edge_kind(self, kind)
+        _set_edge_position(self, position)
+        _set_edge_source(self, source)
+        _set_edge_target(self, target)
+        _set_edge_branch(self, branch)
+
+
+(
+    _set_edge_id,
+    _set_edge_kind,
+    _set_edge_position,
+    _set_edge_source,
+    _set_edge_target,
+    _set_edge_branch,
+) = _slot_setters(EdgeNode)
 
 
 _BY_POSITION = operator.attrgetter("position", "id")

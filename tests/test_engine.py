@@ -895,14 +895,29 @@ def test_explore_without_content_hits_gives_the_same_lts(monkeypatch):
         (diamond_chain(random.Random(3), 1, dead=frozenset({0})), 164),
     ]
     expected = [explore(g, CATALOG) for g, _ in cases]
-    # One key for every graph: each successor misses the first stored
-    # state's content and takes the canonical path.
-    monkeypatch.setattr(engine, "_content_key", lambda g: 0)
+    # No stored state confirms a successor's content: each successor
+    # takes the canonical path.
+    monkeypatch.setattr(engine, "_same_content", lambda a, b: False)
     for index, ((g, states), want) in enumerate(zip(cases, expected)):
         lts = explore(g, CATALOG)
         assert len(lts.states) == states, index
         assert_same_lts(lts, want, index)
         assert (lts.initial, lts.final) == (want.initial, want.final), index
+
+
+def test_explore_confirms_a_successor_against_every_state_with_its_key(monkeypatch):
+    calls: Counter[str] = Counter()
+    _spy(monkeypatch, calls, "canonical_form", engine, isomorphism)
+    for g, rules in _explore_differential_cases():
+        explore(g, rules)
+    # A successor identical to a later stored state with the same node
+    # ids hits that state; keeping the first digest per key alone gave
+    # 1,282 and 3,888 forms.
+    assert calls["canonical_form"] == 1220
+    calls.clear()
+    lts = explore(diamond_chain(random.Random(3), 2, dead=frozenset({0})), CATALOG)
+    assert (len(lts.states), len(lts.transitions), len(lts.final)) == (3108, 15565, 1)
+    assert calls["canonical_form"] == 3876
 
 
 def test_content_keys_ignore_object_identity():

@@ -57,21 +57,110 @@ def test_const_factory_wraps():
     assert Const(INT32_MAX + 1).value == INT32_MIN
 
 
+# Invalid labels, each with its ValueError's text; the checks run in
+# this order, so a label that fails two of them reports the first.
+INVALID_OP_KINDS = (
+    (("Mul",), {}, "unknown operation kind 'Mul'"),
+    (("Mul",), {"value": 1, "relation": "lt"}, "unknown operation kind 'Mul'"),
+    (("Add",), {"value": 1}, "value is carried by Const and only by Const"),
+    (("Add",), {"value": 2**40}, "value is carried by Const and only by Const"),
+    (("Add", 1, "lt"), {}, "value is carried by Const and only by Const"),
+    (("Const",), {}, "value is carried by Const and only by Const"),
+    (("Const",), {"value": INT32_MAX + 1}, "constant 2147483648 outside 32-bit range"),
+    (("Const", INT32_MIN - 1, "lt"), {}, "constant -2147483649 outside 32-bit range"),
+    (("Const", 1, "lt"), {}, "relation is carried by Cmp and only by Cmp"),
+    (("Cmp",), {}, "relation is carried by Cmp and only by Cmp"),
+    (("Add",), {"relation": "lt"}, "relation is carried by Cmp and only by Cmp"),
+    (("Add",), {"relation": "approx"}, "relation is carried by Cmp and only by Cmp"),
+    (("Cmp",), {"relation": "approx"}, "unknown relation 'approx'"),
+)
+
+
 def test_op_kind_validation():
-    with pytest.raises(ValueError):
-        OpKind("Mul")
-    with pytest.raises(ValueError):
-        OpKind("Add", value=1)
-    with pytest.raises(ValueError):
-        OpKind("Const")
-    with pytest.raises(ValueError):
-        OpKind("Const", value=INT32_MAX + 1)
-    with pytest.raises(ValueError):
-        OpKind("Cmp")
-    with pytest.raises(ValueError):
+    for args, kwargs, message in INVALID_OP_KINDS:
+        with pytest.raises(ValueError) as raised:
+            OpKind(*args, **kwargs)
+        assert str(raised.value) == message, (args, kwargs)
+    with pytest.raises(ValueError, match="^unknown relation 'approx'$"):
         Cmp("approx")
-    with pytest.raises(ValueError):
-        OpKind("Add", relation="lt")
+    # `replace` builds through the same checks
+    with pytest.raises(ValueError, match="^relation is carried by Cmp and only by Cmp$"):
+        dataclasses.replace(Const(5), relation="lt")
+
+
+def test_edge_nodes_keep_the_dataclass_contract():
+    fields = dataclasses.fields(EdgeNode)
+    names = ("id", "kind", "position", "source", "target", "branch")
+    assert tuple(f.name for f in fields) == EdgeNode.__match_args__ == names
+    assert [f.default for f in fields] == [dataclasses.MISSING] * 5 + [None]
+    assert EdgeNode(1, EdgeKind.DATAFLOW, 0, 2, 3).branch is None
+    # pairwise distinct, so a field set from the wrong argument shows
+    values = (7, EdgeKind.CONTROLFLOW, 1, 3, 4, 0)
+    e = EdgeNode(*values)
+    assert tuple(getattr(e, name) for name in names) == values
+    assert EdgeNode(**dict(zip(names, values))) == e
+    assert hash(EdgeNode(*values)) == hash(e) == hash(values)
+    assert repr(e) == (
+        "EdgeNode(id=7, kind=<EdgeKind.CONTROLFLOW: 'Controlflow'>, position=1, "
+        "source=3, target=4, branch=0)"
+    )
+    assert not hasattr(e, "__dict__")
+    for index, name in enumerate(names):
+        # each field tells Edge nodes apart, and `replace` sets that field only
+        other = values[(index + 1) % len(values)]
+        moved = dataclasses.replace(e, **{name: other})
+        assert tuple(getattr(moved, n) for n in names) == (
+            *values[:index], other, *values[index + 1 :]
+        )
+        assert moved != e
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, name, other)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(e, name)
+    assert tuple(getattr(e, name) for name in names) == values
+    match e:
+        case EdgeNode(eid, kind, position, source, target, branch):
+            assert (eid, kind, position, source, target, branch) == values
+        case _:
+            pytest.fail("no match")
+
+
+def test_op_kinds_keep_the_dataclass_contract():
+    fields = dataclasses.fields(OpKind)
+    assert [(f.name, f.default) for f in fields] == [
+        ("name", dataclasses.MISSING), ("value", None), ("relation", None)
+    ]
+    add = OpKind("Add")
+    assert (add.name, add.value, add.relation) == ("Add", None, None)
+    assert OpKind("Const", 5) == OpKind(name="Const", value=5) == Const(5)
+    assert OpKind("Cmp", None, "lt") == OpKind("Cmp", relation="lt") == Cmp("lt")
+    assert repr(Cmp("ge")) == "OpKind(name='Cmp', value=None, relation='ge')"
+    assert hash(Const(-3)) == hash(("Const", -3, None))
+    # The checks admit no label whose fields all differ, so two labels
+    # cover the fields between them.
+    for record, values, text in (
+        (Const(5), ("Const", 5, None), "OpKind(name='Const', value=5, relation=None)"),
+        (Cmp("lt"), ("Cmp", None, "lt"), "OpKind(name='Cmp', value=None, relation='lt')"),
+    ):
+        assert tuple(getattr(record, f.name) for f in fields) == values
+        assert OpKind(*values) == OpKind(**{f.name: v for f, v in zip(fields, values)})
+        assert hash(OpKind(*values)) == hash(values)
+        assert repr(record) == text
+        assert not hasattr(record, "__dict__")
+        for f in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, f.name)
+    assert OpKind.__match_args__ == ("name", "value", "relation")
+    match Const(9):
+        case OpKind("Const", value):
+            assert value == 9
+        case _:
+            pytest.fail("no match")
+    assert dataclasses.replace(Const(5), value=6) == Const(6)
+    assert dataclasses.replace(Cmp("lt"), relation="gt") == Cmp("gt")
+    assert dataclasses.replace(Cmp("lt"), name="Cmp") == Cmp("lt")
 
 
 def test_ids_are_sequential_and_never_reused():

@@ -260,6 +260,42 @@ def test_overlong_numbers_are_parse_errors():
             load(wrap_native(body))
 
 
+def test_overlong_attr_numbers_name_their_node_and_attr():
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    cases = (
+        (
+            f'<node id="n1"><type xlink:href="#Const"/>'
+            f'<attr name="value"><int>{digits}</int></attr></node>',
+            f"node 'n1': attr 'value' has {len(digits)} digits, too many to read",
+        ),
+        (
+            # the count takes in the sign
+            f'<node id="n1"><type xlink:href="#Const"/>'
+            f'<attr name="value"><int>-{digits}</int></attr></node>',
+            f"node 'n1': attr 'value' has {len(digits) + 1} digits, too many to read",
+        ),
+        (
+            f'<node id="n3"><type xlink:href="#DataflowEdge"/>'
+            f'<attr name="position"><int> {digits}\n</int></attr></node>',
+            f"node 'n3': attr 'position' has {len(digits)} digits, too many to read",
+        ),
+    )
+    for body, message in cases:
+        doc = wrap_native(body)
+        assert gxl._PLAIN.fullmatch(doc), body
+        # the plain reader reads the document, and ElementTree its twin
+        for text in (doc, with_comment(doc)):
+            assert outcome(load, text) == (GxlParseError, message)
+    # an attributed edge is named by its endpoints
+    fixture = FIXTURE.read_text().replace(
+        "<attr name=\"position\"><int>1</int></attr>",
+        f"<attr name=\"position\"><int>{digits}</int></attr>",
+        1,
+    )
+    message = f"edge 'const_b' -> 'compare': attr 'position' has {len(digits)} digits, too many to read"
+    assert outcome(load, fixture) == (GxlParseError, message)
+
+
 def mutated_documents() -> list[bytes]:
     """2,000 damaged copies of four documents of both dialects."""
     seeds = [
