@@ -33,6 +33,16 @@ but never merge two that differ.  So isomorphic states are one state, and
 final states; the tests check the canonical form against an
 independent isomorphism search (`tests/helpers.py`).
 
+Most successors are known before they are built.  If two matches m1
+and m2 of a state S are parallel independent, S·m1·m2 and S·m2·m1 are
+isomorphic: the Local Church–Rosser theorem (Ehrig & Kreowski 1976;
+Ehrig, Ehrig, Prange & Taentzer 2006).  So a state first reached as
+S·m1 takes its m2-successor from the m1-successor of S·m2, when that
+is already known and an exact test of the two steps' write records
+passes (`_independent`); only the other successors come from `apply`.
+Each expanded state keeps a child map for this until the next
+breadth-first level is expanded (see `explore`).
+
 Neither driver matches every rule over the whole graph before each
 step, as a graph-transformation tool does.  Both keep one match table
 (`_Table`): for each node, the anchor tuples of every rule whose
@@ -82,7 +92,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import StaleMatchError, StateLimitExceeded, StepLimitExceeded
 from .graph import NodeId, NodeKind, ProgramGraph, contiguous
@@ -120,6 +130,10 @@ class Rule:
     `matcher`; without both, either driver asks `matcher` before every
     step and in every state.  `Rule.of` builds such a rule from its
     pattern and its rewrite alone.
+
+    A rewrite reads no more than its pattern may read at the first
+    anchor, the start block, a block anchor's members and the nodes it
+    writes; `explore` infers transitions on that ground.
     """
 
     name: str
@@ -477,6 +491,86 @@ def _same_content(a: ProgramGraph, b: ProgramGraph) -> bool:
     )
 
 
+#: A match's key in a child map: its rule's index in priority order and its anchors.
+_Key = tuple[int, tuple[NodeId, ...]]
+
+
+class _Step(NamedTuple):
+    """What `explore` keeps of a step S·m whose stored state is S·m node for node.
+
+    `written` holds the nodes of S that the step wrote (`take_written`),
+    each Phi among them followed by its block; `fresh_blocks` holds the
+    blocks of the nodes it added, and `fresh` counts those nodes.
+    """
+
+    written: tuple[NodeId, ...]
+    fresh_blocks: tuple[NodeId, ...]
+    fresh: int
+
+
+def _step_of(parent: ProgramGraph, child: ProgramGraph, written: set[NodeId]) -> _Step:
+    """The `_Step` of the step that made `child` from `parent` and wrote `written`."""
+    ops, containment = parent.op_nodes, parent.containment
+    old: list[NodeId] = []
+    fresh_blocks: list[NodeId] = []
+    fresh = 0
+    for n in written:
+        kind = ops.get(n)
+        if kind is not None:
+            old.append(n)
+            if kind.name == "Phi" and n in containment:
+                old.append(containment[n])
+        elif n in parent.block_nodes or n in parent.edge_nodes:
+            old.append(n)
+        else:
+            fresh += 1
+            block = child.containment.get(n)
+            if block is not None:
+                fresh_blocks.append(block)
+                if child.op_nodes[n].name == "Phi":
+                    old.append(block)
+    return _Step(tuple(old), tuple(fresh_blocks), fresh)
+
+
+def _apart(g: ProgramGraph, anchors: tuple[NodeId, ...], other: _Step) -> bool:
+    """Whether a step at `anchors` of `g` reads nothing that the step `other` wrote.
+
+    It must not find in `other`'s record an anchor, an anchor's block, or
+    an Edge node anchor's source, and no block anchor may have gained or
+    lost a member.
+    """
+    written = other.written
+    for a in anchors:
+        if a in written or a in other.fresh_blocks:
+            return False
+        block = g.containment.get(a)
+        if block is not None and block in written:
+            return False
+        edge = g.edge_nodes.get(a)
+        if edge is not None and edge.source in written:
+            return False
+        if a in g.block_nodes and any(g.containment.get(n) == a for n in written):
+            return False
+    return True
+
+
+def _independent(
+    g: ProgramGraph,
+    first: tuple[NodeId, ...],
+    first_step: _Step,
+    second: tuple[NodeId, ...],
+    second_step: _Step,
+) -> bool:
+    """Whether two steps of `g`, at anchors `first` and `second`, are parallel
+    independent: neither reads what the other wrote, and they wrote no node
+    of `g` in common (see `explore`)."""
+    return (
+        _apart(g, second, first_step)
+        and _apart(g, first, second_step)
+        and set(first_step.written).isdisjoint(second_step.written)
+    )
+
+
 def explore(
     g: ProgramGraph, rules: tuple[Rule, ...], max_states: int = 10_000
 ) -> Lts:
@@ -505,6 +599,55 @@ def explore(
     step's writes, since `_step` restarts it.  An expanded state is
     shelved (`shelve`), so the states returned keep no index and no
     records.
+
+    Most successors are inferred rather than built.  A waiting state T
+    also carries its first parent S and the key `(rule index, anchors)`
+    of the match m1 with T = S·m1, and each expanded state keeps a child
+    map from the key of each of its matches to the successor's digest.
+    Beside the digest goes the step's `_Step` when the stored state is
+    that successor node for node, next free id included: a new state, a
+    `_same_content` hit with the same next id, or an exact inference
+    (below).  If T has a match m2 that S had, S's map holds S·m2 node for
+    node as U, U is expanded and its map holds U's m1-successor V, and
+    `_independent` holds for m1 and m2 in S, then T's m2-successor is V:
+    no `apply`, content lookup or form.  The argument, which is the Local
+    Church–Rosser theorem (Ehrig & Kreowski 1976; Ehrig, Ehrig, Prange &
+    Taentzer 2006) for these steps:
+
+    1. A step changes the four node maps only at the nodes it records,
+       and changes a node's in- or out-edges only when it records that
+       node, since an Edge node is recorded with its endpoints whenever
+       it is written.  So a node the step did not record keeps its
+       label, its block and its incident Edge nodes.
+    2. A step reads labels, which never change; the start block, which
+       no rule adds or deletes; its anchors, their blocks and an Edge
+       node anchor's source, as far as the read invariant lets a pattern
+       read; a block anchor's members; and the nodes it writes (`Rule`).
+    3. `_normalize_all` leaves a step's graph as renumbering every
+       consumer with a gap would, since each consumer the step did not
+       touch was compact or waiting and stays so; and it renumbers a
+       consumer from that consumer's input positions alone: its
+       in-edges, and a block's Phis and theirs.  A step that changes
+       them records the consumer, or the Phi, which `_Step` counts
+       together with its block.
+
+    `_independent` asks that neither step wrote an anchor of the other,
+    an anchor's block, an Edge node anchor's source or a block anchor's
+    members, and that the two wrote no node of S in common.  By 1 and 2,
+    m2 then reads in T what it read in S and makes the same changes, as
+    m1 does in U.  The changes lie at disjoint nodes, so both orders
+    reach S with both sets of changes, and by 3 they normalize alike:
+    at most one step changed any consumer's positions.  The two results
+    differ at most in the fresh ids each step took, so they are
+    isomorphic, and equal node for node when one step took none.  V is
+    isomorphic to U·m1, so the inferred transition is the one `apply`
+    would have found.  T's map keeps m2's `_Step` with V when U's map
+    kept one with V and one of the steps took no fresh id, since m2
+    writes the same nodes in T as in S.  An inferred transition names a
+    stored state, so discovery order, digests, stored graphs and
+    `max_states` are as they would be without inference.  A state's map
+    is dropped once the level after its own is expanded: by then no
+    state that it is the first parent of waits.
     """
     if max_states < 1:
         raise StateLimitExceeded(f"state space exceeds {max_states} states")
@@ -518,16 +661,31 @@ def explore(
     # Content key -> digests of the stored states with that key.
     by_content: dict[int, list[str]] = {_content_key(g): [initial]}
     transitions: set[tuple[str, str, str]] = set()
-    # Each waiting state's digest, with its parent's match table and its
-    # step's written nodes (`g` waits with its own table and none).
-    queue: deque[tuple[str, _Table, set[NodeId]]] = deque(
-        [(initial, _Table.build(g, ordered), set())]
+    # The child maps that a later expansion may still read, by the digest
+    # of the state expanded; `held` lists those states with their levels.
+    children: dict[str, dict[_Key, tuple[str, _Step | None]]] = {}
+    held: deque[tuple[int, str]] = deque()
+    # Each waiting state's digest and level, its parent's match table, its
+    # step's written nodes, and its first parent's digest with the key of
+    # the step from it (`g` waits with its own table and neither).
+    queue: deque[tuple[str, int, _Table, set[NodeId], tuple[str, _Key] | None]] = deque(
+        [(initial, 0, _Table.build(g, ordered), set(), None)]
     )
     while queue:
-        digest, parent, written = queue.popleft()
+        digest, level, parent, written, origin = queue.popleft()
+        while held and held[0][0] < level - 1:
+            del children[held.popleft()[1]]
         state = states[digest]
         table = parent.inherit(state, written)
         listed = table.listed()
+        mine = children[digest] = {}
+        held.append((level, digest))
+        if origin is not None:
+            # This state is S·m1: S and the key of m1.
+            source = states[origin[0]]
+            siblings = children[origin[0]]
+            first = origin[1]
+            first_step = siblings[first][1]
         for index, rule in enumerate(ordered):
             tuples = listed.get(index)
             if tuples is None:
@@ -535,10 +693,31 @@ def explore(
             else:
                 found = [Match(rule.name, t) for t in tuples]
             for match in found:
+                anchors = match.anchors
+                key = (index, anchors)
+                if origin is not None:
+                    # S·m2, if stored node for node as U, and U's m1-successor.
+                    across, second_step = siblings.get(key, (None, None))
+                    onward = children.get(across, {}).get(first) if second_step else None
+                    if onward is not None and _independent(
+                        source, first[1], first_step, anchors, second_step
+                    ):
+                        succ_digest, onward_step = onward
+                        exact = onward_step is not None and not (
+                            first_step.fresh and second_step.fresh
+                        )
+                        mine[key] = (succ_digest, second_step if exact else None)
+                        transitions.add((digest, rule.name, succ_digest))
+                        continue
                 successor = apply(state, rule, match)
-                key = _content_key(successor)
-                for succ_digest in by_content.get(key, ()):
-                    if _same_content(successor, states[succ_digest]):
+                step: _Step | None = None
+                content = _content_key(successor)
+                for succ_digest in by_content.get(content, ()):
+                    stored = states[succ_digest]
+                    if _same_content(successor, stored):
+                        # Equal maps; node for node also needs the same next id.
+                        if successor._next_id == stored._next_id:
+                            step = _step_of(state, successor, successor.take_written())
                         break
                 else:
                     packed = pack(canonical_form(successor))
@@ -555,8 +734,13 @@ def explore(
                             )
                         states[succ_digest] = successor
                         by_form[packed] = succ_digest
-                        by_content.setdefault(key, []).append(succ_digest)
-                        queue.append((succ_digest, table, successor.take_written()))
+                        by_content.setdefault(content, []).append(succ_digest)
+                        succ_written = successor.take_written()
+                        step = _step_of(state, successor, succ_written)
+                        queue.append(
+                            (succ_digest, level + 1, table, succ_written, (digest, key))
+                        )
+                mine[key] = (succ_digest, step)
                 transitions.add((digest, rule.name, succ_digest))
         state.shelve()
     outgoing = {src for src, _, _ in transitions}

@@ -255,12 +255,13 @@ def _label_of(sig: _Signature, element: _Element, native: bool) -> tuple[int, ob
 
 def _decimal(digits: str, element: _Element | None = None, attr: str = "") -> int:
     """`int(digits)`; past the digit limit, GxlParseError naming a node id,
-    or `attr` of `element`."""
+    or `attr` of `element`, and counting the digits but not a minus sign."""
     try:
         return int(digits)
     except ValueError:
         what = "node id" if element is None else f"{_where(element)}: attr {attr!r}"
-        raise GxlParseError(f"{what} has {len(digits)} digits, too many to read") from None
+        count = len(digits.lstrip("-"))
+        raise GxlParseError(f"{what} has {count} digits, too many to read") from None
 
 
 def _expect_attrs(

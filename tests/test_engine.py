@@ -66,6 +66,7 @@ from helpers import (
     reference_fold,
     relabel,
     scan,
+    scan_inputs,
     search_isomorphic,
     witnesses,
 )
@@ -858,10 +859,14 @@ def test_explore_computes_each_successor_form_once(monkeypatch):
     calls: Counter[str] = Counter()
     # `canonical_hash` computes through `isomorphism.canonical_form`
     _spy(monkeypatch, calls, "canonical_form", engine, isomorphism)
+    _spy(monkeypatch, calls, "apply", engine)
     lts = explore(diamond_chain(random.Random(0), 2), CATALOG)
     assert (len(lts.states), len(lts.transitions)) == (1467, 6604)
     # 1 initial + 1,914 canonicalized successors
     assert calls["canonical_form"] == 1915
+    # Only those are built: every other successor of the 7,052 is
+    # inferred from the commuting step of a sibling (see `explore`).
+    assert calls["apply"] == 1914
 
 
 def test_explore_merges_the_three_diamond_chain_to_one_final_state():
@@ -912,8 +917,8 @@ def test_explore_confirms_a_successor_against_every_state_with_its_key(monkeypat
         explore(g, rules)
     # A successor identical to a later stored state with the same node
     # ids hits that state; keeping the first digest per key alone gave
-    # 1,282 and 3,888 forms.
-    assert calls["canonical_form"] == 1220
+    # 1,282 and 3,888 forms, and building every successor 1,220.
+    assert calls["canonical_form"] == 1218
     calls.clear()
     lts = explore(diamond_chain(random.Random(3), 2, dead=frozenset({0})), CATALOG)
     assert (len(lts.states), len(lts.transitions), len(lts.final)) == (3108, 15565, 1)
@@ -1025,3 +1030,57 @@ def test_explore_without_patterns_gives_the_same_lts():
         expected = explore(g, rules)
         for catalog in (bare, mixed):
             assert_same_lts(explore(g, catalog), expected, index)
+
+
+def test_steps_that_pass_the_independence_test_commute():
+    # Every pair of matches of a state that `_independent` accepts, not
+    # only the pairs `explore` infers through: each step still matches
+    # after the other, and the two orders end in one graph up to
+    # isomorphism, node for node when one step took no fresh id.
+    inputs = [(build_min_plus_one(3, 5, relation), CATALOG) for relation in RELATIONS]
+    inputs += _explore_differential_cases()[:8]
+    inputs += [(g, _DROP_BLOCKS) for g, _ in _explore_differential_cases()[1:4]]
+    accepted = 0
+    for g, rules in inputs:
+        ordered = sorted(rules, key=lambda r: r.priority)
+        for state in list(explore(g, rules).states.values())[:150]:
+            state = state.copy()
+            steps = []
+            for r in ordered:
+                for m in matches(state, r):
+                    h = apply(state, r, m)
+                    steps.append((r, m, h, engine._step_of(state, h, h.take_written())))
+            for i, (r1, m1, t, first) in enumerate(steps):
+                for r2, m2, u, second in steps[i + 1 :]:
+                    if not engine._independent(state, m1.anchors, first, m2.anchors, second):
+                        continue
+                    accepted += 1
+                    tu, ut = apply(t, r2, m2), apply(u, r1, m1)
+                    assert canonical_hash(tu) == canonical_hash(ut), (m1, m2)
+                    if not (first.fresh and second.fresh):
+                        assert _maps(tu) == _maps(ut), (m1, m2)
+    assert accepted == 2751
+
+
+# Scan inputs on which inferring by equal keys alone, without the
+# independence test, names a wrong successor.
+_ANCHORS_ALONE_FAILS = (31, 28)
+
+
+def test_explore_infers_only_the_transitions_it_would_build():
+    # With the independence test always false, `explore` builds every
+    # successor; inferring them must give the same LTS.  The test takes
+    # no fixture, so that the mutant harness can run it.
+    cases = [(build_min_plus_one(3, 5, relation), CATALOG) for relation in RELATIONS]
+    differential = _explore_differential_cases()
+    cases += differential + [(gapped(g), rules) for g, rules in differential]
+    cases += [
+        (diamond_chain(random.Random(0), 2), CATALOG),
+        (diamond_chain(random.Random(3), 2, dead=frozenset({0})), CATALOG),
+        *((scan_inputs(seed)[f"random {seed}"], CATALOG) for seed in _ANCHORS_ALONE_FAILS),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_independent", lambda *steps: False)
+        expected = [explore(g, rules) for g, rules in cases]
+    for index, ((g, rules), want) in enumerate(zip(cases, expected)):
+        assert_same_lts(explore(g, rules), want, index)

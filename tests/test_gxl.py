@@ -269,10 +269,10 @@ def test_overlong_attr_numbers_name_their_node_and_attr():
             f"node 'n1': attr 'value' has {len(digits)} digits, too many to read",
         ),
         (
-            # the count takes in the sign
+            # the count leaves out the sign
             f'<node id="n1"><type xlink:href="#Const"/>'
             f'<attr name="value"><int>-{digits}</int></attr></node>',
-            f"node 'n1': attr 'value' has {len(digits) + 1} digits, too many to read",
+            f"node 'n1': attr 'value' has {len(digits)} digits, too many to read",
         ),
         (
             f'<node id="n3"><type xlink:href="#DataflowEdge"/>'

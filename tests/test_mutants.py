@@ -11,7 +11,9 @@ mutant of the library and names the test that must fail on it:
   `CATALOG` or `evaluate` then replaces that name in the module the
   killing test reads it from;
 - a patch row replaces a definition the rules compute with
-  (`graph.wrap32`, a relation test) or swaps two rules' priorities.
+  (`graph.wrap32`, a relation test), swaps two rules' priorities, or
+  makes `explore` infer a successor by equal keys alone, with its
+  independence test (`engine._independent`) always true.
 
 Each killer runs under its mutant and must raise.  A killer whose own
 `pytest.raises` does not fire raises `Failed`, which is not an
@@ -32,7 +34,7 @@ from typing import Callable
 
 import pytest
 
-from firmfold import graph, rules
+from firmfold import engine, graph, rules
 
 import test_engine
 import test_interp
@@ -72,6 +74,11 @@ def _unwrapped(mp: pytest.MonkeyPatch) -> Installs:
 
 def _lt_as_ge(mp: pytest.MonkeyPatch) -> Installs:
     mp.setitem(graph.RELATION_TESTS, "lt", operator.ge)
+    return {}
+
+
+def _infer_by_anchors_alone(mp: pytest.MonkeyPatch) -> Installs:
+    mp.setattr(engine, "_independent", lambda *steps: True)
     return {}
 
 
@@ -124,6 +131,10 @@ MUTANTS: dict[str, tuple[Maker, partial]] = {
     ),
     "no-wrap32": (_unwrapped, partial(test_rules.test_add_fold_wraps_around)),
     "lt-as-ge": (_lt_as_ge, partial(test_rules.test_cmp_fold_signed_relations, "lt", 3, 5, 1)),
+    "explore-infers-by-anchors-alone": (
+        _infer_by_anchors_alone,
+        partial(test_engine.test_explore_infers_only_the_transitions_it_would_build),
+    ),
     "priorities-3-4": (_swapped(3, 4), partial(test_engine.test_explore_digests_are_pinned)),
     "priorities-7-8": (
         _swapped(7, 8),
