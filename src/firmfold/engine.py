@@ -498,12 +498,14 @@ _Key = tuple[int, tuple[NodeId, ...]]
 class _Step(NamedTuple):
     """What `explore` keeps of a step S·m whose stored state is S·m node for node.
 
-    `written` holds the nodes of S that the step wrote (`take_written`),
-    each Phi among them followed by its block; `fresh_blocks` holds the
-    blocks of the nodes it added, and `fresh` counts those nodes.
+    `written` is the set of nodes of S that the step wrote
+    (`take_written`), each Phi among them with its block, built once so
+    that `_independent` tests two records for overlap without copying
+    either; `fresh_blocks` holds the blocks of the nodes it added, and
+    `fresh` counts those nodes.
     """
 
-    written: tuple[NodeId, ...]
+    written: frozenset[NodeId]
     fresh_blocks: tuple[NodeId, ...]
     fresh: int
 
@@ -529,7 +531,7 @@ def _step_of(parent: ProgramGraph, child: ProgramGraph, written: set[NodeId]) ->
                 fresh_blocks.append(block)
                 if child.op_nodes[n].name == "Phi":
                     old.append(block)
-    return _Step(tuple(old), tuple(fresh_blocks), fresh)
+    return _Step(frozenset(old), tuple(fresh_blocks), fresh)
 
 
 def _apart(g: ProgramGraph, anchors: tuple[NodeId, ...], other: _Step) -> bool:
@@ -563,11 +565,12 @@ def _independent(
 ) -> bool:
     """Whether two steps of `g`, at anchors `first` and `second`, are parallel
     independent: neither reads what the other wrote, and they wrote no node
-    of `g` in common (see `explore`)."""
+    of `g` in common, which their `written` sets answer directly (see
+    `explore`)."""
     return (
         _apart(g, second, first_step)
         and _apart(g, first, second_step)
-        and set(first_step.written).isdisjoint(second_step.written)
+        and first_step.written.isdisjoint(second_step.written)
     )
 
 
@@ -598,7 +601,10 @@ def explore(
     than building one.  Each successor's record holds just its own
     step's writes, since `_step` restarts it.  An expanded state is
     shelved (`shelve`), so the states returned keep no index and no
-    records.
+    records.  Each rule's matches are walked as the table's sorted anchor
+    tuples (`_Table.listed`), and a `Match` is made only for a successor
+    that `apply` builds; a rule without a pattern is asked through
+    `matches`.
 
     Most successors are inferred rather than built.  A waiting state T
     also carries its first parent S and the key `(rule index, anchors)`
@@ -689,11 +695,8 @@ def explore(
         for index, rule in enumerate(ordered):
             tuples = listed.get(index)
             if tuples is None:
-                found = matches(state, rule)
-            else:
-                found = [Match(rule.name, t) for t in tuples]
-            for match in found:
-                anchors = match.anchors
+                tuples = [match.anchors for match in matches(state, rule)]
+            for anchors in tuples:
                 key = (index, anchors)
                 if origin is not None:
                     # S·m2, if stored node for node as U, and U's m1-successor.
@@ -709,7 +712,7 @@ def explore(
                         mine[key] = (succ_digest, second_step if exact else None)
                         transitions.add((digest, rule.name, succ_digest))
                         continue
-                successor = apply(state, rule, match)
+                successor = apply(state, rule, Match(rule.name, anchors))
                 step: _Step | None = None
                 content = _content_key(successor)
                 for succ_digest in by_content.get(content, ()):

@@ -23,6 +23,8 @@ slow oracle for `fold`: it copies the graph on every step and re-checks
 every consumer's positions.
 `reference_explore` is the oracle for `explore`: it canonicalizes every
 successor and confirms every digest hit by `search_isomorphic`.
+`reference_independent` is `explore`'s independence test as it was
+when a step's written nodes were a tuple, the oracle for the set form.
 `search_isomorphic` decides isomorphism by a backtracking search over
 jointly refined color classes.  The library decides it by comparing
 canonical forms (`firmfold.is_isomorphic`), so the search is the
@@ -73,6 +75,7 @@ from firmfold import (
     matches,
     normalize_positions,
 )
+from firmfold.engine import _Step
 from firmfold.errors import (
     FirmFoldError,
     GxlParseError,
@@ -522,6 +525,40 @@ def reference_explore(
     outgoing = {src for src, _, _ in transitions}
     final = frozenset(d for d in states if d not in outgoing)
     return Lts(states, tuple(sorted(transitions)), initial, final)
+
+
+def _reference_apart(g: ProgramGraph, anchors: tuple[NodeId, ...], other: _Step) -> bool:
+    """Whether a step at `anchors` of `g` reads nothing that the step `other` wrote."""
+    written = tuple(other.written)
+    for a in anchors:
+        if a in written or a in other.fresh_blocks:
+            return False
+        block = g.containment.get(a)
+        if block is not None and block in written:
+            return False
+        edge = g.edge_nodes.get(a)
+        if edge is not None and edge.source in written:
+            return False
+        if a in g.block_nodes and any(g.containment.get(n) == a for n in written):
+            return False
+    return True
+
+
+def reference_independent(
+    g: ProgramGraph,
+    first: tuple[NodeId, ...],
+    first_step: _Step,
+    second: tuple[NodeId, ...],
+    second_step: _Step,
+) -> bool:
+    """`engine._independent` as it was when a step's written nodes were a
+    tuple: each record is scanned as a sequence, and the first is copied
+    into a set to test the two for overlap."""
+    return (
+        _reference_apart(g, second, first_step)
+        and _reference_apart(g, first, second_step)
+        and set(tuple(first_step.written)).isdisjoint(tuple(second_step.written))
+    )
 
 
 # The oracle for `canonical_form`: an exact isomorphism search that

@@ -114,3 +114,27 @@ def test_a_run_without_a_json_result_is_recorded_as_crashed(monkeypatch):
         result = bench_pairs.run_once(Path("."), "explore-small", 1, 2.0)
         assert (result["correct"], result["failed"]) == (False, None), stdout
         assert result["error"].startswith("the last line of output is not a JSON result"), stdout
+
+
+def test_each_run_compiles_from_source_with_no_cache_to_read_or_write(monkeypatch):
+    # Both sides compile firmfold on every fresh import, whatever
+    # `__pycache__` their checkouts hold, so `setup_s` compares alike.
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    seen: list[tuple[dict, bool]] = []
+
+    def recorded(command, **kwargs):
+        env = kwargs["env"]
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((env, cache.is_dir() and not any(cache.iterdir())))
+        result = '{"correct": true, "failed": 0, "attempted": 3, "metrics": {"setup_s": {"value": 0.5}}}'
+        return subprocess.CompletedProcess(command, 0, stdout=f"row\n{result}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", recorded)
+    results = [bench_pairs.run_once(Path("."), "explore-small", 1, 2.0) for _ in range(2)]
+    assert results == [{"correct": True, "failed": 0, "attempted": 3, "values": {"setup_s": 0.5}}] * 2
+    for env, empty_cache in seen:
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        assert empty_cache
+        assert not Path(env["PYTHONPYCACHEPREFIX"]).exists()  # removed after the run
+        assert env["BENCH_PAIRS_PROBE"] == "kept"
+    assert seen[0][0]["PYTHONPYCACHEPREFIX"] != seen[1][0]["PYTHONPYCACHEPREFIX"]

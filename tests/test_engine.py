@@ -64,6 +64,7 @@ from helpers import (
     random_program,
     reference_explore,
     reference_fold,
+    reference_independent,
     relabel,
     scan,
     scan_inputs,
@@ -869,6 +870,23 @@ def test_explore_computes_each_successor_form_once(monkeypatch):
     assert calls["apply"] == 1914
 
 
+def test_explore_makes_a_match_only_for_each_successor_it_builds(monkeypatch):
+    # The loop walks the match table's anchor tuples; a `Match` is made
+    # only to hand one to `apply`, not for each of the tuples listed.
+    calls: Counter[str] = Counter()
+    _spy(monkeypatch, calls, "Match", engine)
+    _spy(monkeypatch, calls, "apply", engine)
+    _spy(monkeypatch, calls, "canonical_form", engine, isomorphism)
+    lts = explore(build_min_plus_one(3, 5, "lt"), CATALOG)
+    assert (len(lts.states), len(lts.transitions), len(lts.final)) == (26, 44, 1)
+    assert calls["canonical_form"] == 30
+    assert calls["Match"] == calls["apply"] == 29
+    calls.clear()
+    lts = explore(diamond_chain(random.Random(0), 2), CATALOG)
+    assert (len(lts.states), len(lts.transitions), len(lts.final)) == (1467, 6604, 1)
+    assert calls["Match"] == calls["apply"] == 1914
+
+
 def test_explore_merges_the_three_diamond_chain_to_one_final_state():
     lts = explore(diamond_chain(random.Random(0), 3), CATALOG, max_states=60_000)
     assert (len(lts.states), len(lts.transitions), len(lts.final)) == (24123, 150540, 1)
@@ -1060,6 +1078,28 @@ def test_steps_that_pass_the_independence_test_commute():
                     if not (first.fresh and second.fresh):
                         assert _maps(tu) == _maps(ut), (m1, m2)
     assert accepted == 2751
+
+
+def test_the_independence_test_agrees_with_its_tuple_based_reference(monkeypatch):
+    # Every pair `explore` asks about gets the answer the test gave when
+    # a step's written nodes were a tuple (`helpers.reference_independent`).
+    answers: Counter[tuple[bool, bool]] = Counter()
+    real = engine._independent
+
+    def checked(g, first, first_step, second, second_step):
+        got = real(g, first, first_step, second, second_step)
+        answers[got, reference_independent(g, first, first_step, second, second_step)] += 1
+        return got
+
+    monkeypatch.setattr(engine, "_independent", checked)
+    cases = [(build_min_plus_one(3, 5, relation), CATALOG) for relation in RELATIONS]
+    differential = _explore_differential_cases()
+    cases += differential + [(gapped(g), rules) for g, rules in differential]
+    for g, rules in cases:
+        explore(g, rules)
+    assert answers[True, False] == answers[False, True] == 0
+    # accepted and refused pairs
+    assert (answers[True, True], answers[False, False]) == (3082, 392)
 
 
 # Scan inputs on which inferring by equal keys alone, without the

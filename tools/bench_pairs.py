@@ -9,7 +9,12 @@ For every workload of the change's `BENCHMARK.json` and every pair, it
 runs `perfbench/run.py --workload W --seed S --seconds N --trace 0`
 once in each checkout, one process at a time: the parent first in even
 pairs, the change first in odd ones.  Pair i uses seed
-`seeds[i % len(seeds)]`, the same seed on both sides.
+`seeds[i % len(seeds)]`, the same seed on both sides.  Every run reads
+and writes no bytecode cache: it runs with `PYTHONDONTWRITEBYTECODE=1`
+and `PYTHONPYCACHEPREFIX` set to a new, empty directory, so each fresh
+import of firmfold compiles its source on both sides, whatever
+`__pycache__` directories a checkout holds, and `setup_s` measures
+compilation alike.
 
 The JSON file it writes holds, for each workload and end-to-end metric,
 each side's median, quartiles and run count, and the change's wins: the
@@ -40,6 +45,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -76,17 +82,22 @@ def crashed(error: str) -> dict:
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in `root`: its correctness, failures and metric values.
 
-    A run that exits with an error, times out, or whose last line of
-    output is not a JSON result is recorded as crashed (`crashed`), so
-    the pairs already run are kept.
+    It runs with no bytecode cache to read or write (see the module
+    docstring).  A run that exits with an error, times out, or whose
+    last line of output is not a JSON result is recorded as crashed
+    (`crashed`), so the pairs already run are kept.
     """
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     timeout = 20 * seconds + 600
-    try:
-        run = subprocess.run(command, cwd=root, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return crashed(f"timed out after {timeout} s")
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        try:
+            run = subprocess.run(
+                command, cwd=root, env=env, capture_output=True, text=True, timeout=timeout
+            )
+        except subprocess.TimeoutExpired:
+            return crashed(f"timed out after {timeout} s")
     lines = run.stdout.strip().splitlines()
     if run.returncode != 0 or not lines:
         return crashed(run.stderr.strip()[-2000:])
