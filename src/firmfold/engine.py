@@ -15,16 +15,16 @@ adjacency index copy-on-write, so it pays for what its step writes,
 not for a new index.  A stored successor keeps that index while it
 waits in the queue, so its expansion builds none, and drops it once
 expanded (`ProgramGraph.shelve`): only the breadth-first frontier holds
-indexes.  Confluent rewrites often rebuild a stored state node id for
-node id, so a successor is first looked up by its exact content (see
-`explore`); only one that is not identical to a stored state is
+indexes.  A built successor that is identical, node id for node id,
+to the stored state that a refused inference named (see below and
+`explore`) takes that state's digest; every other built successor is
 canonicalized, once, and looked up by its packed canonical form
 (`isomorphism.pack`), bytes equal exactly when the forms are, so the
 lookup itself confirms a hit and no stored state is canonicalized
-again.  A certificate has one row per node in canonical
-order, holding its initial colour and the numbers of an Edge node's
-source and target or of an operation's block, so two equal certificates
-define a bijection that keeps every colour and every arc, which is an
+again.  A certificate has one row per node in canonical order, holding
+its initial colour and the numbers of an Edge node's source and target
+or of an operation's block, so two equal certificates define a
+bijection that keeps every colour and every arc, which is an
 isomorphism.  Only a new form takes a digest, the SHA-256 of its bytes,
 and a digest that a stored state already has raises rather than merging
 the two.  A fault in the canonical form can thus split one state in two
@@ -472,19 +472,11 @@ class Lts:
         return len(self.final) <= 1
 
 
-def _content_key(g: ProgramGraph) -> int:
-    """A hash of `g`'s node ids, in map order.
-
-    Within one `explore` ids are never reused and new ones come last, so
-    states with equal node maps list their ids alike and key equal.
-    """
-    return hash((*g.op_nodes, *g.block_nodes, *g.edge_nodes))
-
-
-def _same_content(a: ProgramGraph, b: ProgramGraph) -> bool:
-    """Whether `a` and `b` have equal node maps, node id for node id."""
+def _identical(a: ProgramGraph, b: ProgramGraph) -> bool:
+    """Whether `a` and `b` are equal node id for node id, next free id included."""
     return (
-        a.op_nodes == b.op_nodes
+        a._next_id == b._next_id
+        and a.op_nodes == b.op_nodes
         and a.block_nodes == b.block_nodes
         and a.edge_nodes == b.edge_nodes
         and a.containment == b.containment
@@ -581,15 +573,14 @@ def explore(
 
     The initial state is a copy of `g` (`_start`); `g` is left as it was.
     States are deduplicated up to isomorphism and named by canonical
-    digest.  A successor is first looked up by a hash of its node ids
-    (`_content_key`): one identical, node id for node id, to a stored
-    state with its key (`_same_content`) takes that state's digest
-    without being canonicalized, since the identity map is the
-    isomorphism.  Any other successor is canonicalized once, and takes
-    the digest of the stored state with the same packed form
-    (`isomorphism.pack`); a new form's digest that a stored state
-    already has raises RuntimeError.  No stored state is
-    canonicalized or indexed again.
+    digest.  A built successor that is identical (`_identical`), node id
+    for node id and next free id, to the state V that a refused
+    inference named (below) takes V's digest without being
+    canonicalized, since the identity map is the isomorphism.  Any other
+    successor is canonicalized once, and takes the digest of the stored
+    state with the same packed form (`isomorphism.pack`); a new form's
+    digest that a stored state already has raises RuntimeError.  No
+    stored state is canonicalized again.
     Raises StateLimitExceeded when more than `max_states` distinct
     states turn up, the initial state included.
 
@@ -612,13 +603,15 @@ def explore(
     map from the key of each of its matches to the successor's digest.
     Beside the digest goes the step's `_Step` when the stored state is
     that successor node for node, next free id included: a new state, a
-    `_same_content` hit with the same next id, or an exact inference
-    (below).  If T has a match m2 that S had, S's map holds S·m2 node for
-    node as U, U is expanded and its map holds U's m1-successor V, and
-    `_independent` holds for m1 and m2 in S, then T's m2-successor is V:
-    no `apply`, content lookup or form.  The argument, which is the Local
-    Church–Rosser theorem (Ehrig & Kreowski 1976; Ehrig, Ehrig, Prange &
-    Taentzer 2006) for these steps:
+    built successor `_identical` to V (below) or to the stored state its
+    form found, or an exact inference.  If T has a match m2 that S had,
+    S's map holds S·m2 node for node as U, U is expanded and its map
+    holds U's m1-successor V, and `_independent` holds for m1 and m2 in
+    S, then T's m2-successor is V: no `apply` and no form.  When
+    `_independent` refuses the pair, the successor is built and checked
+    against V first.  The argument, which is the Local Church–Rosser
+    theorem (Ehrig & Kreowski 1976; Ehrig, Ehrig, Prange & Taentzer
+    2006) for these steps:
 
     1. A step changes the four node maps only at the nodes it records,
        and changes a node's in- or out-edges only when it records that
@@ -664,8 +657,6 @@ def explore(
     states: dict[str, ProgramGraph] = {initial: g}
     # Packed canonical form -> digest of the stored state with that form.
     by_form: dict[bytes, str] = {packed: initial}
-    # Content key -> digests of the stored states with that key.
-    by_content: dict[int, list[str]] = {_content_key(g): [initial]}
     transitions: set[tuple[str, str, str]] = set()
     # The child maps that a later expansion may still read, by the digest
     # of the state expanded; `held` lists those states with their levels.
@@ -698,6 +689,7 @@ def explore(
                 tuples = [match.anchors for match in matches(state, rule)]
             for anchors in tuples:
                 key = (index, anchors)
+                onward = None
                 if origin is not None:
                     # S·m2, if stored node for node as U, and U's m1-successor.
                     across, second_step = siblings.get(key, (None, None))
@@ -713,16 +705,11 @@ def explore(
                         transitions.add((digest, rule.name, succ_digest))
                         continue
                 successor = apply(state, rule, Match(rule.name, anchors))
-                step: _Step | None = None
-                content = _content_key(successor)
-                for succ_digest in by_content.get(content, ()):
-                    stored = states[succ_digest]
-                    if _same_content(successor, stored):
-                        # Equal maps; node for node also needs the same next id.
-                        if successor._next_id == stored._next_id:
-                            step = _step_of(state, successor, successor.take_written())
-                        break
-                else:
+                # The state that the refused inference named needs no form
+                # when the successor is identical to it.
+                succ_digest = onward[0] if onward is not None else None
+                same = succ_digest is not None and _identical(successor, states[succ_digest])
+                if not same:
                     packed = pack(canonical_form(successor))
                     succ_digest = by_form.get(packed)
                     if succ_digest is None:
@@ -737,9 +724,14 @@ def explore(
                             )
                         states[succ_digest] = successor
                         by_form[packed] = succ_digest
-                        by_content.setdefault(content, []).append(succ_digest)
-                        succ_written = successor.take_written()
-                        step = _step_of(state, successor, succ_written)
+                    same = states[succ_digest] is successor or _identical(
+                        successor, states[succ_digest]
+                    )
+                step: _Step | None = None
+                if same:
+                    succ_written = successor.take_written()
+                    step = _step_of(state, successor, succ_written)
+                    if states[succ_digest] is successor:
                         queue.append(
                             (succ_digest, level + 1, table, succ_written, (digest, key))
                         )

@@ -18,9 +18,10 @@ block, and `relabel` renames a graph's ids.  `witnesses` gives each
 rule of the catalog a small graph in which it matches exactly once, and
 `disjoint_union` puts two graphs side by side.  `scan_inputs` gives
 three inputs for one seed, and `scan` explores them under a catalog for
-each of a range of seeds.  `reference_fold` is the
-slow oracle for `fold`: it copies the graph on every step and re-checks
-every consumer's positions.
+each of a range of seeds.  `explore_differential_cases` lists the
+inputs on which the tests compare `explore` with its oracle.
+`reference_fold` is the slow oracle for `fold`: it copies the graph on
+every step and re-checks every consumer's positions.
 `reference_explore` is the oracle for `explore`: it canonicalizes every
 successor and confirms every digest hit by `search_isomorphic`.
 `reference_independent` is `explore`'s independence test as it was
@@ -70,6 +71,7 @@ from firmfold import (
     Rule,
     StateLimitExceeded,
     apply,
+    build_min_plus_one,
     canonical_hash,
     explore,
     matches,
@@ -388,6 +390,27 @@ def scan(
                 yield name, explore(g, catalog, max_states=max_states)
             except StateLimitExceeded:
                 yield name, None
+
+
+# Two-diamond chains reach over a thousand states under the full
+# catalog; without cleanup-unref-const they stay under a hundred.
+_KEEP_CONSTS = tuple(r for r in CATALOG if r.name != "cleanup-unref-const")
+
+
+def explore_differential_cases() -> list[tuple[ProgramGraph, tuple[Rule, ...]]]:
+    """The inputs, each with its catalog, on which the tests compare `explore`
+    with `reference_explore`."""
+    cases = [(build_min_plus_one(3, 5, "lt"), CATALOG)]
+    for dead, blockless in ((), ()), ((0,), ()), ((), (0,)):
+        g = diamond_chain(random.Random(1), 1, frozenset(dead), frozenset(blockless))
+        cases.append((g, CATALOG))
+    for dead, blockless in ((), ()), ((0,), (1,)):
+        g = diamond_chain(random.Random(2), 2, frozenset(dead), frozenset(blockless))
+        cases.append((g, _KEEP_CONSTS))
+    # seed 19 has states that a certificate without Edge targets merges
+    for seed in (1, 2, 3, 5, 7, 8, 19):
+        cases.append((random_graph(random.Random(seed)), CATALOG))
+    return cases
 
 
 def gapped(g: ProgramGraph) -> ProgramGraph:

@@ -57,6 +57,7 @@ from firmfold import (
 from helpers import (
     _reference_normalize,
     diamond_chain,
+    explore_differential_cases,
     gapped,
     index_builds,
     materialize,
@@ -372,7 +373,7 @@ def _assert_patterns_read_within_bounds(g: ProgramGraph, catalog: tuple[Rule, ..
 
 def test_patterns_read_only_what_the_read_invariant_allows():
     graphs = [*witnesses().values(), *_differential_cases()]
-    graphs += [g for g, _ in _explore_differential_cases()]
+    graphs += [g for g, _ in explore_differential_cases()]
     graphs += explore(diamond_chain(random.Random(0), 2), CATALOG).states.values()
     for g in graphs:
         _assert_patterns_read_within_bounds(g, CATALOG)
@@ -805,27 +806,8 @@ def assert_same_lts(lts, expected, case) -> None:
     assert (lts.initial, lts.final) == (expected.initial, expected.final), case
 
 
-# Two-diamond chains reach over a thousand states under the full
-# catalog; without cleanup-unref-const they stay under a hundred.
-_KEEP_CONSTS = tuple(r for r in CATALOG if r.name != "cleanup-unref-const")
-
-
-def _explore_differential_cases() -> list[tuple[ProgramGraph, tuple]]:
-    cases = [(build_min_plus_one(3, 5, "lt"), CATALOG)]
-    for dead, blockless in ((), ()), ((0,), ()), ((), (0,)):
-        g = diamond_chain(random.Random(1), 1, frozenset(dead), frozenset(blockless))
-        cases.append((g, CATALOG))
-    for dead, blockless in ((), ()), ((0,), (1,)):
-        g = diamond_chain(random.Random(2), 2, frozenset(dead), frozenset(blockless))
-        cases.append((g, _KEEP_CONSTS))
-    # seed 19 has states that a certificate without Edge targets merges
-    for seed in (1, 2, 3, 5, 7, 8, 19):
-        cases.append((random_graph(random.Random(seed)), CATALOG))
-    return cases
-
-
 def test_explore_agrees_with_the_reference_explore():
-    for index, (g, rules) in enumerate(_explore_differential_cases()):
+    for index, (g, rules) in enumerate(explore_differential_cases()):
         assert_same_lts(explore(g, rules), reference_explore(g, rules), index)
 
 
@@ -901,7 +883,7 @@ def test_explore_never_canonicalizes_a_stored_state(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(engine, "canonical_form", spying)
-    for index, (g, rules) in enumerate(_explore_differential_cases()):
+    for index, (g, rules) in enumerate(explore_differential_cases()):
         canonicalized.clear()
         lts = explore(g, rules)
         # each stored state once, before it was stored; every other
@@ -911,16 +893,16 @@ def test_explore_never_canonicalizes_a_stored_state(monkeypatch):
         assert max(calls.values()) == 1, index
 
 
-def test_explore_without_content_hits_gives_the_same_lts(monkeypatch):
+def test_explore_without_identity_hits_gives_the_same_lts(monkeypatch):
     cases = [
         (build_min_plus_one(3, 5, "lt"), 26),
         (build_min_plus_one(3, 5, "gt"), 30),
         (diamond_chain(random.Random(3), 1, dead=frozenset({0})), 164),
     ]
     expected = [explore(g, CATALOG) for g, _ in cases]
-    # No stored state confirms a successor's content: each successor
-    # takes the canonical path.
-    monkeypatch.setattr(engine, "_same_content", lambda a, b: False)
+    # No built successor is identical to a stored state: each one takes
+    # the canonical path, and only a new state keeps its step.
+    monkeypatch.setattr(engine, "_identical", lambda a, b: False)
     for index, ((g, states), want) in enumerate(zip(cases, expected)):
         lts = explore(g, CATALOG)
         assert len(lts.states) == states, index
@@ -928,22 +910,23 @@ def test_explore_without_content_hits_gives_the_same_lts(monkeypatch):
         assert (lts.initial, lts.final) == (want.initial, want.final), index
 
 
-def test_explore_confirms_a_successor_against_every_state_with_its_key(monkeypatch):
+def test_explore_checks_identity_only_against_the_state_it_names(monkeypatch):
     calls: Counter[str] = Counter()
     _spy(monkeypatch, calls, "canonical_form", engine, isomorphism)
-    for g, rules in _explore_differential_cases():
+    _spy(monkeypatch, calls, "apply", engine)
+    for g, rules in explore_differential_cases():
         explore(g, rules)
-    # A successor identical to a later stored state with the same node
-    # ids hits that state; keeping the first digest per key alone gave
-    # 1,282 and 3,888 forms, and building every successor 1,220.
-    assert calls["canonical_form"] == 1218
+    # A built successor skips its form only when it is identical to the
+    # state that a refused inference named; every other one takes a form,
+    # also when it is identical to the stored state that the form finds.
+    assert (calls["canonical_form"], calls["apply"]) == (1258, 1410)
     calls.clear()
     lts = explore(diamond_chain(random.Random(3), 2, dead=frozenset({0})), CATALOG)
     assert (len(lts.states), len(lts.transitions), len(lts.final)) == (3108, 15565, 1)
-    assert calls["canonical_form"] == 3876
+    assert (calls["canonical_form"], calls["apply"]) == (3884, 3895)
 
 
-def test_content_keys_ignore_object_identity():
+def test_identity_ignores_object_identity_but_not_the_next_id():
     # Separately built graphs hold separately created but equal labels
     # (`Const(3)`, `Const(5)`, ...), and setting every Edge node to its
     # old position replaces it with a new, equal object.
@@ -953,7 +936,12 @@ def test_content_keys_ignore_object_identity():
     consts = [n for n, kind in g.op_nodes.items() if kind.name == "Const"]
     assert consts and all(g.op_nodes[n] is not h.op_nodes[n] for n in consts)
     assert all(g.edge_nodes[eid] is not h.edge_nodes[eid] for eid in g.edge_nodes)
-    assert engine._content_key(g) == engine._content_key(h)
+    assert engine._identical(g, h) and engine._identical(h, g)
+    # A node added and deleted again leaves equal maps, but the next
+    # node either graph adds would take a different id.
+    h.delete_node(h.add_block(BlockKind.BLOCK))
+    assert _maps(g) == _maps(h)
+    assert not engine._identical(g, h) and not engine._identical(h, g)
 
 
 def test_explore_still_confirms_digest_hits(monkeypatch):
@@ -968,7 +956,7 @@ def test_explore_still_confirms_digest_hits(monkeypatch):
 
 
 def test_explore_stores_only_normalized_successors():
-    cases = _explore_differential_cases()[:4]
+    cases = explore_differential_cases()[:4]
     cases += [(gapped(g), rules) for g, rules in cases]
     for index, (g, rules) in enumerate(cases):
         lts = explore(g, rules)
@@ -990,7 +978,7 @@ def test_explore_keeps_a_waiting_states_index_until_it_is_expanded(monkeypatch):
         return real(table, g, written)
 
     monkeypatch.setattr(engine._Table, "inherit", spying)
-    for index, (g, rules) in enumerate(_explore_differential_cases()[:4]):
+    for index, (g, rules) in enumerate(explore_differential_cases()[:4]):
         built.clear()
         expanded.clear()
         lts = explore(g, rules)
@@ -1002,7 +990,7 @@ def test_explore_keeps_a_waiting_states_index_until_it_is_expanded(monkeypatch):
 def test_explore_leaves_no_record_on_its_states():
     # An expanded state is shelved: its records are unknown, as a loaded
     # graph's are, so folding it checks every consumer's positions.
-    for index, (g, rules) in enumerate(_explore_differential_cases()[:4]):
+    for index, (g, rules) in enumerate(explore_differential_cases()[:4]):
         for state in explore(g, rules).states.values():
             folded = save_native(fold(state, CATALOG).graph)
             assert folded == save_native(fold(load(save_native(state)), CATALOG).graph), index
@@ -1030,7 +1018,7 @@ def test_explore_inherits_the_matchers_answers(monkeypatch):
 
     monkeypatch.setattr(engine._Table, "build", classmethod(built))
     monkeypatch.setattr(engine._Table, "inherit", inherited)
-    cases = _explore_differential_cases()
+    cases = explore_differential_cases()
     cases += [(gapped(g), rules) for g, rules in cases]
     for g, rules in cases:
         ordered[:] = sorted(rules, key=lambda r: r.priority)
@@ -1042,7 +1030,7 @@ def test_explore_inherits_the_matchers_answers(monkeypatch):
 def test_explore_without_patterns_gives_the_same_lts():
     # The traced benchmark rebuilds the catalog without patterns, so its
     # explores ask every matcher at every expansion.
-    for index, (g, rules) in enumerate(_explore_differential_cases()):
+    for index, (g, rules) in enumerate(explore_differential_cases()):
         bare = _without_patterns(rules)
         mixed = tuple(b if i % 2 else r for i, (r, b) in enumerate(zip(rules, bare)))
         expected = explore(g, rules)
@@ -1056,8 +1044,8 @@ def test_steps_that_pass_the_independence_test_commute():
     # after the other, and the two orders end in one graph up to
     # isomorphism, node for node when one step took no fresh id.
     inputs = [(build_min_plus_one(3, 5, relation), CATALOG) for relation in RELATIONS]
-    inputs += _explore_differential_cases()[:8]
-    inputs += [(g, _DROP_BLOCKS) for g, _ in _explore_differential_cases()[1:4]]
+    inputs += explore_differential_cases()[:8]
+    inputs += [(g, _DROP_BLOCKS) for g, _ in explore_differential_cases()[1:4]]
     accepted = 0
     for g, rules in inputs:
         ordered = sorted(rules, key=lambda r: r.priority)
@@ -1093,7 +1081,7 @@ def test_the_independence_test_agrees_with_its_tuple_based_reference(monkeypatch
 
     monkeypatch.setattr(engine, "_independent", checked)
     cases = [(build_min_plus_one(3, 5, relation), CATALOG) for relation in RELATIONS]
-    differential = _explore_differential_cases()
+    differential = explore_differential_cases()
     cases += differential + [(gapped(g), rules) for g, rules in differential]
     for g, rules in cases:
         explore(g, rules)
@@ -1112,7 +1100,7 @@ def test_explore_infers_only_the_transitions_it_would_build():
     # successor; inferring them must give the same LTS.  The test takes
     # no fixture, so that the mutant harness can run it.
     cases = [(build_min_plus_one(3, 5, relation), CATALOG) for relation in RELATIONS]
-    differential = _explore_differential_cases()
+    differential = explore_differential_cases()
     cases += differential + [(gapped(g), rules) for g, rules in differential]
     cases += [
         (diamond_chain(random.Random(0), 2), CATALOG),

@@ -65,6 +65,7 @@ from helpers import (
     _blockless,
     _extends,
     diamond_chain,
+    explore_differential_cases,
     materialize,
     permute_native_ids,
     random_graph,
@@ -72,7 +73,7 @@ from helpers import (
     relabel,
     search_isomorphic,
 )
-from test_engine import _explore_differential_cases, _spy
+from test_engine import _spy
 
 
 def test_empty_graphs():
@@ -540,7 +541,7 @@ def test_refinement_runs_only_where_stage_one_leaves_nodes(monkeypatch):
     cases = [
         (build_min_plus_one(3, 5, "lt"), CATALOG),
         (diamond_chain(random.Random(0), 2), CATALOG),
-        *_explore_differential_cases(),
+        *explore_differential_cases(),
     ]
     for g, rules in cases:
         explore(g, rules)
@@ -665,7 +666,7 @@ def _seeded(g: ProgramGraph) -> tuple[dict[int, int], list[int]]:
 def test_refining_the_unnumbered_nodes_alone_gives_full_refinement():
     explored = [
         state
-        for g, rules in _explore_differential_cases()
+        for g, rules in explore_differential_cases()
         for state in explore(g, rules).states.values()
     ]
     # stage 1 numbers every explored state through; these copies keep

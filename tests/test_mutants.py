@@ -11,9 +11,10 @@ mutant of the library and names the test that must fail on it:
   `CATALOG` or `evaluate` then replaces that name in the module the
   killing test reads it from;
 - a patch row replaces a definition the rules compute with
-  (`graph.wrap32`, a relation test), swaps two rules' priorities, or
+  (`graph.wrap32`, a relation test), swaps two rules' priorities,
   makes `explore` infer a successor by equal keys alone, with its
-  independence test (`engine._independent`) always true.
+  independence test (`engine._independent`) always true, or makes its
+  identity test (`engine._identical`) ignore the next free id.
 
 Each killer runs under its mutant and must raise.  A killer whose own
 `pytest.raises` does not fire raises `Failed`, which is not an
@@ -82,6 +83,19 @@ def _infer_by_anchors_alone(mp: pytest.MonkeyPatch) -> Installs:
     return {}
 
 
+def _identity_ignores_next_id(mp: pytest.MonkeyPatch) -> Installs:
+    def identical(a: graph.ProgramGraph, b: graph.ProgramGraph) -> bool:
+        return (
+            a.op_nodes == b.op_nodes
+            and a.block_nodes == b.block_nodes
+            and a.edge_nodes == b.edge_nodes
+            and a.containment == b.containment
+        )
+
+    mp.setattr(engine, "_identical", identical)
+    return {}
+
+
 def _swapped(first: int, second: int) -> Maker:
     """The catalog with the priorities `first` and `second` swapped."""
     swap = {first: second, second: first}
@@ -134,6 +148,12 @@ MUTANTS: dict[str, tuple[Maker, partial]] = {
     "explore-infers-by-anchors-alone": (
         _infer_by_anchors_alone,
         partial(test_engine.test_explore_infers_only_the_transitions_it_would_build),
+    ),
+    # No explore input is known on which this mutant changes an LTS or a
+    # count, so its killer is the unit test of the identity test.
+    "identity-ignores-next-id": (
+        _identity_ignores_next_id,
+        partial(test_engine.test_identity_ignores_object_identity_but_not_the_next_id),
     ),
     "priorities-3-4": (_swapped(3, 4), partial(test_engine.test_explore_digests_are_pinned)),
     "priorities-7-8": (
